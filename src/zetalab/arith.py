@@ -1,11 +1,12 @@
 """Sieve-built arithmetic function tables and exact Dirichlet convolution.
 
 Tables are the universal currency of the coefficient work: 1-indexed
-float64 arrays wrapped with a name and a limit.  Mobius and the divisor
-functions tau_k are exact integers stored in floats; von Mangoldt, log and
-the derived coefficient sequences are floats accumulated with compensated
-(Kahan) summation so that identity checks hold to ~1e-12 relative at desk
-scale (N <= 1e6).
+float64 arrays wrapped with a name and a limit.  Mobius, von Mangoldt and
+the divisor functions tau_k come from one pass over the prime powers
+p^j <= N; Mobius and tau_k are exact integers stored in floats.  Every
+Dirichlet convolution in the package runs through :func:`convolve_values`,
+which accumulates with error-free TwoSum compensation so that identity
+checks hold to ~1e-12 relative at desk scale (N <= 1e6).
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class ArithFnTable:
             raise IndexError(f"n={n} outside [1, {self.limit}]")
         return float(self.values[n])
 
-    def restrict(self, n_max: int) -> "ArithFnTable":
-        """View of the same function truncated to a smaller limit."""
-        if n_max > self.limit:
-            raise ValueError(f"cannot extend table {self.name} to {n_max}")
-        return ArithFnTable(self.name, n_max, self.values[: n_max + 1].copy())
-
 
 def _prime_mask(n: int) -> np.ndarray:
     mask = np.ones(n + 1, dtype=bool)
@@ -71,40 +66,49 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(_prime_mask(n))[0].astype(np.int64)
 
 
-def _sieve_mobius(n: int) -> np.ndarray:
-    mu = np.zeros(n + 1, dtype=np.float64)
-    mu[1:] = 1.0
-    for p in primes_up_to(n):
-        mu[p::p] *= -1.0
-        if p * p <= n:
-            mu[p * p :: p * p] = 0.0
-    return mu
+def _prime_power_sieve(name: str, n: int) -> np.ndarray:
+    """mobius, vonmangoldt or tau_k on [0..n] from one pass over the prime powers.
+
+    vonmangoldt is log p at every p^j.  mobius and tau_k are multiplicative
+    and built exactly in int64: each multiple of p^j has its p-part
+    f(p^(j-1)) replaced by f(p^j), where mu(p) = -1, mu(p^j) = 0 for j >= 2
+    and tau_k(p^j) = tau_k(p^(j-1)) (j+k-1)/j.
+    """
+    k = int(name[4:]) if name.startswith("tau_") else 0
+    if name == "vonmangoldt":
+        values = np.zeros(n + 1)
+    else:
+        values = np.ones(n + 1, dtype=np.int64)
+        values[0] = 0
+    for p in primes_up_to(n).tolist():
+        q, j, prev = p, 1, 1
+        while q <= n:
+            if name == "vonmangoldt":
+                values[q] = math.log(p)
+            elif name == "mobius":
+                values[q::q] *= -1 if j == 1 else 0
+            else:
+                cur = prev * (j + k - 1) // j
+                block = values[q::q]
+                block //= prev
+                block *= cur
+                prev = cur
+            q *= p
+            j += 1
+    return values.astype(np.float64)
 
 
-def _sieve_von_mangoldt(n: int) -> np.ndarray:
-    lam = np.zeros(n + 1, dtype=np.float64)
-    for p in primes_up_to(n):
-        logp = math.log(p)
-        pk = int(p)
-        while pk <= n:
-            lam[pk] = logp
-            pk *= int(p)
-    return lam
-
-
-# sieve results are reused aggressively (tau_9 alone costs 8 convolutions)
-_table_cache: dict[tuple[str, int], ArithFnTable] = {}
-
-
-def clear_table_cache() -> None:
-    _table_cache.clear()
+# at most one table per name; smaller limits get read-only prefix views
+_table_cache: dict[str, ArithFnTable] = {}
 
 
 def sieve_standard(name: str, limit: int) -> ArithFnTable:
     """Build one of the standard tables: mobius, vonmangoldt, log, one, tau_k.
 
-    tau_k (2 <= k <= 9) is computed as the (k-1)-fold Dirichlet convolution
-    of the constant function 1; intermediate tau tables are cached.
+    mobius, vonmangoldt and tau_k (2 <= k <= 9) come from one sieve over the
+    prime powers <= limit.  Tables are memoised by name: a limit at or below
+    the memoised one gets a prefix view (values at n do not depend on the
+    limit), a larger one rebuilds and replaces the memoised table.
     """
     if name not in STANDARD_NAMES:
         raise ValueError(f"unknown arithmetic function {name!r}; expected one of {STANDARD_NAMES}")
@@ -112,34 +116,64 @@ def sieve_standard(name: str, limit: int) -> ArithFnTable:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > DEFAULT_LIMIT_CAP:
         raise ValueError(f"limit {limit} exceeds the desk-scale cap {DEFAULT_LIMIT_CAP}")
-    key = (name, limit)
-    cached = _table_cache.get(key)
-    if cached is not None:
-        return cached
-
-    if name == "mobius":
-        values = _sieve_mobius(limit)
-    elif name == "vonmangoldt":
-        values = _sieve_von_mangoldt(limit)
-    elif name == "log":
-        values = np.zeros(limit + 1)
-        values[1:] = np.log(np.arange(1, limit + 1, dtype=np.float64))
-    elif name == "one":
-        values = np.ones(limit + 1)
-        values[0] = 0.0
-    else:
-        k = int(name.split("_")[1])
-        if k == 2:
-            base = sieve_standard("one", limit)
-            table = dirichlet_convolve(base, base, limit)
+    cached = _table_cache.get(name)
+    if cached is None or cached.limit < limit:
+        if name == "log":
+            values = np.zeros(limit + 1)
+            values[1:] = np.log(np.arange(1, limit + 1, dtype=np.float64))
+        elif name == "one":
+            values = np.ones(limit + 1)
+            values[0] = 0.0
         else:
-            table = dirichlet_convolve(
-                sieve_standard(f"tau_{k - 1}", limit), sieve_standard("one", limit), limit
-            )
-        values = table.values.copy()
+            values = _prime_power_sieve(name, limit)
+        cached = _table_cache[name] = ArithFnTable(name, limit, values)
+    if cached.limit == limit:
+        return cached
+    return ArithFnTable(name, limit, cached.values[: limit + 1])
 
-    out = ArithFnTable(name, limit, values)
-    _table_cache[key] = out
+
+def _accumulate(out: np.ndarray, comp: np.ndarray, d: int, c: float,
+                v: np.ndarray, lo: int) -> None:
+    """out[d e] += c v[e] for lo <= e <= (len(out) - 1) // d; rounding errors into comp.
+
+    The indices d e are disjoint, so the update is vectorised; TwoSum
+    (Ogita, Rump & Oishi 2005) recovers each addition's error exactly.
+    """
+    hi = (len(out) - 1) // d
+    sl = slice(d * lo, d * hi + 1, d)
+    x = c * v[lo : hi + 1]
+    o = out[sl]
+    s = o + x
+    bp = s - o
+    x -= bp
+    bp -= s
+    bp += o
+    bp += x  # (o - (s - bp)) + (x - bp)
+    comp[sl] += bp
+    out[sl] = s
+
+
+def convolve_values(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """(a*b)(m) = sum_{de=m} a[d] b[e] on [0..n] for 1-indexed value arrays.
+
+    The loop runs over the support of the sparser side.  When both sides
+    have more than 2 isqrt(n) nonzeros it splits at r = isqrt(n): d <= r
+    against every e, then e <= n/(r+1) against d > r, so it makes O(sqrt n)
+    vectorised passes.  The compensation is folded in at the end.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    sa, sb = np.flatnonzero(a[1:]) + 1, np.flatnonzero(b[1:]) + 1
+    if len(sa) > len(sb):
+        a, b, sa, sb = b, a, sb, sa
+    out = np.zeros(n + 1)
+    comp = np.zeros(n + 1)
+    # without the split, cut = n: the first loop takes every d, the second none
+    cut = math.isqrt(n) if len(sa) > 2 * math.isqrt(n) else n
+    for d in sa[sa <= cut].tolist():
+        _accumulate(out, comp, d, a[d], b, 1)
+    for e in sb[sb <= n // (cut + 1)].tolist():
+        _accumulate(out, comp, e, b[e], a, cut + 1)
+    out += comp
     return out
 
 
@@ -147,9 +181,7 @@ def dirichlet_convolve(f: ArithFnTable, g: ArithFnTable, limit: int | None = Non
                        name: str | None = None) -> ArithFnTable:
     """Exact Dirichlet convolution (f*g)(n) = sum_{de=n} f(d) g(e) on [1..limit].
 
-    Divisor-loop accumulation, O(limit log limit) element operations, with
-    per-entry Kahan compensation: output indices d, 2d, 3d, ... are disjoint
-    within each stride, so the compensated update is applied vectorised.
+    Table front end of :func:`convolve_values`.
     """
     if limit is None:
         limit = min(f.limit, g.limit)
@@ -157,21 +189,8 @@ def dirichlet_convolve(f: ArithFnTable, g: ArithFnTable, limit: int | None = Non
         raise ValueError(
             f"convolution limit {limit} exceeds input limits ({f.limit}, {g.limit})"
         )
-    out = np.zeros(limit + 1)
-    comp = np.zeros(limit + 1)
-    fv = f.values
-    gv = g.values
-    support = np.nonzero(fv[1 : limit + 1])[0] + 1
-    for d in support:
-        m = limit // d
-        addend = fv[d] * gv[1 : m + 1]
-        sl = slice(d, d * m + 1, d)
-        y = addend - comp[sl]
-        t = out[sl] + y
-        comp[sl] = (t - out[sl]) - y
-        out[sl] = t
     label = name if name is not None else f"({f.name}*{g.name})"
-    return ArithFnTable(label, limit, out)
+    return ArithFnTable(label, limit, convolve_values(f.values, g.values, limit))
 
 
 def compute_a1(limit: int) -> ArithFnTable:

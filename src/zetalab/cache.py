@@ -1,8 +1,9 @@
-"""Parameter-keyed file cache for coefficient tables and zero lists.
+"""Parameter-keyed file cache for zero lists.
 
-One flat directory (env ZETALAB_CACHE or ./.zetalab_cache) holding arithmetic
-tables in the 'arithfn' binary format and zero lists in the plain-text
-ordinate format; filenames carry a short hash of the generating parameters.
+One flat directory (env ZETALAB_CACHE or ./.zetalab_cache) holding zero
+lists in the plain-text ordinate format; filenames carry a short hash of the
+generating parameters.  Coefficient tables are cheap to sieve and are not
+file-cached.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import hashlib
 import os
 from pathlib import Path
 
-from . import arith, zeta
+from . import zeta
 
 ENV_VAR = "ZETALAB_CACHE"
 DEFAULT_DIR = ".zetalab_cache"
@@ -26,26 +27,6 @@ def cache_dir(override: str | None = None) -> Path:
 def _key(**params) -> str:
     blob = ",".join(f"{k}={params[k]!r}" for k in sorted(params))
     return hashlib.sha1(blob.encode()).hexdigest()[:16]
-
-
-def table_path(name: str, limit: int, directory: Path) -> Path:
-    return directory / f"arithfn-{_key(name=name, limit=limit)}.bin"
-
-
-def load_or_build_table(name: str, limit: int, builder, directory: Path | None = None,
-                        enabled: bool = True) -> arith.ArithFnTable:
-    """Fetch a cached table or build and store it.  ``builder`` is a thunk."""
-    if not enabled:
-        return builder()
-    directory = directory if directory is not None else cache_dir()
-    path = table_path(name, limit, directory)
-    if path.exists():
-        table = arith.load_table(path)
-        if table.limit == limit:
-            return table
-    table = builder()
-    arith.save_table(table, path)
-    return table
 
 
 def zeros_path(T: float, directory: Path) -> Path:

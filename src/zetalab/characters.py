@@ -245,13 +245,6 @@ def delta_term(params: DeltaParams) -> complex:
 # the two forms of the moment sum M_nu
 
 
-def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def _a_slice_limit(spec: MollifierSpec) -> int:
     return int(spec.y * spec.T / (2 * math.pi))
 
@@ -259,7 +252,7 @@ def _a_slice_limit(spec: MollifierSpec) -> int:
 def m_nu_direct(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
     """M_nu = sum_{k <= y} sum_{m <= kT/2pi} a_nu(m) (b(k)/k) e(-m/k).
 
-    Summation is k-outer ascending with compensated accumulation.
+    The k-terms are summed with math.fsum on real and imaginary parts.
     """
     if nu not in (1, 2):
         raise ValueError(f"nu must be 1 or 2, got {nu}")
@@ -267,8 +260,7 @@ def m_nu_direct(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
     if a_table.limit < need:
         raise ValueError(f"a_{nu} table limit {a_table.limit} < required {need}")
     av = a_table.values
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
+    terms = []
     for k in range(1, int(spec.y) + 1):
         bk = eval_b(k, spec)
         if bk == 0.0:
@@ -278,9 +270,8 @@ def m_nu_direct(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
             continue
         roots = np.exp(-2j * np.pi * np.arange(k) / k)
         phases = roots[np.arange(1, m_max + 1) % k]
-        term = (bk / k) * complex(np.dot(av[1 : m_max + 1], phases))
-        total, comp = _kahan_add(total, comp, term)
-    return total
+        terms.append((bk / k) * complex(np.dot(av[1 : m_max + 1], phases)))
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
@@ -299,8 +290,7 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
         raise ValueError(f"a_{nu} table limit {a_table.limit} < required {need}")
     av = a_table.values
     y = spec.y
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
+    terms = []
     for q in range(1, int(y) + 1):
         prims = primitive_characters(q)
         if not prims:
@@ -326,8 +316,8 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
                     idx = np.arange(1, m_max + 1)
                     s = complex(np.dot(av[idx * d], psi_vals[idx % q]))
                     inner += (bkq / (k * q)) * delta * s
-            total, comp = _kahan_add(total, comp, tau_bar * inner)
-    return total
+            terms.append(tau_bar * inner)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def polya_vinogradov_max(chi: DirichletCharacter, Y: int, coprime_to: int = 1) -> float:
@@ -339,8 +329,7 @@ def polya_vinogradov_max(chi: DirichletCharacter, Y: int, coprime_to: int = 1) -
     h = np.arange(1, Y + 1)
     vals = chi.values[h % chi.modulus]
     if coprime_to > 1:
-        mask = np.array([math.gcd(int(x), coprime_to) == 1 for x in h])
-        vals = np.where(mask, vals, 0.0)
+        vals = np.where(np.gcd(h, coprime_to) == 1, vals, 0.0)
     return float(np.abs(np.cumsum(vals)).max())
 
 

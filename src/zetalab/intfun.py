@@ -65,23 +65,6 @@ def radical(n: int) -> int:
     return r
 
 
-def is_squarefree(n: int) -> bool:
-    return mobius_int(n) != 0
-
-
-def ordered_factorizations(n: int, slots: int) -> list[tuple[int, ...]]:
-    """All ordered tuples (d_1, ..., d_slots) of positive integers with product n."""
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    if slots == 1:
-        return [(n,)]
-    out = []
-    for d in divisors(n):
-        for rest in ordered_factorizations(n // d, slots - 1):
-            out.append((d,) + rest)
-    return out
-
-
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/nZ)*; a must be a unit mod n."""
     if math.gcd(a, n) != 1:

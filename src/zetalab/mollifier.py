@@ -200,14 +200,6 @@ def predicted_S2_factor(spec: MollifierSpec) -> float:
     return s2_factor(spec.P, spec.theta)
 
 
-def predicted_M11_factor(spec: MollifierSpec) -> float:
-    return m11_factor(spec.P, spec.theta)
-
-
-def predicted_M21_factor(spec: MollifierSpec) -> float:
-    return m21_factor(spec.P, spec.theta)
-
-
 def kappa_star_lower(s1: float, s2: float) -> float:
     """s1^2 / s2, the asymptotic simple-zero proportion bound."""
     if s2 <= 0:

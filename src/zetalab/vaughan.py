@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import arith
-from .arith import ArithFnTable, dirichlet_convolve
+from .arith import ArithFnTable, convolve_values, dirichlet_convolve
 from .characters import primitive_characters
 from .intfun import divisors, factorize, radical
 from .mollifier import MollifierSpec, b_table
@@ -294,7 +294,7 @@ class A2Decomposition:
                 if role == IDENTITY:
                     continue
                 pooled = _pooled_slot(tables[role], blocks, n, role, self.config, self.spec)
-                acc = _convolve_raw(acc, pooled, n)
+                acc = convolve_values(acc, pooled, n)
             total += _GROUP_WEIGHTS[j] * acc
         return total
 
@@ -334,19 +334,6 @@ def _pooled_slot(values, blocks, n, role, config, spec) -> np.ndarray:
         bad = int(np.nonzero(cover[start : cap + 1] != 1.0)[0][0]) + start
         raise AssertionError(f"dyadic blocks do not tile slot role {role} at n={bad}")
     return pooled
-
-
-def _convolve_raw(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n + 1)
-    support = np.nonzero(b[1:])[0] + 1
-    # iterate over the sparser side
-    if len(support) > np.count_nonzero(a[1:]):
-        a, b = b, a
-        support = np.nonzero(b[1:])[0] + 1
-    for d in support:
-        m = n // d
-        out[d : d * m + 1 : d] += b[d] * a[1 : m + 1]
-    return out
 
 
 def decompose_a2(spec: MollifierSpec, config: VaughanConfig, n_cap: int = 10**4) -> A2Decomposition:
@@ -391,7 +378,7 @@ def term_convolution(term: DecompositionTerm, decomposition: A2Decomposition,
     for role, (lo, hi) in zip(term.roles, term.blocks):
         if role == IDENTITY:
             continue
-        acc = _convolve_raw(acc, _restrict(tables[role], lo, hi, n), n)
+        acc = convolve_values(acc, _restrict(tables[role], lo, hi, n), n)
     return acc
 
 
@@ -444,8 +431,7 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
         arg = m * d_i  # <= m_limit * d since d_i | d
         vals = np.where((arg > lo) & (arg <= hi), tables[role][arg], 0.0)
         if rad > 1:
-            coprime = np.array([math.gcd(int(x), rad) == 1 for x in m])
-            vals = np.where(coprime, vals, 0.0)
+            vals = np.where(np.gcd(m, rad) == 1, vals, 0.0)
         out[1:] = vals
         return out
 
@@ -465,7 +451,7 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
                     g = g_table(role, lo, hi, d_i, rad)
                     if not g.any():
                         continue
-                    nxt = _convolve_raw(table, g, m_limit)
+                    nxt = convolve_values(table, g, m_limit)
                 key = (radical(rad * d_i), rem // d_i)
                 if key in new_states:
                     new_states[key] = new_states[key] + nxt

@@ -472,26 +472,11 @@ def compute_moments(T: float, spec: MollifierSpec, zeros: ZeroList) -> MomentRes
     else:
         B_vals = np.ones(len(gammas), dtype=np.complex128)
     prod = B_vals * zp
-    s1 = complex(_kahan_complex(prod))
-    s2 = float(_kahan_real(np.abs(prod) ** 2))
+    s1 = complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))
+    s2 = math.fsum((np.abs(prod) ** 2).tolist())
     n_t = len(gammas)
     kappa = abs(s1) ** 2 / (s2 * n_t)
     return MomentResult(T=T, spec=spec, S1=s1, S2=s2, N_T=n_t, kappa_bound=kappa)
-
-
-def _kahan_complex(values: np.ndarray) -> complex:
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _kahan_real(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
 
 
 def empirical_kappa_bound(result: MomentResult) -> float:

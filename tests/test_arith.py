@@ -5,11 +5,38 @@ import pytest
 
 from zetalab import arith
 from zetalab.arith import ArithFnTable, dirichlet_convolve, sieve_standard
+from zetalab.intfun import factorize, mobius_int
 
 
 def brute_convolve(f, g, n):
     """Direct divisor-sum oracle."""
     return math.fsum(f[d] * g[n // d] for d in range(1, n + 1) if n % d == 0)
+
+
+def kahan_convolve(a, b, n):
+    """Divisor-loop kernel with per-entry Kahan compensation: one pass per d in
+    the support of a, over all of b.  Oracle for arith.convolve_values."""
+    out = np.zeros(n + 1)
+    comp = np.zeros(n + 1)
+    for d in np.nonzero(a[1 : n + 1])[0] + 1:
+        m = n // d
+        addend = a[d] * b[1 : m + 1]
+        sl = slice(d, d * m + 1, d)
+        y = addend - comp[sl]
+        t = out[sl] + y
+        comp[sl] = (t - out[sl]) - y
+        out[sl] = t
+    return out
+
+
+def random_values(rng, n, nonzeros=None):
+    values = np.zeros(n + 1)
+    if nonzeros is None:
+        values[1:] = rng.uniform(-1, 1, n)
+    else:
+        support = rng.choice(np.arange(1, n + 1), min(n, nonzeros), replace=False)
+        values[support] = rng.uniform(-1, 1, len(support))
+    return values
 
 
 def random_table(rng, name, limit):
@@ -48,7 +75,53 @@ def test_tau_k_is_iterated_convolution():
     t = one
     for k in range(2, 6):
         t = dirichlet_convolve(t, one, 200)
-        assert np.allclose(t.values, sieve_standard(f"tau_{k}", 200).values)
+        assert np.array_equal(t.values, sieve_standard(f"tau_{k}", 200).values)
+
+
+def test_tau_k_against_exact_product():
+    n = 10**4
+    for k in range(2, 10):
+        tau = sieve_standard(f"tau_{k}", n)
+        for m in range(1, n + 1):
+            exact = math.prod(math.comb(a + k - 1, k - 1) for _, a in factorize(m))
+            assert tau[m] == exact, (k, m)
+
+
+def test_mobius_against_factorisation():
+    mu = sieve_standard("mobius", 2000)
+    assert all(mu[m] == mobius_int(m) for m in range(1, 2001))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 240, 10**4])
+def test_kernel_matches_kahan_oracle(rng, n):
+    sparse = max(1, math.isqrt(n))  # within 2 isqrt(n): the single-loop route
+    cases = [
+        (random_values(rng, n, sparse), random_values(rng, n)),
+        (random_values(rng, n), random_values(rng, n, sparse)),
+        (random_values(rng, n), random_values(rng, n)),  # split at isqrt(n) when n > 3
+    ]
+    for a, b in cases:
+        got = arith.convolve_values(a, b, n)
+        want = kahan_convolve(a, b, n)
+        scale = kahan_convolve(np.abs(a), np.abs(b), n)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def test_kernel_compensation_against_fsum(rng):
+    """With exact products (a * 1) the kernel's only errors are in the sums; the
+    folded TwoSum compensation keeps them within half an ulp of the result plus
+    a second-order term (Ogita, Rump & Oishi 2005, Sum2)."""
+    n = 10**4
+    a = random_values(rng, n)
+    one = sieve_standard("one", n).values
+    divisor_terms = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            divisor_terms[m].append(a[d])
+    exact = np.array([math.fsum(t) for t in divisor_terms])
+    scale = np.array([math.fsum(abs(x) for x in t) for t in divisor_terms])
+    for got in (arith.convolve_values(a, one, n), arith.convolve_values(one, a, n)):
+        assert np.all(np.abs(got - exact) <= 2.0**-53 * np.abs(exact) + 1e-26 * scale)
 
 
 def test_convolution_examples():
@@ -183,6 +256,20 @@ def test_table_cache_rejects_corruption(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError):
         arith.load_table(path)
+
+
+def test_table_memo_prefix_view(monkeypatch):
+    for name in arith.STANDARD_NAMES:
+        monkeypatch.setattr(arith, "_table_cache", {})
+        big = sieve_standard(name, 3000)
+        view = sieve_standard(name, 1237)
+        assert np.shares_memory(view.values, big.values)
+        with pytest.raises(ValueError):
+            view.values[5] = 7.0
+        monkeypatch.setattr(arith, "_table_cache", {})
+        fresh = sieve_standard(name, 1237)
+        assert view.values.tobytes() == fresh.values.tobytes()
+        assert sieve_standard(name, 4000) is arith._table_cache[name]
 
 
 def test_tables_are_readonly():
