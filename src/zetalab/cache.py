@@ -18,7 +18,7 @@ ENV_VAR = "ZETALAB_CACHE"
 DEFAULT_DIR = ".zetalab_cache"
 
 
-def cache_dir(override: str | None = None) -> Path:
+def cache_dir(override: str | Path | None = None) -> Path:
     path = Path(override or os.environ.get(ENV_VAR, DEFAULT_DIR))
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -44,17 +44,18 @@ def _declared_height(path: Path) -> float | None:
     return None
 
 
-def load_or_find_zeros(T: float, directory: Path | None = None,
-                       enabled: bool = True, threads: int = 1) -> zeta.ZeroList:
+def load_or_find_zeros(T: float, directory: str | Path | None = None,
+                       enabled: bool = True) -> zeta.ZeroList:
+    """Zeros up to T from the cache in ``directory`` (see ``cache_dir``), found
+    and stored on a miss; ``enabled=False`` bypasses the cache entirely."""
     if not enabled:
-        return zeta.find_zeros(T, threads=threads)
-    directory = directory if directory is not None else cache_dir()
-    path = zeros_path(T, directory)
+        return zeta.find_zeros(T)
+    path = zeros_path(T, cache_dir(directory))
     if path.exists():
         declared = _declared_height(path)
         if declared is not None and declared >= T:
             zeros = zeta.ingest_zeros(path, cross_check=False)
             return zeta.ZeroList(zeros.ordinates, "computed", declared)
-    zeros = zeta.find_zeros(T, threads=threads)
+    zeros = zeta.find_zeros(T)
     zeta.write_zeros(zeros, path)
     return zeros

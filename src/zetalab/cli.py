@@ -1,9 +1,13 @@
 """Command-line front door: orchestration, caching, and report emission.
 
-Subcommands: report-kappa, optimize-poly, verify-vaughan, verify-rearrangement,
-verify-split, moments, zeros (find | ingest), monitor-sieve.  Flags beat the
-optional key=value config file; reports are JSON or CSV; exit status is 0
-only if every hard assertion passed.
+Each command's flags are ``(flag, type, default)`` rows of one table,
+``COMMANDS`` (``zeros find`` and ``zeros ingest`` are commands; the ``zeros``
+group takes no flags).  The parser is built from it and handlers read typed
+``args.*``.  A ``--config`` file holds ``key=value`` lines keyed by the
+command's flag names (booleans ``true``/``false``); they are parsed by the same
+parser ahead of the explicit flags, so flags win.  Exit status: 0 only if every
+hard assertion passed, 1 on a failed check or a module rejection, 2 on a usage
+error, a bad config file included.
 """
 
 from __future__ import annotations
@@ -14,81 +18,69 @@ import math
 import sys
 
 
-def _load_config(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        for key, value in _load_config(args.config).items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-    return args
+_finite = _checked(float, math.isfinite, "a finite number")
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+# --nu gives the tuple of moment orders to check; its default (1, 2) checks both
+_nu = _checked(lambda text: (int(text),), lambda nus: nus in [(1,), (2,)], "1 or 2")
 
 
-def _emit(args, payload: dict | list, default_fmt: str = "json") -> None:
-    fmt = (getattr(args, "format", None) or default_fmt).lower()
-    if fmt == "json":
+def _polynomial(text: str):
+    """``--poly c1,...,cd``: the mollifier polynomial sum_j c_j x^j."""
+    from .mollifier import MollifierPolynomial
+
+    try:
+        return MollifierPolynomial(tuple(_finite(c) for c in text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _emit(args, payload: dict | list[dict]) -> None:
+    """Write a report to --output or stdout, as JSON or as a CSV header and
+    row (a list holds one row)."""
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2, default=repr) + "\n"
-    elif fmt == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                                  for c in cols))
-        text = "\n".join(lines) + "\n"
     else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if getattr(args, "output", None):
+        row = payload[0] if isinstance(payload, list) else payload
+        values = (repr(v) if isinstance(v, float) else str(v) for v in row.values())
+        text = ",".join(row) + "\n" + ",".join(values) + "\n"
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _poly_from_arg(poly: str | None, theta: float):
-    from .mollifier import MollifierPolynomial, paper_quadratic
-
-    if poly is None:
-        return paper_quadratic(theta)
-    coeffs = tuple(float(c) for c in poly.split(","))
-    return MollifierPolynomial(coeffs)
-
-
-# ---------------------------------------------------------------------------
-
-
 def cmd_report_kappa(args) -> int:
     from . import mollifier as mo
 
-    theta = float(args.theta if args.theta is not None else 0.5)
-    degree = int(args.degree if args.degree is not None else 2)
-    mult = float(args.multiplicity_constant if args.multiplicity_constant is not None
-                 else mo.KAPPA_MULTIPLICITY_CONSTANT)
-    poly, kappa_star = mo.optimize_P(theta, degree)
+    mult = args.multiplicity_constant
+    if mult is None:
+        mult = mo.KAPPA_MULTIPLICITY_CONSTANT
+    poly, kappa_star = mo.optimize_P(args.theta, args.degree)
     kappa_d = mo.kappa_d_lower(kappa_star, mult)
-    s1 = mo.s1_factor(poly, theta)
-    s2 = mo.s2_factor(poly, theta)
     print(f"kappa_star = {kappa_star!r}")
     print(f"kappa_d = {kappa_d!r}")
     if args.output:
         _emit(args, {
             "check": "report-kappa",
-            "parameters": {"theta": theta, "degree": degree,
+            "parameters": {"theta": args.theta, "degree": args.degree,
                            "multiplicity_constant": mult},
             "polynomial": list(poly.coefficients),
-            "s1_factor": s1, "s2_factor": s2,
+            "s1_factor": mo.s1_factor(poly, args.theta),
+            "s2_factor": mo.s2_factor(poly, args.theta),
             "kappa_star": kappa_star, "kappa_d": kappa_d,
         })
     return 0
@@ -97,46 +89,39 @@ def cmd_report_kappa(args) -> int:
 def cmd_optimize_poly(args) -> int:
     from . import mollifier as mo
 
-    theta = float(args.theta if args.theta is not None else 0.5)
-    degree = int(args.degree if args.degree is not None else 2)
-    poly, value = mo.optimize_P(theta, degree)
+    poly, value = mo.optimize_P(args.theta, args.degree)
     _emit(args, {
         "check": "optimize-poly",
-        "parameters": {"theta": theta, "degree": degree},
+        "parameters": {"theta": args.theta, "degree": args.degree},
         "coefficients": list(poly.coefficients),
         "kappa_star": value,
     })
     return 0
 
 
+def _verdict(args, check, parameters, worst_case, deviation, passed) -> int:
+    """Emit a verifier report and return its exit status."""
+    _emit(args, {"check": check, "parameters": parameters, "worst_case": worst_case,
+                 "deviation": deviation, "pass": passed})
+    return 0 if passed else 1
+
+
 def cmd_verify_vaughan(args) -> int:
     from . import vaughan as va
 
-    r = int(args.r if args.r is not None else 3)
-    X = float(args.X if args.X is not None else 10.0)
-    N = int(args.N if args.N is not None else min(int(X**r), 10**5))
-    report = va.verify_vaughan(va.VaughanConfig(r, X), N)
-    _emit(args, {
-        "check": report.check,
-        "parameters": report.parameters,
-        "worst_case": report.worst_index,
-        "deviation": report.deviation,
-        "pass": report.passed,
-    })
-    return 0 if report.passed else 1
+    N = args.N if args.N is not None else min(int(args.X**args.r), 10**5)
+    r = va.verify_vaughan(va.VaughanConfig(args.r, args.X), N)
+    return _verdict(args, r.check, r.parameters, r.worst_index, r.deviation, r.passed)
 
 
 def cmd_verify_rearrangement(args) -> int:
     from . import arith, characters as ch, mollifier as mo
 
-    y = float(args.y if args.y is not None else 12.0)
-    T = float(args.T if args.T is not None else 200.0)
-    nus = [int(args.nu)] if args.nu is not None else [1, 2]
-    spec = mo.MollifierSpec.with_y(T, y, _poly_from_arg(args.poly, 0.5) if args.poly else None)
-    need = max(1, int(y * T / (2 * math.pi)))
+    spec = mo.MollifierSpec.with_y(args.T, args.y, args.poly)
+    need = max(1, int(args.y * args.T / (2 * math.pi)))
     worst = 0.0
     results = []
-    for nu in nus:
+    for nu in args.nu:
         if nu == 1:
             a = arith.compute_a1(need)
         else:
@@ -147,15 +132,8 @@ def cmd_verify_rearrangement(args) -> int:
         worst = max(worst, dev)
         results.append({"nu": nu, "direct": repr(direct), "rearranged": repr(rearranged),
                         "relative_deviation": dev})
-    passed = worst <= 1e-8
-    _emit(args, {
-        "check": "rearrangement-equivalence",
-        "parameters": {"y": y, "T": T},
-        "worst_case": results,
-        "deviation": worst,
-        "pass": passed,
-    })
-    return 0 if passed else 1
+    return _verdict(args, "rearrangement-equivalence", {"y": args.y, "T": args.T}, results,
+                    worst, worst <= 1e-8)
 
 
 def cmd_verify_split(args) -> int:
@@ -163,41 +141,27 @@ def cmd_verify_split(args) -> int:
 
     from . import mollifier as mo, vaughan as va
 
-    d = int(args.d if args.d is not None else 12)
-    m_limit = int(args.m_limit if args.m_limit is not None else 500)
-    seed = int(args.seed if args.seed is not None else 0)
     spec = mo.MollifierSpec.with_y(1e4, 20.0)
     dec = va.decompose_a2(spec, va.VaughanConfig(3, 16.0), n_cap=1000)
     terms = list(dec.terms())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     term = terms[int(rng.integers(len(terms)))]
-    report = va.split_by_divisor(term, dec, d, m_limit)
-    _emit(args, {
-        "check": report.check,
-        "parameters": report.parameters,
-        "worst_case": report.worst_index,
-        "deviation": report.deviation,
-        "pass": report.passed,
-    })
-    return 0 if report.passed else 1
+    r = va.split_by_divisor(term, dec, args.d, args.m_limit)
+    return _verdict(args, r.check, r.parameters, r.worst_index, r.deviation, r.passed)
 
 
 def cmd_moments(args) -> int:
     from . import cache, mollifier as mo, zeta as ze
 
-    T = float(args.T if args.T is not None else 1000.0)
-    theta = float(args.theta if args.theta is not None else 0.3)
-    poly = _poly_from_arg(args.poly, theta)
+    T = args.T
     if args.y is not None:
-        spec = mo.MollifierSpec.with_y(T, float(args.y), poly)
+        spec = mo.MollifierSpec.with_y(T, args.y, args.poly)
     else:
-        spec = mo.MollifierSpec.from_T_theta(T, theta, poly)
-    use_cache = not args.no_cache
-    if args.zero_source and args.zero_source != "compute":
+        spec = mo.MollifierSpec.from_T_theta(T, args.theta, args.poly)
+    if args.zero_source != "compute":
         zeros = ze.ingest_zeros(args.zero_source)
     else:
-        zeros = cache.load_or_find_zeros(T, directory=_cache_dir(args), enabled=use_cache,
-                                         threads=int(args.threads or 1))
+        zeros = cache.load_or_find_zeros(T, args.cache_dir, enabled=not args.no_cache)
     result = ze.compute_moments(T, spec, zeros)
     s1_scale, s2_scale = ze.predicted_moment_scales(T, spec)
     row = {
@@ -212,28 +176,28 @@ def cmd_moments(args) -> int:
         "ReS1_over_predicted": result.S1.real / s1_scale,
         "S2_over_predicted": result.S2 / s2_scale,
     }
-    _emit(args, [row], default_fmt="csv")
+    _emit(args, [row])
     return 0
 
 
-def cmd_zeros(args) -> int:
+def cmd_zeros_find(args) -> int:
     from . import cache, zeta as ze
 
-    if args.action == "find":
-        T = float(args.T if args.T is not None else 100.0)
-        zeros = cache.load_or_find_zeros(T, directory=_cache_dir(args),
-                                         enabled=not args.no_cache,
-                                         threads=int(args.threads or 1))
-        if args.output:
-            ze.write_zeros(zeros, args.output)
-        else:
-            for g in zeros.ordinates:
-                print(repr(float(g)))
-        sys.stdout.flush()
-        count = ze.count_N(T, zeros)
-        print(f"# N({T:g}) census={count.census} formula={count.formula}", file=sys.stderr)
-        return 0
-    # ingest
+    zeros = cache.load_or_find_zeros(args.T, args.cache_dir, enabled=not args.no_cache)
+    if args.output:
+        ze.write_zeros(zeros, args.output)
+    else:
+        for g in zeros.ordinates:
+            print(repr(float(g)))
+    sys.stdout.flush()
+    count = ze.count_N(args.T, zeros)
+    print(f"# N({args.T:g}) census={count.census} formula={count.formula}", file=sys.stderr)
+    return 0
+
+
+def cmd_zeros_ingest(args) -> int:
+    from . import zeta as ze
+
     zeros = ze.ingest_zeros(args.path)
     print(f"# ingested {len(zeros)} zeros up to {zeros.max_height!r}", file=sys.stderr)
     if args.output:
@@ -244,34 +208,73 @@ def cmd_zeros(args) -> int:
 def cmd_monitor_sieve(args) -> int:
     from . import vaughan as va
 
-    trials = int(args.trials if args.trials is not None else 200)
-    seed = int(args.seed if args.seed is not None else 20250811)
-    q_max = int(args.Q if args.Q is not None else 20)
-    h_max = int(args.H if args.H is not None else 200)
-    v_max = float(args.V if args.V is not None else 20.0)
-    reports = va.run_sieve_trials(trials, seed, q_max, h_max, v_max)
-    max_ratio = max(r.ratio for r in reports)
+    reports = va.run_sieve_trials(args.trials, args.seed, args.Q, args.H, args.V)
     worst = max(reports, key=lambda r: r.ratio)
-    passed = max_ratio <= 6.0
-    _emit(args, {
-        "check": "hybrid-large-sieve-monitor",
-        "parameters": {"trials": trials, "seed": seed, "q_max": q_max,
-                       "h_max": h_max, "v_max": v_max},
-        "worst_case": {"Q": worst.Q, "V": worst.V, "H": worst.H,
-                       "lhs": worst.lhs, "rhs": worst.rhs},
-        "deviation": max_ratio,
-        "pass": passed,
-    })
-    return 0 if passed else 1
-
-
-def _cache_dir(args):
-    from . import cache
-
-    return cache.cache_dir(getattr(args, "cache_dir", None))
+    return _verdict(args, "hybrid-large-sieve-monitor",
+                    {"trials": args.trials, "seed": args.seed, "q_max": args.Q,
+                     "h_max": args.H, "v_max": args.V},
+                    {"Q": worst.Q, "V": worst.V, "H": worst.H, "lhs": worst.lhs, "rhs": worst.rhs},
+                    worst.ratio, worst.ratio <= 6.0)
 
 
 # ---------------------------------------------------------------------------
+# The parameter table.  A row is (flag, type, default[, help]); the type is a
+# converter, a tuple of choices, or bool for an on/off flag.  A tuple of rows
+# is a mutually exclusive group.  default=None means the handler derives the
+# value (--N, --multiplicity-constant, --y) or treats the flag as absent.
+
+_OUTPUT = ("--output", str, None, "write the report or zero table to this file")
+_JSON = ("--format", ("json", "csv"), "json")
+_CACHE = (("--cache-dir", str, None), ("--no-cache", bool, False))
+
+COMMANDS = {
+    "report-kappa": ("closed-form kappa constants", cmd_report_kappa, [
+        ("--theta", _finite, 0.5), ("--degree", _positive_int, 2),
+        ("--multiplicity-constant", _finite, None,
+         "default mollifier.KAPPA_MULTIPLICITY_CONSTANT"), _OUTPUT, _JSON]),
+    "optimize-poly": ("maximize the kappa quotient", cmd_optimize_poly, [
+        ("--theta", _finite, 0.5), ("--degree", _positive_int, 2), _OUTPUT, _JSON]),
+    "verify-vaughan": ("coefficient identity check", cmd_verify_vaughan, [
+        ("--r", _positive_int, 3), ("--X", _finite, 10.0),
+        ("--N", _positive_int, None, "default min(X^r, 10^5)"), _OUTPUT, _JSON]),
+    "verify-rearrangement": ("additive vs character form", cmd_verify_rearrangement, [
+        ("--y", _finite, 12.0), ("--T", _finite, 200.0),
+        ("--nu", _nu, (1, 2), "1 or 2 (default both)"),
+        ("--poly", _polynomial, None, "comma-separated c1,...,cd"), _OUTPUT, _JSON]),
+    "verify-split": ("divisor splitting lemma check", cmd_verify_split, [
+        ("--d", _positive_int, 12), ("--m-limit", _positive_int, 500),
+        ("--seed", int, 0), _OUTPUT, _JSON]),
+    "moments": ("empirical S1, S2, kappa bound", cmd_moments, [
+        ("--T", _finite, 1000.0),
+        (("--theta", _finite, 0.3), ("--y", _finite, None, "default T^theta")),
+        ("--poly", _polynomial, None,
+         "comma-separated c1,...,cd (default the paper's quadratic)"),
+        ("--zero-source", str, "compute", "'compute' or a zero-table path"),
+        *_CACHE, _OUTPUT, ("--format", ("json", "csv"), "csv")]),
+    "zeros": ("find or ingest zero ordinates", None, []),
+    "zeros find": ("scan for zero ordinates up to T", cmd_zeros_find, [
+        ("--T", _finite, 100.0), *_CACHE, _OUTPUT]),
+    "zeros ingest": ("read and validate a zero table", cmd_zeros_ingest, [
+        ("path", str, None), *_CACHE, _OUTPUT]),
+    "monitor-sieve": ("hybrid large sieve ratio sweep", cmd_monitor_sieve, [
+        ("--Q", _positive_int, 20), ("--H", _positive_int, 200), ("--V", _finite, 20.0),
+        ("--trials", _positive_int, 200), ("--seed", int, 20250811), _OUTPUT, _JSON]),
+}
+
+
+def _rows(name: str):
+    for row in COMMANDS[name][2]:
+        yield from row if isinstance(row[0], tuple) else (row,)
+
+
+def _add_row(parser, flag, kind, default, help=None) -> None:
+    if kind is bool:
+        parser.add_argument(flag, action="store_true", help=help)
+        return
+    if help is None and default is not None:
+        help = "default %(default)s"
+    convert = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+    parser.add_argument(flag, default=default, help=help, **convert)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -279,93 +282,66 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="zetalab",
         description="Desk-scale verification lab for mollified zeta moments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (help_, handler, rows) in COMMANDS.items():
+        group, _, word = name.rpartition(" ")
+        p = groups[group].add_parser(word, help=help_)
+        if handler is None:
+            groups[name] = p.add_subparsers(dest="action", required=True)
+            continue
+        p.set_defaults(handler=handler, command=name)
         p.add_argument("--config", help="key=value config file; flags win")
-        p.add_argument("--output", help="report path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--seed", default=None, help="RNG seed for randomized checks")
-        p.add_argument("--cache-dir", dest="cache_dir", default=None)
-        p.add_argument("--no-cache", dest="no_cache", action="store_true")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker thread cap for scan-type workloads")
-
-    p = sub.add_parser("report-kappa", help="closed-form kappa constants")
-    common(p)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--degree", default=None)
-    p.add_argument("--multiplicity-constant", dest="multiplicity_constant", default=None)
-    p.set_defaults(handler=cmd_report_kappa)
-
-    p = sub.add_parser("optimize-poly", help="maximize the kappa quotient")
-    common(p)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--degree", default=None)
-    p.set_defaults(handler=cmd_optimize_poly)
-
-    p = sub.add_parser("verify-vaughan", help="coefficient identity check")
-    common(p)
-    p.add_argument("--r", default=None)
-    p.add_argument("--X", default=None)
-    p.add_argument("--N", default=None)
-    p.set_defaults(handler=cmd_verify_vaughan)
-
-    p = sub.add_parser("verify-rearrangement", help="additive vs character form")
-    common(p)
-    p.add_argument("--y", default=None)
-    p.add_argument("--T", default=None)
-    p.add_argument("--nu", default=None)
-    p.add_argument("--poly", default=None)
-    p.set_defaults(handler=cmd_verify_rearrangement)
-
-    p = sub.add_parser("verify-split", help="divisor splitting lemma check")
-    common(p)
-    p.add_argument("--d", default=None)
-    p.add_argument("--m-limit", dest="m_limit", default=None)
-    p.set_defaults(handler=cmd_verify_split)
-
-    p = sub.add_parser("moments", help="empirical S1, S2, kappa bound")
-    common(p)
-    p.add_argument("--T", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--poly", default=None, help="comma-separated c1,...,cd")
-    p.add_argument("--zero-source", dest="zero_source", default=None,
-                   help="'compute' or a zero-table path")
-    p.set_defaults(handler=cmd_moments)
-
-    p = sub.add_parser("zeros", help="find or ingest zero ordinates")
-    common(p)
-    zsub = p.add_subparsers(dest="action", required=True)
-    pf = zsub.add_parser("find")
-    common(pf)
-    pf.add_argument("--T", default=None)
-    pf.set_defaults(handler=cmd_zeros, action="find")
-    pi = zsub.add_parser("ingest")
-    common(pi)
-    pi.add_argument("path")
-    pi.set_defaults(handler=cmd_zeros, action="ingest")
-
-    p = sub.add_parser("monitor-sieve", help="hybrid large sieve ratio sweep")
-    common(p)
-    p.add_argument("--Q", default=None)
-    p.add_argument("--H", default=None)
-    p.add_argument("--V", default=None)
-    p.add_argument("--trials", default=None)
-    p.set_defaults(handler=cmd_monitor_sieve)
-
+        for row in rows:
+            if isinstance(row[0], tuple):
+                exclusive = p.add_mutually_exclusive_group()
+                for r in row:
+                    _add_row(exclusive, *r)
+            else:
+                _add_row(p, *row)
     return parser
 
 
+def _config_argv(parser: argparse.ArgumentParser, args) -> list[str]:
+    """The config file's lines as argv tokens, each key checked against the
+    command's rows; any fault is a usage error (exit 2)."""
+    flags = {flag[2:].replace("-", "_"): (flag, kind)
+             for flag, kind, *_ in _rows(args.command) if flag.startswith("--")}
+    try:
+        with open(args.config) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read config file: {exc}")
+    argv = []
+    for lineno, line in enumerate(lines, start=1):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not key or key.startswith("#"):
+            continue
+        where = f"{args.config}:{lineno}"
+        if not eq:
+            parser.error(f"{where}: expected key=value, got {key!r}")
+        if key.replace("-", "_") not in flags:
+            parser.error(f"{where}: unknown key {key!r} for {args.command}")
+        flag, kind = flags[key.replace("-", "_")]
+        if kind is not bool:
+            argv.append(f"{flag}={value}")
+        elif value.lower() in ("true", "false"):
+            argv += [flag] if value.lower() == "true" else []
+        else:
+            parser.error(f"{where}: {key} takes true or false, got {value!r}")
+    return argv
+
+
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            at = len(args.command.split())
+            args = parser.parse_args(argv[:at] + _config_argv(parser, args) + argv[at:])
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        args = _merge_config(args)
         return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"zetalab: {exc}", file=sys.stderr)

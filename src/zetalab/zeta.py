@@ -18,9 +18,9 @@ improving to ~3e-10 by t = 5000; the Euler-Maclaurin branch is ~1e-13.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import special
@@ -314,7 +314,7 @@ def count_N(T: float, zeros: "ZeroList | None" = None) -> NCount:
     return NCount(T=T, census=census, formula=formula)
 
 
-def find_zeros(T: float, threads: int = 1) -> ZeroList:
+def find_zeros(T: float) -> ZeroList:
     """All zero ordinates in (0, T] by sign-change scanning of Z with
     bisection refinement to ~1e-10, completeness checked against the
     counting formula (grid halving on mismatch)."""
@@ -325,7 +325,7 @@ def find_zeros(T: float, threads: int = 1) -> ZeroList:
     target = int(round(count_formula(T))) if T > 14.5 else 0
     grid = _scan_grid(T)
     for _ in range(7):
-        z_vals = _eval_chunked(grid, threads)
+        z_vals = _eval_chunked(grid)
         sign_flip = np.nonzero(np.sign(z_vals[:-1]) != np.sign(z_vals[1:]))[0]
         if len(sign_flip) >= target:
             break
@@ -347,21 +347,26 @@ def find_zeros(T: float, threads: int = 1) -> ZeroList:
     return ZeroList(ordinates, "computed", T)
 
 
-def _eval_chunked(grid: np.ndarray, threads: int, chunk: int = 20000) -> np.ndarray:
-    parts = [grid[i : i + chunk] for i in range(0, len(grid), chunk)]
-    if threads > 1 and len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(hardy_z, parts))
-    else:
-        results = [hardy_z(p) for p in parts]
-    return np.concatenate([np.atleast_1d(r) for r in results])
+def _eval_chunked(grid: np.ndarray, chunk: int = 20000) -> np.ndarray:
+    # chunks bound the (points x sqrt(t / 2 pi)) phase matrices of the Riemann-Siegel sum
+    return np.concatenate([hardy_z(grid[i : i + chunk]) for i in range(0, len(grid), chunk)])
 
 
 def write_zeros(zeros: ZeroList, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# zero ordinates, source={zeros.source}, max_height={float(zeros.max_height)!r}\n")
-        for g in zeros.ordinates:
-            fh.write(f"{float(g)!r}\n")
+    """Write the ordinate table to ``path`` atomically: the lines go to a
+    temporary file in the same directory, which then replaces ``path``, so a
+    failed or interrupted write leaves ``path`` absent or as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(f"# zero ordinates, source={zeros.source}, max_height={float(zeros.max_height)!r}\n")
+            for g in zeros.ordinates:
+                fh.write(f"{float(g)!r}\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def ingest_zeros(path, cross_check: bool = True) -> ZeroList:

@@ -1,4 +1,10 @@
 import json
+import math
+import re
+import shlex
+from pathlib import Path
+
+import pytest
 
 from zetalab import cli
 
@@ -111,3 +117,60 @@ def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ZETALAB_CACHE", str(tmp_path / "envcache"))
     assert run(["zeros", "find", "--T", "60"]) == 0
     assert any(p.name.startswith("zeros-") for p in (tmp_path / "envcache").iterdir())
+
+
+def test_config_no_cache_writes_no_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T=60\nno-cache = true\n")
+    assert run(["zeros", "find", "--config", str(cfg), "--cache-dir", str(cache)]) == 0
+    assert "# N(60) census=" in capsys.readouterr().err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.mark.parametrize("config, argv", [
+    ("frobnicate=1\n", ["report-kappa"]),
+    ("seed=3\n", ["report-kappa"]),            # a flag of other commands only
+    ("threads=4\n", ["zeros", "find"]),
+    ("theta=abc\n", ["report-kappa"]),
+    ("theta\n", ["report-kappa"]),
+    ("no_cache=yes\n", ["zeros", "find"]),
+    (None, ["moments", "--T", "nan"]),
+    (None, ["zeros", "find", "--T", "inf"]),
+    (None, ["monitor-sieve", "--trials", "0"]),
+    (None, ["verify-rearrangement", "--nu", "3"]),
+    (None, ["zeros", "--no-cache", "find", "--T", "60"]),
+    (None, ["zeros", "find", "--T", "60", "--threads", "2"]),
+    (None, ["moments", "--T", "150", "--y", "4", "--theta", "0.2"]),
+])
+def test_usage_errors_exit_2(tmp_path, capsys, config, argv):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path):
+    assert run(["report-kappa", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_moments_y_derives_polynomial_from_its_theta(tmp_path):
+    out = tmp_path / "m.csv"
+    assert run(["moments", "--T", "150", "--y", "4", "--no-cache", "--output", str(out)]) == 0
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    theta = math.log(4) / math.log(150)
+    assert float(row["theta"]) == pytest.approx(theta, rel=1e-15)
+    assert row["poly"] == f"{1.0 + theta!r};{-theta!r}"
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("zetalab ")]
+    assert len(lines) >= 9
+    parser = cli._build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.handler), line

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -95,6 +96,23 @@ def test_ingest_roundtrip(tmp_path, zeros_1000):
     back = ze.ingest_zeros(path)
     assert back.source == "ingested"
     assert np.array_equal(back.ordinates, zeros_1000.ordinates)
+
+
+def test_write_zeros_is_atomic(tmp_path, zeros_300):
+    def failing_midway():
+        yield from zeros_300.ordinates[:5]
+        raise RuntimeError("disk full")
+
+    fresh, old = tmp_path / "fresh.txt", tmp_path / "old.txt"
+    ze.write_zeros(zeros_300, old)
+    before = old.read_bytes()
+    for path in (fresh, old):
+        broken = SimpleNamespace(source="computed", max_height=300.0, ordinates=failing_midway())
+        with pytest.raises(RuntimeError, match="disk full"):
+            ze.write_zeros(broken, path)
+    assert not fresh.exists()
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
 
 
 def test_ingest_accepts_known_first_zero(tmp_path):
