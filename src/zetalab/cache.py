@@ -33,29 +33,24 @@ def zeros_path(T: float, directory: Path) -> Path:
     return directory / f"zeros-{_key(T=T)}.txt"
 
 
-def _declared_height(path: Path) -> float | None:
-    with open(path) as fh:
-        first = fh.readline()
-    if first.startswith("#") and "max_height=" in first:
-        try:
-            return float(first.split("max_height=")[1].strip())
-        except ValueError:
-            return None
-    return None
-
-
 def load_or_find_zeros(T: float, directory: str | Path | None = None,
                        enabled: bool = True) -> zeta.ZeroList:
     """Zeros up to T from the cache in ``directory`` (see ``cache_dir``), found
-    and stored on a miss; ``enabled=False`` bypasses the cache entirely."""
+    and stored on a miss; ``enabled=False`` bypasses the cache entirely.  A
+    file without a header count, or one it does not hold, is a miss and is
+    overwritten."""
     if not enabled:
         return zeta.find_zeros(T)
     path = zeros_path(T, cache_dir(directory))
     if path.exists():
-        declared = _declared_height(path)
-        if declared is not None and declared >= T:
-            zeros = zeta.ingest_zeros(path, cross_check=False)
-            return zeta.ZeroList(zeros.ordinates, "computed", declared)
+        try:
+            header = zeta.table_header(path)
+            declared = float(header["max_height"])
+            if "count" in header and declared >= T:
+                zeros = zeta.ingest_zeros(path, cross_check=False)
+                return zeta.ZeroList(zeros.ordinates, "computed", declared)
+        except (KeyError, ValueError):
+            pass  # a file that fails validation is a miss
     zeros = zeta.find_zeros(T)
     zeta.write_zeros(zeros, path)
     return zeros

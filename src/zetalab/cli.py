@@ -33,6 +33,11 @@ def _checked(convert, ok, expected: str):
 
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
+# verify-vaughan's X^r stays finite; monitor-sieve draws Q from [2, --Q]
+_vaughan_r = _checked(int, lambda n: 1 <= n <= 20, "an integer in [1, 20]")
+_vaughan_X = _checked(float, lambda x: 1 <= x <= 1e5, "a number in [1, 1e5]")
+_sieve_Q = _checked(int, lambda n: n >= 2, "an integer >= 2")
 # --nu gives the tuple of moment orders to check; its default (1, 2) checks both
 _nu = _checked(lambda text: (int(text),), lambda nus: nus in [(1,), (2,)], "1 or 2")
 
@@ -235,7 +240,7 @@ COMMANDS = {
     "optimize-poly": ("maximize the kappa quotient", cmd_optimize_poly, [
         ("--theta", _finite, 0.5), ("--degree", _positive_int, 2), _OUTPUT, _JSON]),
     "verify-vaughan": ("coefficient identity check", cmd_verify_vaughan, [
-        ("--r", _positive_int, 3), ("--X", _finite, 10.0),
+        ("--r", _vaughan_r, 3), ("--X", _vaughan_X, 10.0),
         ("--N", _positive_int, None, "default min(X^r, 10^5)"), _OUTPUT, _JSON]),
     "verify-rearrangement": ("additive vs character form", cmd_verify_rearrangement, [
         ("--y", _finite, 12.0), ("--T", _finite, 200.0),
@@ -243,7 +248,7 @@ COMMANDS = {
         ("--poly", _polynomial, None, "comma-separated c1,...,cd"), _OUTPUT, _JSON]),
     "verify-split": ("divisor splitting lemma check", cmd_verify_split, [
         ("--d", _positive_int, 12), ("--m-limit", _positive_int, 500),
-        ("--seed", int, 0), _OUTPUT, _JSON]),
+        ("--seed", _seed, 0), _OUTPUT, _JSON]),
     "moments": ("empirical S1, S2, kappa bound", cmd_moments, [
         ("--T", _finite, 1000.0),
         (("--theta", _finite, 0.3), ("--y", _finite, None, "default T^theta")),
@@ -257,8 +262,8 @@ COMMANDS = {
     "zeros ingest": ("read and validate a zero table", cmd_zeros_ingest, [
         ("path", str, None), *_CACHE, _OUTPUT]),
     "monitor-sieve": ("hybrid large sieve ratio sweep", cmd_monitor_sieve, [
-        ("--Q", _positive_int, 20), ("--H", _positive_int, 200), ("--V", _finite, 20.0),
-        ("--trials", _positive_int, 200), ("--seed", int, 20250811), _OUTPUT, _JSON]),
+        ("--Q", _sieve_Q, 20), ("--H", _positive_int, 200), ("--V", _finite, 20.0),
+        ("--trials", _positive_int, 200), ("--seed", _seed, 20250811), _OUTPUT, _JSON]),
 }
 
 

@@ -13,10 +13,13 @@ correction terms above it.  The corrections are Chebyshev fits, generated at
 with Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) on p in [0, 1].
 Observed accuracy of the Riemann-Siegel branch is ~1e-8 absolute at t = 400
 improving to ~3e-10 by t = 5000; the Euler-Maclaurin branch is ~1e-13.
+Zeros are scanned on Gram points by Rosser's rule (Brent, Math. Comp. 1979;
+Edwards, Riemann's Zeta Function, ch. 8) and refined by the Illinois method.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -29,6 +32,7 @@ from .mollifier import MollifierSpec, eval_b
 
 EM_CUTOFF = 400.0
 FIRST_ZERO = 14.134725141734693
+HALVINGS = 12  # passes of interval halving the zero scan may make
 
 _C0_CHEB = np.array([
     0.6426672862397681, -1.1373021762322886e-16, 0.2719729999978549, 3.6393669639433235e-17,
@@ -112,9 +116,11 @@ def zeta_euler_maclaurin(s):
     for n_val in np.unique(n_cut):
         idx = np.nonzero(n_cut == n_val)[0]
         sv = s[idx]
-        n = np.arange(1, n_val)
-        terms = np.exp(-np.outer(sv, np.log(n)))
-        total = terms.sum(axis=1)
+        log_n = np.log(np.arange(1, n_val))
+        total = np.empty(len(idx), dtype=np.complex128)
+        for i in range(0, len(idx), 8):
+            # blocks of 8 rows bound the (rows x n_cut) temporaries
+            total[i : i + 8] = np.exp(-np.outer(sv[i : i + 8], log_n)).sum(axis=1)
         nf = float(n_val)
         total += 0.5 * nf ** (-sv) + nf ** (1.0 - sv) / (sv - 1.0)
         poch = sv.copy()  # s (s+1) ... rising
@@ -178,18 +184,14 @@ def z_imag_residue(t) -> np.ndarray:
 
 
 def gram_points(T: float) -> np.ndarray:
-    """Gram points g_n <= T (theta(g_n) = n pi), Newton-refined."""
-    if T < 18:
-        return np.zeros(0)
-    n_max = int(rs_theta(T) / math.pi) + 1
-    n = np.arange(0, n_max + 1, dtype=np.float64)
-    target = n * math.pi
+    """Gram points g_0 = 17.845..., g_1, ... below T (theta(g_n) = n pi),
+    Newton-refined; entry n is g_n."""
+    n = np.arange(0, max(0, int(rs_theta(max(T, 18.0)) / math.pi)) + 2, dtype=np.float64)
     u = special.lambertw((n + 0.125) / math.e).real
     g = 2 * math.pi * np.exp(1.0 + u)
-    g = np.maximum(g, 18.0)
     for _ in range(6):
-        g = g - (rs_theta(g) - target) / (0.5 * np.log(g / (2 * math.pi)))
-    return g[(g <= T) & (g >= 18.0)]
+        g = g - (rs_theta(g) - n * math.pi) / (0.5 * np.log(g / (2 * math.pi)))
+    return g[g < T]
 
 
 @dataclass(frozen=True)
@@ -237,34 +239,7 @@ class ZeroScanError(RuntimeError):
     pass
 
 
-def _scan_grid(T: float, step_scale: float = 0.2) -> np.ndarray:
-    pieces = [np.array([14.0])]
-    lo = 14.0
-    while lo < T:
-        hi = min(T, lo * 2)
-        step = step_scale / math.log(hi)
-        pieces.append(np.arange(lo, hi, step)[1:])
-        lo = hi
-    pieces.append(np.array([T]))
-    grid = np.concatenate(pieces + [gram_points(T)])
-    grid = np.unique(grid)
-    return grid[(grid >= 14.0) & (grid <= T)]
-
-
-def _bisect_brackets(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-                     iterations: int = 34) -> np.ndarray:
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        f_mid = hardy_z(mid)
-        left = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(left, mid, lo)
-        f_lo = np.where(left, f_mid, f_lo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
-
-
+@functools.lru_cache(maxsize=64)
 def count_formula(T: float) -> float:
     """theta(T)/pi + 1 + S(T), with S(T) from the argument of zeta unwrapped
     along the horizontal segment from sigma = 20 to the critical line."""
@@ -315,36 +290,65 @@ def count_N(T: float, zeros: "ZeroList | None" = None) -> NCount:
 
 
 def find_zeros(T: float) -> ZeroList:
-    """All zero ordinates in (0, T] by sign-change scanning of Z with
-    bisection refinement to ~1e-10, completeness checked against the
-    counting formula (grid halving on mismatch)."""
+    """All zero ordinates in (0, T].  Z is evaluated at 14, at each Gram point
+    g_n below T and at T.  The good Gram points ((-1)^n Z(g_n) > 0) cut (14, T]
+    into segments of known zero count: a Gram block [g_j, g_k] holds k - j
+    (Rosser's rule), the bottom segment j + 1 and the top one the rest of
+    round(count_formula(T)).  The intervals of segments short of sign changes
+    are halved, at most ``HALVINGS`` times; a segment still off its count
+    raises ZeroScanError.  ``_refine`` then closes every bracket."""
     if T > 1e5:
         raise ValueError("desk scale tops out at T = 1e5")
     if T < FIRST_ZERO:
         return ZeroList(np.zeros(0), "computed", T)
-    target = int(round(count_formula(T))) if T > 14.5 else 0
-    grid = _scan_grid(T)
-    for _ in range(7):
-        z_vals = _eval_chunked(grid)
-        sign_flip = np.nonzero(np.sign(z_vals[:-1]) != np.sign(z_vals[1:]))[0]
-        if len(sign_flip) >= target:
+    gram = gram_points(T)
+    t = np.concatenate([[14.0], gram, [T]])
+    z = _eval_chunked(t)
+    if abs(z[-1]) < 1e-8:  # a zero at T is in (0, T], as count_formula counts it
+        z[-1] = _eval_chunked(np.array([T + 1e-4]))[0]
+    good = np.nonzero((-1.0) ** np.arange(len(gram)) * z[1:-1] > 0)[0]
+    bounds = np.concatenate([[14.0], gram[good], [T]])
+    expected = np.diff(np.concatenate([[0], good + 1, [round(count_formula(T))]]))
+    for halving in range(HALVINGS + 1):
+        flips = np.nonzero((z[:-1] > 0) != (z[1:] > 0))[0]
+        segment = np.searchsorted(bounds, t[:-1], side="right") - 1
+        found = np.bincount(segment[flips], minlength=len(expected))
+        split = (found < expected)[segment]
+        if not split.any() or halving == HALVINGS:
             break
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        grid = np.unique(np.concatenate([grid, mids]))
-    else:
-        missing = target - len(sign_flip)
+        at = np.nonzero(split)[0] + 1
+        mids = 0.5 * (t[at - 1] + t[at])
+        t, z = np.insert(t, at, mids), np.insert(z, at, _eval_chunked(mids))
+    if (found != expected).any():
+        i = np.argmax(found != expected)
         raise ZeroScanError(
-            f"{missing} zeros unresolved below T={T} after grid refinement; "
-            f"largest unscanned gap near t={grid[np.argmax(np.diff(grid))]:.3f}"
-        )
-    ordinates = np.sort(
-        _bisect_brackets(grid[sign_flip], grid[sign_flip + 1], z_vals[sign_flip])
-    )
-    if len(ordinates) > 1:
-        # a zero landing exactly on a grid point brackets twice
-        keep = np.concatenate([[True], np.diff(ordinates) > 1e-8])
-        ordinates = ordinates[keep]
-    return ZeroList(ordinates, "computed", T)
+            f"segment ({bounds[i]:.6f}, {bounds[i + 1]:.6f}] has {found[i]} sign changes, not "
+            f"{expected[i]}; census {found.sum()}, counting formula {expected.sum()}")
+    return ZeroList(_refine(t[flips], t[flips + 1], z[flips], z[flips + 1]), "computed", T)
+
+
+def _refine(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """Illinois iteration, in place, on every bracket (Z > 0 at one end only)
+    still open, to an absolute width of 1e-11 (4 ulp where coarser) or Z = 0.
+    Points stay half the width inside, so each step shrinks a bracket, and one
+    next to the root closes it."""
+    kept = np.zeros(len(lo), dtype=np.int8)  # -1 / +1: lo / hi kept by the last step
+    half = 0.5 * np.maximum(1e-11, 4 * np.spacing(hi))
+    live = np.arange(len(lo))
+    while live.size:
+        a, b, fa, fb, d = lo[live], hi[live], f_lo[live], f_hi[live], half[live]
+        x = np.clip((a * fb - b * fa) / (fb - fa), a + d, b - d)
+        fx = _eval_chunked(x)
+        left = (fx > 0) == (fb > 0)  # the root is in [a, x]: x replaces hi
+        # Illinois: halve the value at an end kept twice in a row
+        fa = np.where(left & (kept[live] == -1), 0.5 * fa, fa)
+        fb = np.where(~left & (kept[live] == 1), 0.5 * fb, fb)
+        lo[live], f_lo[live] = np.where(left, a, x), np.where(left, fa, fx)
+        hi[live], f_hi[live] = np.where(left, x, b), np.where(left, fx, fb)
+        kept[live] = np.where(left, -1, 1)
+        lo[live[fx == 0]] = hi[live[fx == 0]] = x[fx == 0]
+        live = live[hi[live] - lo[live] > 2 * d]
+    return 0.5 * (lo + hi)
 
 
 def _eval_chunked(grid: np.ndarray, chunk: int = 20000) -> np.ndarray:
@@ -353,25 +357,39 @@ def _eval_chunked(grid: np.ndarray, chunk: int = 20000) -> np.ndarray:
 
 
 def write_zeros(zeros: ZeroList, path) -> None:
-    """Write the ordinate table to ``path`` atomically: the lines go to a
-    temporary file in the same directory, which then replaces ``path``, so a
-    failed or interrupted write leaves ``path`` absent or as it was."""
+    """Write the ordinate table to ``path`` atomically, its header line
+    declaring the ordinate count: the lines go to a temporary file in the same
+    directory, which then replaces ``path``, so a failed or interrupted write
+    leaves ``path`` absent or as it was."""
+    lines = [f"{float(g)!r}\n" for g in zeros.ordinates]
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(f"# zero ordinates, source={zeros.source}, max_height={float(zeros.max_height)!r}\n")
-            for g in zeros.ordinates:
-                fh.write(f"{float(g)!r}\n")
+            fh.write(f"# zero ordinates, source={zeros.source}, "
+                     f"max_height={float(zeros.max_height)!r}, count={len(lines)}\n")
+            fh.writelines(lines)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
+def table_header(path) -> dict[str, str]:
+    """The ``key=value`` fields of a zero table's first line when that is a
+    '#' comment, as ``write_zeros`` puts them (source, max_height, count)."""
+    with open(path) as fh:
+        first = fh.readline()
+    if not first.startswith("#"):
+        return {}
+    return dict(field.strip().split("=", 1) for field in first[1:].split(",") if "=" in field)
+
+
 def ingest_zeros(path, cross_check: bool = True) -> ZeroList:
     """Read one decimal ordinate per line ('#' comments allowed), validate
-    monotonicity, and cross-check the overlap with computed zeros to 1e-6."""
+    monotonicity and the header's ordinate count when it declares one, and
+    cross-check the overlap with computed zeros to 1e-6."""
+    declared = table_header(path).get("count")
     ordinates = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -387,6 +405,10 @@ def ingest_zeros(path, cross_check: bool = True) -> ZeroList:
                     f"{path}:{lineno}: ordinate {value} not above previous {ordinates[-1]}"
                 )
             ordinates.append(value)
+    if declared is not None and declared != str(len(ordinates)):
+        raise ValueError(
+            f"{path}: header declares count={declared}, file has {len(ordinates)} ordinates"
+        )
     arr = np.array(ordinates)
     max_height = float(arr[-1]) if len(arr) else 0.0
     zeros = ZeroList(arr, "ingested", max_height)

@@ -94,6 +94,14 @@ def test_zeros_roundtrip_via_cli(tmp_path, capsys):
     assert "ingested 29 zeros" in err
 
 
+def test_truncated_zero_table_exits_1(tmp_path, capsys):
+    table = tmp_path / "z.txt"
+    assert run(["zeros", "find", "--T", "100", "--no-cache", "--output", str(table)]) == 0
+    table.write_text("".join(table.read_text().splitlines(keepends=True)[:-3]))
+    assert run(["zeros", "ingest", str(table)]) == 1
+    assert "count=29, file has 26" in capsys.readouterr().err
+
+
 def test_monitor_sieve(tmp_path):
     out = tmp_path / "sieve.json"
     assert run(["monitor-sieve", "--trials", "25", "--output", str(out)]) == 0
@@ -142,6 +150,11 @@ def test_config_no_cache_writes_no_cache(tmp_path, capsys):
     (None, ["zeros", "--no-cache", "find", "--T", "60"]),
     (None, ["zeros", "find", "--T", "60", "--threads", "2"]),
     (None, ["moments", "--T", "150", "--y", "4", "--theta", "0.2"]),
+    (None, ["verify-vaughan", "--X", "1e300"]),
+    (None, ["verify-vaughan", "--r", "400"]),
+    (None, ["monitor-sieve", "--Q", "1"]),
+    (None, ["monitor-sieve", "--seed", "-1"]),
+    (None, ["verify-split", "--seed", "-1"]),
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, config, argv):
     if config is not None:

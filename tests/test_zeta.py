@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetalab import mollifier as mo
+from zetalab import cache, mollifier as mo
 from zetalab import zeta as ze
 
 mp.mp.dps = 30
@@ -65,6 +65,64 @@ def test_find_zeros_first_and_count():
     assert len(ze.find_zeros(14.0)) == 0
 
 
+def _oracle_zeros(T):
+    """The previous scan, kept as the oracle: Z on a uniform grid 0.2/log t
+    apart (plus the Gram points), halved everywhere until the sign changes
+    reach the counting formula, then 34 bisection passes on every bracket."""
+    pieces, lo = [np.array([14.0])], 14.0
+    while lo < T:
+        hi = min(T, lo * 2)
+        pieces.append(np.arange(lo, hi, 0.2 / math.log(hi))[1:])
+        lo = hi
+    grid = np.unique(np.concatenate(pieces + [np.array([T]), ze.gram_points(T)]))
+    grid = grid[(grid >= 14.0) & (grid <= T)]
+    target = int(round(ze.count_formula(T)))
+    for _ in range(7):
+        z = ze.hardy_z(grid)
+        flips = np.nonzero(np.sign(z[:-1]) != np.sign(z[1:]))[0]
+        if len(flips) >= target:
+            break
+        grid = np.unique(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+    lo, hi, f_lo = grid[flips], grid[flips + 1], z[flips]
+    for _ in range(34):
+        mid = 0.5 * (lo + hi)
+        f_mid = ze.hardy_z(mid)
+        left = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo, hi = np.where(left, mid, lo), np.where(left, f_mid, f_lo), np.where(left, hi, mid)
+    return np.sort(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("T", [300.0, 5000.0])
+def test_find_zeros_matches_grid_oracle(T, zeros_300, zeros_5000):
+    # T = 300 passes the first failure of Gram's law, near g_126 = 282.45
+    got = (zeros_300 if T == 300.0 else zeros_5000).ordinates
+    want = _oracle_zeros(T)
+    assert len(got) == len(want)
+    assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("offset", [1, -1])
+def test_find_zeros_census_off_by_one_raises(monkeypatch, offset):
+    true_count = ze.count_formula(300.0)
+    monkeypatch.setattr(ze, "count_formula", lambda T: true_count + offset)
+    with pytest.raises(ze.ZeroScanError, match="segment"):
+        ze.find_zeros(300.0)
+
+
+def test_find_zeros_work_per_zero(monkeypatch):
+    points = []
+    hardy_z = ze.hardy_z
+    monkeypatch.setattr(ze, "hardy_z", lambda t: points.append(np.size(t)) or hardy_z(t))
+    zeros = ze.find_zeros(5000.0)
+    assert sum(points) <= 12 * len(zeros)
+
+
+def test_find_zeros_zero_at_T():
+    for k, gamma in enumerate(FIRST_ZEROS, start=1):
+        zl = ze.find_zeros(gamma)
+        assert len(zl) == k and zl.ordinates[-1] == pytest.approx(gamma, abs=1e-10)
+
+
 def test_zero_list_validation():
     with pytest.raises(ValueError):
         ze.ZeroList(np.array([15.0, 15.0]), "computed", 20.0)
@@ -113,6 +171,37 @@ def test_write_zeros_is_atomic(tmp_path, zeros_300):
     assert not fresh.exists()
     assert old.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+
+
+def test_truncated_table_is_rejected(tmp_path, zeros_300):
+    path = tmp_path / "zeros.txt"
+    ze.write_zeros(zeros_300, path)
+    assert ze.table_header(path)["count"] == str(len(zeros_300))
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-6]))
+    with pytest.raises(ValueError, match=f"count={len(zeros_300)}"):
+        ze.ingest_zeros(path)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "drop_count"])
+def test_damaged_cache_file_is_a_miss(tmp_path, zeros_300, damage):
+    path = cache.zeros_path(300.0, tmp_path)
+    ze.write_zeros(zeros_300, path)
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "truncate":
+        path.write_text("".join(lines[:-6]))
+    else:
+        path.write_text(lines[0].replace(f", count={len(zeros_300)}", "") + "".join(lines[1:]))
+    zl = cache.load_or_find_zeros(300.0, tmp_path)
+    assert zl.source == "computed"
+    assert np.array_equal(zl.ordinates, zeros_300.ordinates)
+    assert path.read_text().splitlines(keepends=True) == lines  # found again and rewritten
+
+
+def test_euler_maclaurin_row_blocks_are_exact():
+    # 37 rows share one cutoff: four full row blocks and a partial one
+    s = np.linspace(20.0, 0.5, 37) + 2000.0j
+    rows = np.array([ze.zeta_euler_maclaurin(x) for x in s])
+    assert np.array_equal(ze.zeta_euler_maclaurin(s), rows)
 
 
 def test_ingest_accepts_known_first_zero(tmp_path):
