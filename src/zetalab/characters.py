@@ -2,7 +2,7 @@
 additive-to-multiplicative rearrangement of the moment sums.
 
 Characters are stored as exact root-of-unity exponents over the unit-group
-exponent e: chi(a) = zeta_e^{expo[a]} on units, 0 elsewhere.  Products and
+exponent e: chi(a) = zeta_e^{expo[a]} on units, 0 elsewhere.  Tables and
 conjugates are integer arithmetic mod e, so character algebra never drifts;
 values are materialised to complex128 on demand.
 """
@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .arith import ArithFnTable
-from .intfun import divisors, factorize, multiplicative_order, totient
+from .intfun import divisors, factorize, mobius_int, multiplicative_order, totient
 from .mollifier import MollifierSpec, eval_b
 
 
@@ -39,13 +39,15 @@ def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class UnitGroup:
-    """Cyclic decomposition of (Z/qZ)* with a discrete-log table."""
+    """Cyclic decomposition of (Z/qZ)*: ``units[i]`` has discrete log
+    ``logs[i]`` over ``generators``, the rows in ``itertools.product`` order."""
 
     modulus: int
     generators: tuple[int, ...]
     orders: tuple[int, ...]
     exponent: int
-    dlog: dict  # unit residue -> exponent tuple
+    units: np.ndarray
+    logs: np.ndarray
 
 
 @lru_cache(maxsize=512)
@@ -65,13 +67,12 @@ def unit_group(q: int) -> UnitGroup:
     exponent = 1
     for s in orders:
         exponent = exponent * s // math.gcd(exponent, s)
-    dlog = {}
-    for ks in itertools.product(*(range(s) for s in orders)):
-        a = 1 % q
-        for g, k in zip(gens, ks):
-            a = a * pow(g, k, q) % q
-        dlog[a] = ks
-    return UnitGroup(q, tuple(gens), tuple(orders), exponent, dlog)
+    logs = np.array(list(itertools.product(*(range(s) for s in orders))), dtype=np.int64)
+    units = np.full(len(logs), 1 % q, dtype=np.int64)
+    for col, (g, s) in enumerate(zip(gens, orders)):
+        units = units * np.array([pow(g, k, q) for k in range(s)])[logs[:, col]] % q
+    units.flags.writeable = logs.flags.writeable = False
+    return UnitGroup(q, tuple(gens), tuple(orders), exponent, units, logs)
 
 
 def _crt_lift(g: int, pe: int, rest: int) -> int:
@@ -120,51 +121,29 @@ class DirichletCharacter:
         )
         return DirichletCharacter(self.modulus, self.exponent, expo, self.conductor, -1)
 
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.modulus != other.modulus:
-            raise ValueError("character product requires equal moduli")
-        lcm = self.exponent * other.exponent // math.gcd(self.exponent, other.exponent)
-        expo = []
-        for e1, e2 in zip(self.exponents, other.exponents):
-            if e1 < 0 or e2 < 0:
-                expo.append(-1)
-            else:
-                expo.append((e1 * (lcm // self.exponent) + e2 * (lcm // other.exponent)) % lcm)
-        cond = _conductor(self.modulus, tuple(expo), lcm)
-        return DirichletCharacter(self.modulus, lcm, tuple(expo), cond, -1)
-
-
-def _conductor(q: int, exponents: tuple[int, ...], group_exp: int) -> int:
-    """Smallest f | q with chi trivial on units a = 1 (mod f)."""
-    for f in divisors(q):
-        ok = True
-        for a in range(1, q + 1):
-            if a % f == 1 % f and math.gcd(a, q) == 1 and exponents[a % q] % group_exp != 0:
-                ok = False
-                break
-        if ok:
-            return f
-    return q
-
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, built from the unit-group generators."""
+    """All phi(q) characters mod q, built from the unit-group generators.
+
+    Character ``index`` has exponent tuple ``logs[index]``, so its exponent
+    at unit ``units[j]`` is row ``index`` of E = (logs * strides) @ logs.T
+    mod e.  The conductor is the smallest f | q with chi trivial on the
+    units a = 1 (mod f), tested for every row of E at once.
+    """
     grp = unit_group(q)
     e = grp.exponent
-    chars = []
-    strides = [e // s for s in grp.orders]
-    for index, ts in enumerate(itertools.product(*(range(s) for s in grp.orders))):
-        expo = [-1] * q if q > 1 else [0]
-        for a, ks in grp.dlog.items():
-            expo[a] = sum(k * t * stride for k, t, stride in zip(ks, ts, strides)) % e
-        cond = _conductor(q, tuple(expo), e)
-        chars.append(DirichletCharacter(q, e, tuple(expo), cond, index))
-    return chars
-
-
-def is_primitive(chi: DirichletCharacter) -> bool:
-    """True iff the conductor equals the modulus."""
-    return chi.is_primitive
+    strides = np.array([e // s for s in grp.orders], dtype=np.int64)
+    E = (grp.logs * strides) @ grp.logs.T % e
+    expo = np.full((len(E), q), -1, dtype=np.int64)
+    expo[:, grp.units] = E
+    conductors = np.zeros(len(E), dtype=np.int64)
+    for f in divisors(q):
+        trivial = (E[:, grp.units % f == 1 % f] == 0).all(axis=1)
+        conductors[(conductors == 0) & trivial] = f
+    return [
+        DirichletCharacter(q, e, tuple(row), cond, index)
+        for index, (row, cond) in enumerate(zip(expo.tolist(), conductors.tolist()))
+    ]
 
 
 @lru_cache(maxsize=512)
@@ -218,8 +197,6 @@ def delta_term(params: DeltaParams) -> complex:
     conj(psi)(-k/l) psi(d/l) mu(k/l)."""
     q, k, d, psi = params.q, params.k, params.d, params.character
     psi_bar = psi.conjugate()
-    from .intfun import mobius_int
-
     total = 0.0 + 0.0j
     for l in divisors(math.gcd(d, k)):
         mu_dl = mobius_int(d // l)
@@ -335,6 +312,4 @@ def polya_vinogradov_max(chi: DirichletCharacter, Y: int, coprime_to: int = 1) -
 
 def primitive_count_formula(q: int) -> int:
     """Number of primitive characters mod q: sum_{d | q} mu(q/d) phi(d)."""
-    from .intfun import mobius_int
-
     return sum(mobius_int(q // d) * totient(d) for d in divisors(q))

@@ -34,10 +34,13 @@ def _checked(convert, ok, expected: str):
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
-# verify-vaughan's X^r stays finite; monitor-sieve draws Q from [2, --Q]
+# verify-vaughan's X^r stays finite; monitor-sieve draws Q from [2, --Q],
+# H from [1, --H] and V from [0, --V], inside hybrid_large_sieve_monitor's ranges
 _vaughan_r = _checked(int, lambda n: 1 <= n <= 20, "an integer in [1, 20]")
 _vaughan_X = _checked(float, lambda x: 1 <= x <= 1e5, "a number in [1, 1e5]")
-_sieve_Q = _checked(int, lambda n: n >= 2, "an integer >= 2")
+_sieve_Q = _checked(int, lambda n: 2 <= n <= 30, "an integer in [2, 30]")
+_sieve_H = _checked(int, lambda n: 1 <= n <= 500, "an integer in [1, 500]")
+_sieve_V = _checked(float, lambda x: 0 <= x <= 50, "a number in [0, 50]")
 # --nu gives the tuple of moment orders to check; its default (1, 2) checks both
 _nu = _checked(lambda text: (int(text),), lambda nus: nus in [(1,), (2,)], "1 or 2")
 
@@ -262,7 +265,7 @@ COMMANDS = {
     "zeros ingest": ("read and validate a zero table", cmd_zeros_ingest, [
         ("path", str, None), *_CACHE, _OUTPUT]),
     "monitor-sieve": ("hybrid large sieve ratio sweep", cmd_monitor_sieve, [
-        ("--Q", _sieve_Q, 20), ("--H", _positive_int, 200), ("--V", _finite, 20.0),
+        ("--Q", _sieve_Q, 20), ("--H", _sieve_H, 200), ("--V", _sieve_V, 20.0),
         ("--trials", _positive_int, 200), ("--seed", _seed, 20250811), _OUTPUT, _JSON]),
 }
 

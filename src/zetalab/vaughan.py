@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy import integrate, special
 
 from . import arith
 from .arith import ArithFnTable, convolve_values, dirichlet_convolve
@@ -498,6 +497,8 @@ def perron_truncation(M: float, U: float, m: int) -> complex:
         raise ValueError("U must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
+    from scipy import integrate, special  # lazy: scipy's import outweighs all of zetalab's
+
     M0 = M + 0.5
     assert m != M0  # half-integer cutoff can never hit an integer
     delta = 1.0 / math.log(M)

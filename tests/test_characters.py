@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import arith, characters as ch
 from zetalab import mollifier as mo
@@ -56,12 +58,67 @@ def test_multiplicativity_and_unit_modulus(rng):
 
 def test_product_closure():
     for q in (6, 8, 15, 36, 60):
-        chars = ch.enumerate_characters(q)
-        tables = [np.round(c.values, 9).tobytes() for c in chars]
-        for i in range(0, len(chars), 3):
-            for j in range(0, len(chars), 4):
-                prod = chars[i] * chars[j]
-                assert np.round(prod.values, 9).tobytes() in tables
+        tables = np.array([c.values for c in ch.enumerate_characters(q)])
+        for a, b in itertools.product(tables, repeat=2):
+            assert np.abs(tables - a * b).max(axis=1).min() < 1e-12
+
+
+def _oracle_conductor(q, exponents, group_exp):
+    """Smallest f | q with chi trivial on units a = 1 (mod f), one character at a time."""
+    for f in divisors(q):
+        ok = True
+        for a in range(1, q + 1):
+            if a % f == 1 % f and math.gcd(a, q) == 1 and exponents[a % q] % group_exp != 0:
+                ok = False
+                break
+        if ok:
+            return f
+    return q
+
+
+def _oracle_characters(q):
+    """(modulus, exponent, exponents, conductor, index) of each character mod q,
+    by a per-residue loop over a discrete-log dict and a per-character scan."""
+    grp = ch.unit_group(q)
+    e = grp.exponent
+    dlog = {}
+    for ks in itertools.product(*(range(s) for s in grp.orders)):
+        a = 1 % q
+        for g, k in zip(grp.generators, ks):
+            a = a * pow(g, k, q) % q
+        dlog[a] = ks
+    strides = [e // s for s in grp.orders]
+    out = []
+    for index, ts in enumerate(itertools.product(*(range(s) for s in grp.orders))):
+        expo = [-1] * q if q > 1 else [0]
+        for a, ks in dlog.items():
+            expo[a] = sum(k * t * stride for k, t, stride in zip(ks, ts, strides)) % e
+        out.append((q, e, tuple(expo), _oracle_conductor(q, expo, e), index))
+    return out
+
+
+def test_exponent_matrix_matches_per_residue_oracle():
+    for q in [*range(1, 201), 256, 360, 420, 480]:
+        got = [(c.modulus, c.exponent, c.exponents, c.conductor, c.index)
+               for c in ch.enumerate_characters(q)]
+        assert got == _oracle_characters(q)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 500), st.data())
+def test_character_group_properties(q, data):
+    chars = ch.enumerate_characters(q)
+    phi = totient(q)
+    assert len(chars) == phi
+    V = np.array([c.values for c in chars])
+    assert np.abs(V @ V.conj().T - phi * np.eye(phi)).max() < 1e-9
+    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(units), st.sampled_from(units)),
+                               min_size=1, max_size=8))
+    for a, b in pairs:
+        assert np.abs(V[:, a * b % q] - V[:, a] * V[:, b]).max() < 1e-12
+    assert all(q % c.conductor == 0 for c in chars)
+    assert len(ch.primitive_characters(q)) == ch.primitive_count_formula(q)
 
 
 def test_primitivity():

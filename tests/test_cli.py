@@ -155,6 +155,11 @@ def test_config_no_cache_writes_no_cache(tmp_path, capsys):
     (None, ["monitor-sieve", "--Q", "1"]),
     (None, ["monitor-sieve", "--seed", "-1"]),
     (None, ["verify-split", "--seed", "-1"]),
+    (None, ["monitor-sieve", "--Q", "31"]),
+    (None, ["monitor-sieve", "--H", "501"]),
+    (None, ["monitor-sieve", "--V", "60"]),
+    (None, ["monitor-sieve", "--V", "-1"]),
+    (None, ["monitor-sieve", "--V", "nan"]),
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, config, argv):
     if config is not None:

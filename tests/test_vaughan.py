@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,3 +292,15 @@ def test_s_qxd_budget():
         va.s_qxd_bruteforce(8, 5000, 1, 1, spec)
     with pytest.raises(ValueError):
         va.s_qxd_bruteforce(8, 100, 9, 1, spec)
+
+
+def test_library_modules_do_not_import_scipy():
+    import zetalab
+
+    code = ("import sys, zetalab.arith, zetalab.characters, zetalab.mollifier, "
+            "zetalab.vaughan, zetalab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(zetalab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
