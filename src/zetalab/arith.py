@@ -246,30 +246,3 @@ def coefficient_growth_report(table: ArithFnTable, log_scale: float,
     argmax = int(ratios.argmax()) + 1
     violations = tuple(int(i) + 1 for i in np.nonzero(ratios > 1.0)[0])
     return GrowthReport(table.limit, scale, max_ratio, argmax, violations)
-
-
-_CACHE_MAGIC = "arithfn"
-
-
-def save_table(table: ArithFnTable, path) -> None:
-    """Write a table as 'arithfn <name> <N>' header + little-endian float64 array."""
-    header = f"{_CACHE_MAGIC} {table.name} {table.limit}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(table.values[1:].astype("<f8").tobytes())
-
-
-def load_table(path) -> ArithFnTable:
-    """Read a table written by :func:`save_table`."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != _CACHE_MAGIC:
-            raise ValueError(f"bad table header {header!r} in {path}")
-        name, limit = parts[1], int(parts[2])
-        raw = fh.read(8 * limit)
-        if len(raw) != 8 * limit:
-            raise ValueError(f"truncated table payload in {path}")
-    values = np.zeros(limit + 1)
-    values[1:] = np.frombuffer(raw, dtype="<f8")
-    return ArithFnTable(name, limit, values)

@@ -13,6 +13,7 @@ error, a bad config file included.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -151,9 +152,8 @@ def cmd_verify_split(args) -> int:
 
     spec = mo.MollifierSpec.with_y(1e4, 20.0)
     dec = va.decompose_a2(spec, va.VaughanConfig(3, 16.0), n_cap=1000)
-    terms = list(dec.terms())
-    rng = np.random.default_rng(args.seed)
-    term = terms[int(rng.integers(len(terms)))]
+    pick = int(np.random.default_rng(args.seed).integers(dec.count_terms()["total"]))
+    term = next(itertools.islice(dec.terms(), pick, None))
     r = va.split_by_divisor(term, dec, args.d, args.m_limit)
     return _verdict(args, r.check, r.parameters, r.worst_index, r.deviation, r.passed)
 

@@ -18,6 +18,8 @@ hybrid large sieve.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -139,17 +141,23 @@ _GROUP_WEIGHTS = {1: -3.0, 2: 3.0, 3: -1.0}
 
 @dataclass(frozen=True)
 class DecompositionTerm:
-    """One dyadic convolution term: ranges are the block labels N_1..N_9.
+    """One dyadic convolution term of Vaughan group j.
 
-    Slot i holds its role's function restricted to (blocks[i][0], blocks[i][1]];
-    the label N_i is the upper edge (1 for absent slots).  Weight is the
-    signed binomial factor of the Vaughan term the block choice came from.
+    Slot i holds its role's function restricted to (blocks[i][0], blocks[i][1]].
     """
 
     j: int
-    weight: float
-    ranges: tuple[float, ...]
     blocks: tuple[tuple[float, float], ...]
+
+    @property
+    def weight(self) -> float:
+        """Signed binomial factor of the Vaughan term the block choice came from."""
+        return _GROUP_WEIGHTS[self.j]
+
+    @property
+    def ranges(self) -> tuple[float, ...]:
+        """Block labels N_1..N_9: the upper edges (1 for absent slots)."""
+        return tuple(hi for _, hi in self.blocks)
 
     @property
     def roles(self) -> tuple[str, ...]:
@@ -209,71 +217,50 @@ class A2Decomposition:
     slot_blocks: dict  # j -> tuple of 9 block tuples
 
     def terms(self):
-        for j in (1, 2, 3):
-            weight = _GROUP_WEIGHTS[j]
-            yield from self._terms_of_group(j, weight)
+        """Emitted terms, group by group, blocks in lexicographic order.
 
-    def _terms_of_group(self, j, weight):
-        slots = self.slot_blocks[j]
-        mins = [tuple(int(lo) + 1 for lo, _ in blocks) for blocks in slots]
-        suffix_min = [1] * 10
-        for i in range(8, -1, -1):
-            suffix_min[i] = suffix_min[i + 1] * min(mins[i])
-
-        def rec(i, prod, chosen):
-            if i == 9:
-                blocks = tuple(chosen)
-                yield DecompositionTerm(
-                    j=j,
-                    weight=weight,
-                    ranges=tuple(hi for _, hi in blocks),
-                    blocks=blocks,
-                )
-                return
-            for blk, mn in zip(slots[i], mins[i]):
-                p = prod * mn
-                if p * suffix_min[i + 1] > self.n_cap:
-                    break
-                chosen.append(blk)
-                yield from rec(i + 1, p, chosen)
-                chosen.pop()
-
-        yield from rec(0, 1, [])
-
-    def count_terms(self) -> dict:
-        """Number of emitted terms per group and in total (no materialisation)."""
-        counts = {}
+        Every block list ascends in its lower edge, so a slot's admissible
+        blocks are a prefix: the walk stops at the first one that leaves no
+        room below n_cap, and takes the last slot's prefix by bisection.
+        """
+        n_cap = self.n_cap
         for j in (1, 2, 3):
             slots = self.slot_blocks[j]
-            mins = [tuple(int(lo) + 1 for lo, _ in blocks) for blocks in slots]
-            suffix_min = [1] * 10
-            for i in range(8, -1, -1):
-                suffix_min[i] = suffix_min[i + 1] * min(mins[i])
+            mins = [[int(lo) + 1 for lo, _ in blocks] for blocks in slots]
+            suffix_min = [math.prod(min(m) for m in mins[i:]) for i in range(9)]
 
-            def rec(i, prod):
-                if i == 9:
-                    return 1
-                total = 0
-                for mn in mins[i]:
-                    p = prod * mn
-                    if p * suffix_min[i + 1] > self.n_cap:
+            def rec(i, prod, chosen):
+                if i == 8:
+                    for blk in slots[8][: bisect_right(mins[8], n_cap // prod)]:
+                        yield DecompositionTerm(j, (*chosen, blk))
+                    return
+                for blk, mn in zip(slots[i], mins[i]):
+                    if prod * mn * suffix_min[i + 1] > n_cap:
                         break
-                    total += rec(i + 1, p)
-                return total
+                    yield from rec(i + 1, prod * mn, (*chosen, blk))
 
-            counts[j] = rec(0, 1)
+            yield from rec(0, 1, ())
+
+    def count_terms(self) -> dict:
+        """Number of emitted terms per group and in total, without building them.
+
+        One pass per slot carries the number of block prefixes reaching each
+        product of (floor(lo) + 1); a product above n_cap has no completion.
+        """
+        counts = {}
+        for j in (1, 2, 3):
+            reach = Counter({1: 1})
+            for blocks in self.slot_blocks[j]:
+                step = Counter()
+                for prod, ways in reach.items():
+                    for lo, _ in blocks:
+                        p = prod * (int(lo) + 1)
+                        if p <= self.n_cap:
+                            step[p] += ways
+                reach = step
+            counts[j] = sum(reach.values())
         counts["total"] = counts[1] + counts[2] + counts[3]
         return counts
-
-    def _role_tables(self) -> dict:
-        n = self.n_cap
-        log_t = arith.sieve_standard("log", n).values
-        one_t = arith.sieve_standard("one", n).values
-        mu_t = mu_truncated(self.config.X, n).values
-        b_t = b_table(self.spec, n).values
-        ident = np.zeros(n + 1)
-        ident[1] = 1.0
-        return {LOG: log_t, ONE: one_t, MU: mu_t, B_COEF: b_t, IDENTITY: ident}
 
     def reconstruct(self) -> np.ndarray:
         """Sum of weight * (f_1 * ... * f_9) over all emitted terms, on [0..n_cap].
@@ -285,7 +272,7 @@ class A2Decomposition:
         :func:`term_convolution`.
         """
         n = self.n_cap
-        tables = self._role_tables()
+        tables = _role_tables(self.spec, self.config, n)
         total = np.zeros(n + 1)
         for j in (1, 2, 3):
             acc = tables[IDENTITY].copy()
@@ -364,21 +351,30 @@ def decompose_a2(spec: MollifierSpec, config: VaughanConfig, n_cap: int = 10**4)
     return A2Decomposition(spec=spec, config=config, n_cap=n_cap, slot_blocks=slot_blocks)
 
 
+def _role_tables(spec: MollifierSpec, config: VaughanConfig, n: int) -> dict:
+    """The function of each slot role as a value array on [0..n]."""
+    ident = np.zeros(n + 1)
+    ident[1] = 1.0
+    return {LOG: arith.sieve_standard("log", n).values,
+            ONE: arith.sieve_standard("one", n).values,
+            MU: mu_truncated(config.X, n).values,
+            B_COEF: b_table(spec, n).values,
+            IDENTITY: ident}
+
+
+def _term_product(term: DecompositionTerm, tables: dict, n: int) -> np.ndarray:
+    acc = tables[IDENTITY].copy()
+    for role, (lo, hi) in zip(term.roles, term.blocks):
+        if role != IDENTITY:
+            acc = convolve_values(acc, _restrict(tables[role], lo, hi, n), n)
+    return acc
+
+
 def term_convolution(term: DecompositionTerm, decomposition: A2Decomposition,
                      n_cap: int | None = None) -> np.ndarray:
     """(f_1 * ... * f_9) for a single term, on [0..n_cap], without the weight."""
     n = n_cap if n_cap is not None else decomposition.n_cap
-    tables = decomposition._role_tables() if n == decomposition.n_cap else None
-    if tables is None:
-        tmp = A2Decomposition(decomposition.spec, decomposition.config, n,
-                              decomposition.slot_blocks)
-        tables = tmp._role_tables()
-    acc = tables[IDENTITY].copy()
-    for role, (lo, hi) in zip(term.roles, term.blocks):
-        if role == IDENTITY:
-            continue
-        acc = convolve_values(acc, _restrict(tables[role], lo, hi, n), n)
-    return acc
+    return _term_product(term, _role_tables(decomposition.spec, decomposition.config, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -414,48 +410,33 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
     if m_limit * d > arith.DEFAULT_LIMIT_CAP:
         raise ValueError(f"m_limit*d = {m_limit * d} exceeds the table budget")
 
-    big = term_convolution(term, decomposition, n_cap=m_limit * d)
+    n = m_limit * d
+    tables = _role_tables(decomposition.spec, decomposition.config, n)
     lhs = np.zeros(m_limit + 1)
-    vals = big[d::d][:m_limit]  # F(d), F(2d), ..., F(m_limit d)
+    vals = _term_product(term, tables, n)[d::d][:m_limit]  # F(d), F(2d), ..., F(m_limit d)
     lhs[1 : 1 + len(vals)] = vals
 
-    tmp = A2Decomposition(decomposition.spec, decomposition.config, m_limit * d,
-                          decomposition.slot_blocks)
-    tables = tmp._role_tables()
-
-    def g_table(role, lo, hi, d_i, rad):
-        """g(m) = f(m d_i) [gcd(m, rad) = 1] on [1..m_limit]."""
-        out = np.zeros(m_limit + 1)
-        m = np.arange(1, m_limit + 1)
-        arg = m * d_i  # <= m_limit * d since d_i | d
-        vals = np.where((arg > lo) & (arg <= hi), tables[role][arg], 0.0)
-        if rad > 1:
-            vals = np.where(np.gcd(m, rad) == 1, vals, 0.0)
-        out[1:] = vals
-        return out
-
+    m = np.arange(m_limit + 1)
+    divs = divisors(d)
+    arg = np.outer(divs, m)  # m d_i for every d_i | d, all <= n
+    coprime = {rad: np.gcd(m, rad) == 1 for rad in {radical(d_i) for d_i in divs}}
     ident = np.zeros(m_limit + 1)
     ident[1] = 1.0
     # states: (radical of divisors used so far, remaining divisor) -> table
     states = {(1, d): ident}
     for role, (lo, hi) in zip(term.roles, term.blocks):
+        if role == IDENTITY:
+            continue  # an identity slot forces d_i = 1: a convolution no-op
+        f_md = dict(zip(divs, np.where((arg > lo) & (arg <= hi), tables[role][arg], 0.0)))
         new_states: dict = {}
         for (rad, rem), table in states.items():
             for d_i in divisors(rem):
-                if role == IDENTITY and d_i != 1:
-                    continue  # identity slot forces d_i = 1
-                if role == IDENTITY:
-                    nxt = table  # convolution no-op
-                else:
-                    g = g_table(role, lo, hi, d_i, rad)
-                    if not g.any():
-                        continue
-                    nxt = convolve_values(table, g, m_limit)
+                g = np.where(coprime[rad], f_md[d_i], 0.0)
+                if not g.any():
+                    continue
+                nxt = convolve_values(table, g, m_limit)
                 key = (radical(rad * d_i), rem // d_i)
-                if key in new_states:
-                    new_states[key] = new_states[key] + nxt
-                else:
-                    new_states[key] = nxt
+                new_states[key] = new_states[key] + nxt if key in new_states else nxt
         states = new_states
         if not states:
             break

@@ -236,28 +236,6 @@ def test_growth_monitor_reports_not_raises():
     assert not flagged.ok and 1 in flagged.violations
 
 
-def test_table_cache_roundtrip(tmp_path):
-    table = arith.compute_a1(300)
-    path = tmp_path / "a1.bin"
-    arith.save_table(table, path)
-    back = arith.load_table(path)
-    assert back.name == table.name and back.limit == table.limit
-    assert np.array_equal(back.values, table.values)
-
-
-def test_table_cache_rejects_corruption(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"wrong header\n" + b"\x00" * 80)
-    with pytest.raises(ValueError):
-        arith.load_table(path)
-    good = arith.compute_a1(50)
-    arith.save_table(good, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(ValueError):
-        arith.load_table(path)
-
-
 def test_table_memo_prefix_view(monkeypatch):
     for name in arith.STANDARD_NAMES:
         monkeypatch.setattr(arith, "_table_cache", {})

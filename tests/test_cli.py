@@ -50,7 +50,10 @@ def test_verify_rearrangement_and_split(tmp_path):
     out2 = tmp_path / "sp.json"
     assert run(["verify-split", "--d", "12", "--m-limit", "300", "--seed", "3",
                 "--output", str(out2)]) == 0
-    assert json.loads(out2.read_text())["pass"] is True
+    split = json.loads(out2.read_text())
+    assert split["pass"] is True
+    assert split["parameters"]["j"] == 3
+    assert split["parameters"]["term_ranges"] == [4.0, 32.0, 8.0, 1.25, 1.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_optimize_poly(tmp_path):

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import arith, vaughan as va
 from zetalab import mollifier as mo
 from zetalab.characters import primitive_characters
+from zetalab.intfun import divisors, factorize, radical
 from zetalab.vaughan import VaughanConfig
 
 
@@ -96,6 +98,117 @@ def test_term_count_monitor():
     # O(L^9) shape monitor: wildly generous, just pin the reported number
     assert 0 < counts["total"] <= math.log2(512) ** 9
     assert counts["total"] == counts[1] + counts[2] + counts[3]
+    # the counts acceptance criterion 4 prints, at its three settings
+    totals = [va.decompose_a2(small_spec(y), VaughanConfig(3, X), n_cap=10**4)
+              .count_terms()["total"] for y, X in [(20.0, 16.0), (32.0, 32.0), (40.0, 22.0)]]
+    assert totals == [369397, 422515, 408170]
+
+
+def oracle_terms(dec):
+    """(j, weight, ranges, blocks) of every term by a plain pruned recursion."""
+    out = []
+    for j in (1, 2, 3):
+        slots = dec.slot_blocks[j]
+        mins = [tuple(int(lo) + 1 for lo, _ in blocks) for blocks in slots]
+        suffix_min = [1] * 10
+        for i in range(8, -1, -1):
+            suffix_min[i] = suffix_min[i + 1] * min(mins[i])
+
+        def rec(i, prod, chosen):
+            if i == 9:
+                blocks = tuple(chosen)
+                out.append((j, va._GROUP_WEIGHTS[j], tuple(hi for _, hi in blocks), blocks))
+                return
+            for blk, mn in zip(slots[i], mins[i]):
+                p = prod * mn
+                if p * suffix_min[i + 1] > dec.n_cap:
+                    break
+                chosen.append(blk)
+                rec(i + 1, p, chosen)
+                chosen.pop()
+
+        rec(0, 1, [])
+    return out
+
+
+def oracle_split(term, dec, d, m_limit, tolerance=1e-10):
+    """The splitting lemma state by state, each g_i gathered on its own."""
+    n = m_limit * d
+    tables = {va.LOG: arith.sieve_standard("log", n).values,
+              va.ONE: arith.sieve_standard("one", n).values,
+              va.MU: va.mu_truncated(dec.config.X, n).values,
+              va.B_COEF: mo.b_table(dec.spec, n).values}
+    big = np.zeros(n + 1)
+    big[1] = 1.0
+    for role, (lo, hi) in zip(term.roles, term.blocks):
+        if role != va.IDENTITY:
+            restricted = np.zeros(n + 1)
+            a, b = int(lo) + 1, min(int(hi), n)
+            restricted[a : b + 1] = tables[role][a : b + 1]
+            big = arith.convolve_values(big, restricted, n)
+    lhs = np.zeros(m_limit + 1)
+    lhs[1:] = big[d::d][:m_limit]
+
+    def g_table(role, lo, hi, d_i, rad):
+        out = np.zeros(m_limit + 1)
+        m = np.arange(1, m_limit + 1)
+        arg = m * d_i
+        vals = np.where((arg > lo) & (arg <= hi), tables[role][arg], 0.0)
+        if rad > 1:
+            vals = np.where(np.gcd(m, rad) == 1, vals, 0.0)
+        out[1:] = vals
+        return out
+
+    ident = np.zeros(m_limit + 1)
+    ident[1] = 1.0
+    states = {(1, d): ident}
+    for role, (lo, hi) in zip(term.roles, term.blocks):
+        new_states = {}
+        for (rad, rem), table in states.items():
+            for d_i in divisors(rem):
+                if role == va.IDENTITY and d_i != 1:
+                    continue
+                if role == va.IDENTITY:
+                    nxt = table
+                else:
+                    g = g_table(role, lo, hi, d_i, rad)
+                    if not g.any():
+                        continue
+                    nxt = arith.convolve_values(table, g, m_limit)
+                key = (radical(rad * d_i), rem // d_i)
+                new_states[key] = new_states[key] + nxt if key in new_states else nxt
+        states = new_states
+        if not states:
+            break
+    rhs = np.zeros(m_limit + 1)
+    for (rad, rem), table in states.items():
+        if rem == 1:
+            rhs += table
+    dev = np.abs(lhs[1:] - rhs[1:])
+    return va.SplitReport(
+        check="divisor-splitting",
+        parameters={"d": d, "m_limit": m_limit, "term_ranges": term.ranges, "j": term.j},
+        worst_index=int(dev.argmax()) + 1,
+        deviation=float(dev.max()),
+        tolerance=tolerance,
+        factorization_count=math.prod(math.comb(a + 8, 8) for _, a in factorize(d)),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(st.floats(4.0, 40.0), st.floats(2.0, 32.0), st.integers(8, 2000),
+       st.integers(1, 30), st.integers(1, 300), st.data())
+def test_decomposition_and_splitting_match_oracles(y, X, n_cap, d, m_limit, data):
+    dec = va.decompose_a2(small_spec(y), VaughanConfig(3, X), n_cap=n_cap)
+    terms = list(dec.terms())
+    assert [(t.j, t.weight, t.ranges, t.blocks) for t in terms] == oracle_terms(dec)
+    counts = dec.count_terms()
+    assert [counts[j] for j in (1, 2, 3)] == [sum(t.j == j for t in terms) for j in (1, 2, 3)]
+    assert counts["total"] == len(terms)
+    term = terms[data.draw(st.integers(0, len(terms) - 1))]
+    report = va.split_by_divisor(term, dec, d, m_limit)
+    assert report == oracle_split(term, dec, d, m_limit)
+    assert report.passed, (term.ranges, d, report.deviation)
 
 
 def test_growth_monitor_runs():
