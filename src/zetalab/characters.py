@@ -1,17 +1,18 @@
 """Dirichlet characters: enumeration, Gauss sums, the delta factor, and the
 additive-to-multiplicative rearrangement of the moment sums.
 
-Characters are stored as exact root-of-unity exponents over the unit-group
-exponent e: chi(a) = zeta_e^{expo[a]} on units, 0 elsewhere.  Tables and
-conjugates are integer arithmetic mod e, so character algebra never drifts;
-values are materialised to complex128 on demand.
+The characters mod q are one table per modulus: an integer matrix of
+root-of-unity exponents over the unit-group exponent e, chi(a) = e(k / e) on
+units and 0 elsewhere.  Conjugates and conductors are integer arithmetic
+mod e, so character algebra never drifts; the complex matrix of any rows is
+built on demand, and a ``DirichletCharacter`` is a view of one row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -50,105 +51,124 @@ class UnitGroup:
     logs: np.ndarray
 
 
-@lru_cache(maxsize=512)
 def unit_group(q: int) -> UnitGroup:
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     gens: list[int] = []
     orders: list[int] = []
     for p, e in factorize(q) if q > 1 else ():
-        pe = p**e
-        rest = q // pe
+        pe, rest = p**e, q // (p**e)
         # CRT lift: local generator at p^e, 1 at the complementary factor
         for g, order in _local_generators(p, e):
-            lifted = _crt_lift(g, pe, rest)
-            gens.append(lifted)
+            gens.append((g + pe * ((1 - g) * pow(pe, -1, rest) % rest)) % q)
             orders.append(order)
-    exponent = 1
-    for s in orders:
-        exponent = exponent * s // math.gcd(exponent, s)
     logs = np.array(list(itertools.product(*(range(s) for s in orders))), dtype=np.int64)
     units = np.full(len(logs), 1 % q, dtype=np.int64)
     for col, (g, s) in enumerate(zip(gens, orders)):
         units = units * np.array([pow(g, k, q) for k in range(s)])[logs[:, col]] % q
     units.flags.writeable = logs.flags.writeable = False
-    return UnitGroup(q, tuple(gens), tuple(orders), exponent, units, logs)
+    return UnitGroup(q, tuple(gens), tuple(orders), math.lcm(*orders), units, logs)
 
 
-def _crt_lift(g: int, pe: int, rest: int) -> int:
-    if rest == 1:
-        return g % pe
-    # x = g mod pe, x = 1 mod rest
-    inv = pow(pe, -1, rest)
-    return (g + pe * ((1 - g) * inv % rest)) % (pe * rest)
+@dataclass(frozen=True, eq=False)
+class CharacterTable:
+    """The phi(q) characters mod q as one exponent matrix over the units:
+    chi_i(units[j]) = e(expo[i, j] / exponent), and chi_i is 0 off the units.
+
+    Row i has exponent tuple ``group.logs[i]``, so its entry at unit j is
+    row i of E = (logs * strides) @ logs.T mod e.  The conductor is the
+    smallest f | q with chi trivial on the units a = 1 (mod f), tested for
+    every row at once; the conjugate of row i is the row with tuple -logs[i].
+    """
+
+    group: UnitGroup
+    expo: np.ndarray
+    conductors: np.ndarray
+    conjugates: np.ndarray
+    primitive: np.ndarray
+
+    def values(self, rows) -> np.ndarray:
+        """The (len(rows), q) complex matrix of chi(a), a = 0..q-1, for the given rows."""
+        e = self.group.exponent
+        out = np.zeros((len(rows), self.group.modulus), dtype=np.complex128)
+        out[:, self.group.units] = np.exp(2j * np.pi * np.arange(e) / e)[self.expo[rows]]
+        return out
+
+
+@lru_cache(maxsize=512)
+def character_table(q: int) -> CharacterTable:
+    grp = unit_group(q)
+    e = grp.exponent
+    orders = np.array(grp.orders, dtype=np.int64)
+    expo = ((grp.logs * (e // orders)) @ grp.logs.T % e).astype(np.min_scalar_type(e - 1))
+    conductors = np.zeros(len(expo), dtype=np.int64)
+    for f in divisors(q):
+        trivial = (expo[:, grp.units % f == 1 % f] == 0).all(axis=1)
+        conductors[(conductors == 0) & trivial] = f
+    # the row of tuple -logs[i]; reshaped because q = 1, 2 have no generators
+    conjugates = np.reshape(np.ravel_multi_index((-grp.logs % orders).T, grp.orders), len(expo))
+    primitive = np.flatnonzero(conductors == q)
+    for a in (expo, conductors, conjugates, primitive):
+        a.flags.writeable = False
+    return CharacterTable(grp, expo, conductors, conjugates, primitive)
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Value table mod q, held as root-of-unity exponents over ``exponent``.
-
-    ``exponents[a]`` is the integer k with chi(a) = e(k / exponent) for units
-    a, and -1 on non-units.  For q = 1 the single residue carries chi = 1.
+    """Row ``index`` of ``table``.  ``exponents[a]`` is the integer k with
+    chi(a) = e(k / exponent) for units a, and -1 on non-units.  For q = 1 the
+    single residue carries chi = 1.
     """
 
-    modulus: int
-    exponent: int
-    exponents: tuple[int, ...]
-    conductor: int
+    table: CharacterTable = field(repr=False)
     index: int
+
+    @property
+    def modulus(self) -> int:
+        return self.table.group.modulus
+
+    @property
+    def exponent(self) -> int:
+        return self.table.group.exponent
+
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        row = np.full(self.modulus, -1, dtype=np.int64)
+        row[self.table.group.units] = self.table.expo[self.index]
+        return tuple(row.tolist())
+
+    @property
+    def conductor(self) -> int:
+        return int(self.table.conductors[self.index])
 
     @cached_property
     def values(self) -> np.ndarray:
-        expo = np.array(self.exponents, dtype=np.int64)
-        out = np.exp(2j * np.pi * np.where(expo < 0, 0, expo) / self.exponent)
-        out[expo < 0] = 0.0
-        return out
+        return self.table.values([self.index])[0]
 
     def value(self, a: int) -> complex:
         return complex(self.values[a % self.modulus])
 
     @property
     def is_principal(self) -> bool:
-        return all(e <= 0 for e in self.exponents)
+        return not self.table.expo[self.index].any()
 
     @property
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
     def conjugate(self) -> "DirichletCharacter":
-        expo = tuple(
-            -1 if e < 0 else (self.exponent - e) % self.exponent for e in self.exponents
-        )
-        return DirichletCharacter(self.modulus, self.exponent, expo, self.conductor, -1)
+        return DirichletCharacter(self.table, int(self.table.conjugates[self.index]))
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, built from the unit-group generators.
-
-    Character ``index`` has exponent tuple ``logs[index]``, so its exponent
-    at unit ``units[j]`` is row ``index`` of E = (logs * strides) @ logs.T
-    mod e.  The conductor is the smallest f | q with chi trivial on the
-    units a = 1 (mod f), tested for every row of E at once.
-    """
-    grp = unit_group(q)
-    e = grp.exponent
-    strides = np.array([e // s for s in grp.orders], dtype=np.int64)
-    E = (grp.logs * strides) @ grp.logs.T % e
-    expo = np.full((len(E), q), -1, dtype=np.int64)
-    expo[:, grp.units] = E
-    conductors = np.zeros(len(E), dtype=np.int64)
-    for f in divisors(q):
-        trivial = (E[:, grp.units % f == 1 % f] == 0).all(axis=1)
-        conductors[(conductors == 0) & trivial] = f
-    return [
-        DirichletCharacter(q, e, tuple(row), cond, index)
-        for index, (row, cond) in enumerate(zip(expo.tolist(), conductors.tolist()))
-    ]
+    """All phi(q) characters mod q, as rows of :func:`character_table`."""
+    table = character_table(q)
+    return [DirichletCharacter(table, i) for i in range(len(table.expo))]
 
 
-@lru_cache(maxsize=512)
 def primitive_characters(q: int) -> tuple[DirichletCharacter, ...]:
-    return tuple(chi for chi in enumerate_characters(q) if chi.is_primitive)
+    table = character_table(q)
+    return tuple(DirichletCharacter(table, int(i)) for i in table.primitive)
 
 
 @dataclass(frozen=True)
@@ -158,63 +178,42 @@ class GaussSumResult:
     modulus_sqrt_check: float
 
 
+def _twisted_sums(C: np.ndarray) -> np.ndarray:
+    """sum_a C[..., a] e(a/q) along the last axis of q residues."""
+    q = C.shape[-1]
+    return (C * np.exp(2j * np.pi * np.arange(q) / q)).sum(axis=-1)
+
+
 def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
     """tau(chi) = sum_a chi(a) e(a/q) with e(x) = exp(2 pi i x)."""
-    q = chi.modulus
-    if q == 1:
-        return GaussSumResult(chi, 1.0 + 0.0j, 0.0)
-    a = np.arange(q)
-    value = complex(np.sum(chi.values * np.exp(2j * np.pi * a / q)))
-    return GaussSumResult(chi, value, abs(abs(value) - math.sqrt(q)))
+    value = complex(_twisted_sums(chi.values))
+    return GaussSumResult(chi, value, abs(abs(value) - math.sqrt(chi.modulus)))
 
 
-@dataclass(frozen=True)
-class DeltaParams:
-    """Arguments of the rearrangement factor delta(q, kq, d, psi).
+def delta_term(q: int, k: int, d: int) -> np.ndarray:
+    """delta(q, kq, d, psi) = sum_{l | gcd(d,k)} mu(d/l)/phi(kq/l) *
+    conj(psi)(-k/l) psi(d/l) mu(k/l) for every primitive psi mod q, in the
+    order of ``character_table(q).primitive``.
 
     Requires gcd(k, q) = 1 and d | k (the squarefree support of b reduces
     the original d | kq condition to d | k).
     """
-
-    q: int
-    k: int
-    d: int
-    character: DirichletCharacter
-
-    def __post_init__(self):
-        if self.q < 1 or self.k < 1 or self.d < 1:
-            raise ValueError("q, k, d must be positive")
-        if math.gcd(self.k, self.q) != 1:
-            raise ValueError(f"gcd(k={self.k}, q={self.q}) != 1")
-        if self.k % self.d != 0:
-            raise ValueError(f"d={self.d} does not divide k={self.k}")
-        if self.character.modulus != self.q:
-            raise ValueError("character modulus mismatch")
-
-
-def delta_term(params: DeltaParams) -> complex:
-    """delta = sum_{l | gcd(d,k)} mu(d/l)/phi(kq/l) *
-    conj(psi)(-k/l) psi(d/l) mu(k/l)."""
-    q, k, d, psi = params.q, params.k, params.d, params.character
-    psi_bar = psi.conjugate()
-    total = 0.0 + 0.0j
+    if q < 1 or k < 1 or d < 1:
+        raise ValueError("q, k, d must be positive")
+    if math.gcd(k, q) != 1:
+        raise ValueError(f"gcd(k={k}, q={q}) != 1")
+    if k % d != 0:
+        raise ValueError(f"d={d} does not divide k={k}")
+    table = character_table(q)
+    C = table.values(table.primitive)
+    C_bar = table.values(table.conjugates[table.primitive])
+    total = np.zeros(len(C), dtype=np.complex128)
     for l in divisors(math.gcd(d, k)):
-        mu_dl = mobius_int(d // l)
-        if mu_dl == 0:
-            continue
-        mu_kl = mobius_int(k // l)
-        if mu_kl == 0:
-            continue
-        # the sign lives inside the argument: psi_bar at (-k/l) mod q
-        arg = (q - (k // l) % q) % q
-        term = (
-            mu_dl
-            / totient(k * q // l)
-            * psi_bar.value(arg)
-            * psi.value(d // l)
-            * mu_kl
-        )
-        total += term
+        mu_dl, mu_kl = mobius_int(d // l), mobius_int(k // l)
+        if mu_dl and mu_kl:
+            # the sign lives inside the argument: conj(psi) at (-k/l) mod q
+            total += (mu_dl / totient(k * q // l) * C_bar[:, -(k // l) % q]
+                      * C[:, d // l % q] * mu_kl)
     return total
 
 
@@ -222,8 +221,14 @@ def delta_term(params: DeltaParams) -> complex:
 # the two forms of the moment sum M_nu
 
 
-def _a_slice_limit(spec: MollifierSpec) -> int:
-    return int(spec.y * spec.T / (2 * math.pi))
+def _a_values(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> np.ndarray:
+    """a_nu's values, once the table is checked to reach m = yT/2pi."""
+    if nu not in (1, 2):
+        raise ValueError(f"nu must be 1 or 2, got {nu}")
+    need = int(spec.y * spec.T / (2 * math.pi))
+    if a_table.limit < need:
+        raise ValueError(f"a_{nu} table limit {a_table.limit} < required {need}")
+    return a_table.values
 
 
 def m_nu_direct(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
@@ -231,12 +236,7 @@ def m_nu_direct(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
 
     The k-terms are summed with math.fsum on real and imaginary parts.
     """
-    if nu not in (1, 2):
-        raise ValueError(f"nu must be 1 or 2, got {nu}")
-    need = _a_slice_limit(spec)
-    if a_table.limit < need:
-        raise ValueError(f"a_{nu} table limit {a_table.limit} < required {need}")
-    av = a_table.values
+    av = _a_values(nu, spec, a_table)
     terms = []
     for k in range(1, int(spec.y) + 1):
         bk = eval_b(k, spec)
@@ -258,42 +258,34 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
         sum_{d | k} delta(q, kq, d, psi) sum_{m <= kqT/(2 pi d)} a_nu(m d) psi(m)
 
     Terms with gcd(k, q) > 1 or kq squarefull vanish through b(kq) = 0, so
-    the d-sum legitimately runs over d | k only.
+    the d-sum legitimately runs over d | k only.  Every psi mod q is one row
+    of C = character_table(q).values(primitive): the m-sum is C @ w with
+    w[r] the sum of a_nu(m d) over m = r (mod q), summed pairwise per residue.
     """
-    if nu not in (1, 2):
-        raise ValueError(f"nu must be 1 or 2, got {nu}")
-    need = _a_slice_limit(spec)
-    if a_table.limit < need:
-        raise ValueError(f"a_{nu} table limit {a_table.limit} < required {need}")
-    av = a_table.values
+    av = _a_values(nu, spec, a_table)
     y = spec.y
     terms = []
     for q in range(1, int(y) + 1):
-        prims = primitive_characters(q)
-        if not prims:
+        table = character_table(q)
+        if not len(table.primitive):
             continue
-        k_max = int(y / q)
-        if k_max < 1:
-            continue
-        for psi in prims:
-            tau_bar = gauss_sum(psi.conjugate()).value
-            psi_vals = psi.values
-            inner = 0.0 + 0.0j
-            for k in range(1, k_max + 1):
-                bkq = eval_b(k * q, spec)
-                if bkq == 0.0:
+        C = table.values(table.primitive)
+        inner = np.zeros(len(C), dtype=np.complex128)
+        for k in range(1, int(y / q) + 1):
+            bkq = eval_b(k * q, spec)
+            if bkq == 0.0:
+                continue
+            for d in divisors(k):
+                delta = delta_term(q, k, d)
+                m_max = int(k * q * spec.T / (2 * math.pi * d))
+                if not delta.any() or m_max < 1:
                     continue
-                for d in divisors(k):
-                    delta = delta_term(DeltaParams(q, k, d, psi))
-                    if delta == 0.0:
-                        continue
-                    m_max = int(k * q * spec.T / (2 * math.pi * d))
-                    if m_max < 1:
-                        continue
-                    idx = np.arange(1, m_max + 1)
-                    s = complex(np.dot(av[idx * d], psi_vals[idx % q]))
-                    inner += (bkq / (k * q)) * delta * s
-            terms.append(tau_bar * inner)
+                by_residue = np.zeros(-(-(m_max + 1) // q) * q)
+                by_residue[1 : m_max + 1] = av[d : d * m_max + 1 : d]
+                w = np.ascontiguousarray(by_residue.reshape(-1, q).T).sum(axis=1)
+                inner += (bkq / (k * q)) * delta * (C @ w)
+        tau_bar = _twisted_sums(table.values(table.conjugates[table.primitive]))
+        terms.extend(tau_bar * inner)
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 

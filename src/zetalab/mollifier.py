@@ -121,6 +121,10 @@ class MollifierSpec:
     @classmethod
     def with_y(cls, T: float, y: float, P: MollifierPolynomial | None = None):
         """Spec with an explicit support cutoff; theta is derived as log y / log T."""
+        if T <= 2 * math.pi:
+            raise ValueError(f"T = {T} must exceed 2*pi")
+        if y <= 0:
+            raise ValueError(f"theta = log y / log T outside (0, 1/2): y = {y} <= 0")
         theta = math.log(y) / math.log(T)
         if P is None:
             P = paper_quadratic(theta)

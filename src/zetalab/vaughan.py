@@ -27,7 +27,7 @@ import numpy as np
 
 from . import arith
 from .arith import ArithFnTable, convolve_values, dirichlet_convolve
-from .characters import primitive_characters
+from .characters import character_table
 from .intfun import divisors, factorize, radical
 from .mollifier import MollifierSpec, b_table
 
@@ -631,9 +631,9 @@ def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients,
     lhs = 0.0
     m_idx = np.arange(1, H + 1)
     for q in range(max(2, Q // 2 + 1), Q + 1):
-        for psi in primitive_characters(q):
-            v = h * psi.values[m_idx % q]
-            lhs += float(np.real(np.conj(v) @ kernel @ v))
+        table = character_table(q)
+        rows = h * table.values(table.primitive)[:, m_idx % q]
+        lhs += float(np.real((np.conj(rows) @ kernel * rows).sum()))
     rhs = (Q * Q * V + H) * norm2
     return SieveMonitorReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, Q=Q, V=V, H=H, seed=seed)
 
@@ -682,7 +682,7 @@ def s_qxd_bruteforce(Q: int, X: int, d: int, nu: int, spec: MollifierSpec,
     a_vals = a_table.values[m * d]
     total = 0.0
     for q in range(max(2, Q // 2 + 1), Q + 1):
-        for psi in primitive_characters(q):
-            series = a_vals * psi.values[m % q]
-            total += float(np.abs(np.cumsum(series)).max())
+        table = character_table(q)
+        series = a_vals * table.values(table.primitive)[:, m % q]
+        total += float(np.abs(np.cumsum(series, axis=1)).max(axis=1).sum())
     return total

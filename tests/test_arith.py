@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import arith
 from zetalab.arith import ArithFnTable, dirichlet_convolve, sieve_standard
@@ -171,6 +172,41 @@ def test_convolution_algebra(rng):
     right = dirichlet_convolve(f, dirichlet_convolve(g, h, n), n)
     scale = max(1.0, np.abs(left.values).max())
     assert np.max(np.abs(left.values - right.values)) / scale < 1e-10
+
+
+def sparse_table(rng, name, n, density):
+    values = np.zeros(n + 1)
+    support = np.flatnonzero(rng.random(n) < density) + 1
+    values[support] = rng.uniform(-1, 1, len(support))
+    return ArithFnTable(name, n, values)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(st.integers(2, 1500), st.lists(st.floats(0.002, 0.5), min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_convolution_algebra_on_sparse_tables(n, densities, seed):
+    """Commutativity, associativity and Mobius inversion of dirichlet_convolve
+    on random sparse tables (one drawn support density each), every side held
+    to the Kahan divisor-loop oracle."""
+    rng = np.random.default_rng(seed)
+    f, g, h = (sparse_table(rng, name, n, p) for name, p in zip("fgh", densities))
+    af, ag, ah = (np.abs(t.values) for t in (f, g, h))
+    fg, gf = dirichlet_convolve(f, g), dirichlet_convolve(g, f)
+    scale = kahan_convolve(af, ag, n)
+    for got in (fg, gf):
+        assert np.all(np.abs(got.values - kahan_convolve(f.values, g.values, n)) <= 1e-15 * scale)
+    left = dirichlet_convolve(fg, h)
+    right = dirichlet_convolve(f, dirichlet_convolve(g, h))
+    want = kahan_convolve(kahan_convolve(f.values, g.values, n), h.values, n)
+    scale = kahan_convolve(kahan_convolve(af, ag, n), ah, n)
+    for got in (left, right):
+        assert np.all(np.abs(got.values - want) <= 1e-14 * scale)
+    one, mu = sieve_standard("one", n), sieve_standard("mobius", n)
+    back = dirichlet_convolve(dirichlet_convolve(f, one), mu)
+    scale = kahan_convolve(kahan_convolve(af, one.values, n), np.abs(mu.values), n)
+    assert np.all(np.abs(kahan_convolve(kahan_convolve(f.values, one.values, n),
+                                        mu.values, n) - f.values) <= 1e-14 * scale)
+    assert np.all(np.abs(back.values - f.values) <= 1e-14 * scale)
 
 
 def test_a1_matches_convolution_and_examples():

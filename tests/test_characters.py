@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab import arith, characters as ch
 from zetalab import mollifier as mo
-from zetalab.characters import DeltaParams
-from zetalab.intfun import divisors, totient
+from zetalab.intfun import divisors, mobius_int, totient
 
 
 def test_q1_character():
@@ -156,13 +159,14 @@ def test_gauss_twist_identity(rng):
 
 def test_delta_term():
     for q in (3, 5, 7, 11):
-        for psi in ch.primitive_characters(q):
-            d = ch.delta_term(DeltaParams(q, 1, 1, psi))
+        delta = ch.delta_term(q, 1, 1)
+        assert delta.shape == (len(ch.primitive_characters(q)),)
+        for psi, d in zip(ch.primitive_characters(q), delta):
             assert d == pytest.approx(psi.conjugate().value(q - 1) / totient(q), abs=1e-12)
     with pytest.raises(ValueError):
-        DeltaParams(3, 6, 1, ch.primitive_characters(3)[0])  # gcd(k, q) != 1
+        ch.delta_term(3, 6, 1)  # gcd(k, q) != 1
     with pytest.raises(ValueError):
-        DeltaParams(3, 4, 3, ch.primitive_characters(3)[0])  # d does not divide k
+        ch.delta_term(3, 4, 3)  # d does not divide k
 
 
 def test_delta_bound(rng):
@@ -175,9 +179,9 @@ def test_delta_bound(rng):
         if math.gcd(k, q) != 1:
             continue
         d = int(rng.choice(divisors(k)))
-        psi = prims[int(rng.integers(len(prims)))]
+        i = int(rng.integers(len(prims)))
         bound = sum(1.0 / totient(k * q // l) for l in divisors(d))
-        assert abs(ch.delta_term(DeltaParams(q, k, d, psi))) <= bound + 1e-12
+        assert abs(ch.delta_term(q, k, d)[i]) <= bound + 1e-12
 
 
 def test_character_off_units_zero():
@@ -255,6 +259,73 @@ def test_rearrangement_coprimality_is_forced_by_b():
         for k in range(1, int(spec.y / q) + 1):
             if math.gcd(k, q) > 1:
                 assert mo.eval_b(k * q, spec) == 0.0
+
+
+def delta_oracle(q, k, d, psi):
+    """delta(q, kq, d, psi) for one character, a scalar sum over l | gcd(d, k)."""
+    total = 0j
+    for l in divisors(math.gcd(d, k)):
+        mu_dl, mu_kl = mobius_int(d // l), mobius_int(k // l)
+        if mu_dl and mu_kl:
+            total += (mu_dl / totient(k * q // l) * psi.conjugate().value(-(k // l) % q)
+                      * psi.value(d // l) * mu_kl)
+    return total
+
+
+def m_nu_rearranged_oracle(nu, spec, a_table):
+    """The rearranged form one character at a time: a per-psi Gauss sum,
+    per-psi delta and a gathered dot product for every (q, psi, k, d)."""
+    av = a_table.values
+    terms = []
+    for q in range(1, int(spec.y) + 1):
+        for psi in ch.primitive_characters(q):
+            inner = 0j
+            for k in range(1, int(spec.y / q) + 1):
+                bkq = mo.eval_b(k * q, spec)
+                if bkq == 0.0:
+                    continue
+                for d in divisors(k):
+                    delta = delta_oracle(q, k, d, psi)
+                    m_max = int(k * q * spec.T / (2 * math.pi * d))
+                    if delta == 0.0 or m_max < 1:
+                        continue
+                    idx = np.arange(1, m_max + 1)
+                    s = complex(np.dot(av[idx * d], psi.values[idx % q]))
+                    inner += (bkq / (k * q)) * delta * s
+            terms.append(ch.gauss_sum(psi.conjugate()).value * inner)
+    value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return value, math.fsum(abs(t) for t in terms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.floats(20.0, 600.0), st.floats(1.5, 24.0), st.sampled_from([1, 2]))
+def test_rearranged_matches_per_character_oracle(T, y, nu):
+    """The matrix form against the per-character oracle, within 1e-13 of the
+    sum of |psi-terms|: M_1 can cancel to a few units (|M_1| = 1.47 at
+    T = 450, y = 16.14), below the size of the terms both routes round."""
+    spec = mo.MollifierSpec.with_y(T, min(y, T**0.49))
+    table = tables_for(spec, nu)
+    want, scale = m_nu_rearranged_oracle(nu, spec, table)
+    got = ch.m_nu_rearranged(nu, spec, table)
+    assert abs(got - want) <= 1e-13 * max(1.0, scale)
+
+
+def test_gauss_sweep_memory_is_bounded():
+    """A Gauss sum of every primitive character for q <= 300 keeps no
+    per-character state: peak RSS grows by well under 20 MB (ru_maxrss is
+    in KiB on Linux)."""
+    code = ("import resource; from zetalab import characters as ch\n"
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = rss()\n"
+            "worst = max(ch.gauss_sum(psi).modulus_sqrt_check\n"
+            "            for q in range(1, 301) for psi in ch.primitive_characters(q))\n"
+            "print((rss() - before) / 1024, worst)")
+    env = dict(os.environ, PYTHONPATH=str(Path(ch.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    growth_mb, worst = float(out[0]), float(out[1])
+    assert worst < 1e-9
+    assert growth_mb < 20.0
 
 
 def test_polya_vinogradov():

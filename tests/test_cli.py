@@ -173,6 +173,21 @@ def test_usage_errors_exit_2(tmp_path, capsys, config, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["verify-rearrangement", "--T", "1"], "T = 1.0 must exceed 2*pi"),
+    (["moments", "--T", "1", "--y", "3", "--no-cache"], "T = 1.0 must exceed 2*pi"),
+    (["verify-rearrangement", "--y", "0"], "y = 0.0"),
+    (["moments", "--T", "150", "--y", "-2", "--no-cache"], "y = -2.0"),
+])
+def test_spec_out_of_range_is_module_rejection(capsys, argv, names):
+    """T <= 2 pi and y <= 0 are rejected before log y / log T is taken."""
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("zetalab:")]
+    assert len(lines) == 1 and names in lines[0]
+    assert "Traceback" not in err
+
+
 def test_unreadable_config_exits_2(tmp_path):
     assert run(["report-kappa", "--config", str(tmp_path / "absent.cfg")]) == 2
 

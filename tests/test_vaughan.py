@@ -349,6 +349,28 @@ def test_sieve_monitor_phase_invariance(rng):
     assert rot.lhs == pytest.approx(base.lhs, abs=1e-10 * max(1.0, base.lhs))
 
 
+def sieve_lhs_oracle(Q, V, H, h):
+    """The monitor's left-hand side one character at a time."""
+    logs = np.log(np.arange(1, H + 1))
+    diff = logs[:, None] - logs[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = 2.0 * np.sin(V * diff) / diff
+    np.fill_diagonal(kernel, 2.0 * V)
+    lhs = 0.0
+    for q in range(max(2, Q // 2 + 1), Q + 1):
+        for psi in primitive_characters(q):
+            v = h * psi.values[np.arange(1, H + 1) % q]
+            lhs += float(np.real(np.conj(v) @ kernel @ v))
+    return lhs
+
+
+def test_sieve_monitor_matches_per_character_oracle(rng):
+    for Q, V, H in [(2, 1.0, 5), (12, 7.5, 64), (30, 20.0, 200), (17, 0.3, 131)]:
+        h = rng.standard_normal(H) + 1j * rng.standard_normal(H)
+        want = sieve_lhs_oracle(Q, V, H, h)
+        assert va.hybrid_large_sieve_monitor(Q, V, H, h).lhs == pytest.approx(want, rel=1e-12)
+
+
 def test_sieve_monitor_rejections():
     with pytest.raises(ValueError):
         va.hybrid_large_sieve_monitor(10, 5.0, 4, np.zeros(4))

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import cache, mollifier as mo
 from zetalab import zeta as ze
@@ -35,6 +36,13 @@ def test_theta_asymptotic_remainder():
 def test_hardy_z_reality_residue():
     grid = np.linspace(10.0, 399.0, 160)
     assert ze.z_imag_residue(grid).max() < 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.floats(399.5, 400.5))
+def test_em_rs_seam_agreement(t):
+    """Both branches of hardy_z agree across the EM/RS switch at t = 400."""
+    assert abs(ze.hardy_z(t, em_cutoff=1e9) - ze.hardy_z(t, em_cutoff=0.0)) <= 5e-9
 
 
 def test_hardy_z_first_zero_bracket():
