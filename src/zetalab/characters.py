@@ -205,15 +205,16 @@ def delta_term(q: int, k: int, d: int) -> np.ndarray:
     if k % d != 0:
         raise ValueError(f"d={d} does not divide k={k}")
     table = character_table(q)
-    C = table.values(table.primitive)
-    C_bar = table.values(table.conjugates[table.primitive])
-    total = np.zeros(len(C), dtype=np.complex128)
+    roots = np.exp(2j * np.pi * np.arange(table.group.exponent) / table.group.exponent)
+    col = dict(zip(table.group.units.tolist(), range(q)))  # -k/l and d/l are units mod q
+    prim, conj = table.primitive, table.conjugates[table.primitive]
+    total = np.zeros(len(prim), dtype=np.complex128)
     for l in divisors(math.gcd(d, k)):
         mu_dl, mu_kl = mobius_int(d // l), mobius_int(k // l)
         if mu_dl and mu_kl:
             # the sign lives inside the argument: conj(psi) at (-k/l) mod q
-            total += (mu_dl / totient(k * q // l) * C_bar[:, -(k // l) % q]
-                      * C[:, d // l % q] * mu_kl)
+            total += (mu_dl / totient(k * q // l) * roots[table.expo[conj, col[-(k // l) % q]]]
+                      * roots[table.expo[prim, col[d // l % q]]] * mu_kl)
     return total
 
 

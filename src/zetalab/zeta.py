@@ -13,8 +13,10 @@ correction terms above it.  The corrections are Chebyshev fits, generated at
 with Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) on p in [0, 1].
 Observed accuracy of the Riemann-Siegel branch is ~1e-8 absolute at t = 400
 improving to ~3e-10 by t = 5000; the Euler-Maclaurin branch is ~1e-13.
+``hardy_z(t, derivative=True)`` also returns Z', differentiating the same sums.
+theta and theta' come from Stirling's series, so the module needs numpy only.
 Zeros are scanned on Gram points by Rosser's rule (Brent, Math. Comp. 1979;
-Edwards, Riemann's Zeta Function, ch. 8) and refined by the Illinois method.
+Edwards, Riemann's Zeta Function, ch. 8) and refined by Newton steps on (Z, Z').
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.polynomial import polyval
 
 from .mollifier import MollifierSpec, eval_b
 
@@ -79,12 +82,25 @@ _BERNOULLI = np.array([
     7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330, 854513.0 / 138,
     -236364091.0 / 2730,
 ])
+_PSI_SERIES = _BERNOULLI[:8] / np.arange(2, 18, 2)  # B_2k / 2k, k = 1..8
+_LOGGAMMA_SERIES = _PSI_SERIES / np.arange(1, 17, 2)  # B_2k / (2k (2k - 1))
 
 
-def rs_theta(t):
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi."""
+def rs_theta(t, derivative: bool = False):
+    """theta(t) = Im log Gamma(z) - (t/2) log pi, z = 1/4 + it/2: Stirling's
+    series (8 terms) at w = z + 8, less the angles of z + k for k < 8.  With
+    ``derivative``, (theta, theta') where theta' = Re psi(z)/2 - (log pi)/2."""
     t = np.asarray(t, dtype=np.float64)
-    val = special.loggamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
+    w = 8.25 + 0.5j * t
+    iw, log_w = 1.0 / w, np.log(w)
+    lg = (w - 0.5) * log_w - w + iw * polyval(iw * iw, _LOGGAMMA_SERIES)
+    psi = log_w - 0.5 * iw - iw * iw * polyval(iw * iw, _PSI_SERIES)
+    val, dval = lg.imag - 0.5 * t * math.log(math.pi), 0.5 * (psi.real - math.log(math.pi))
+    for k in np.arange(8) + 0.25:  # Gamma(z + 8) = Gamma(z) prod_{k < 8} (z + k)
+        val -= np.arctan2(0.5 * t, k)
+        dval -= 0.5 * k / (k * k + 0.25 * t * t)
+    if derivative:
+        return (val, dval) if val.ndim else (float(val), float(dval))
     return val if val.ndim else float(val)
 
 
@@ -103,94 +119,112 @@ def rs_theta_asymptotic(t):
     return val if val.ndim else float(val)
 
 
-def zeta_euler_maclaurin(s):
-    """zeta(s) for complex s (array ok) by Euler-Maclaurin, float64.
+def zeta_euler_maclaurin(s, derivative: bool = False):
+    """zeta(s) for complex s (array ok) by Euler-Maclaurin, float64; with
+    ``derivative``, (zeta(s), zeta'(s)), zeta' from the log-weighted sums.
 
     Cutoff N grows linearly with |Im s|; with 12 Bernoulli terms the result
     is accurate to ~1e-13 for |Im s| <= 500 and Re s >= 0.4.
     """
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    out = np.empty_like(s)
+    out = np.empty((2, s.size), dtype=np.complex128)
     t_abs = np.abs(s.imag)
-    n_cut = np.maximum(32, np.ceil(0.7 * (t_abs + 25))).astype(int)
+    n_cut = 32 * np.ceil(0.7 * (t_abs + 25) / 32).astype(int)  # multiples of 32: few row groups
     for n_val in np.unique(n_cut):
         idx = np.nonzero(n_cut == n_val)[0]
         sv = s[idx]
         log_n = np.log(np.arange(1, n_val))
-        total = np.empty(len(idx), dtype=np.complex128)
+        total = np.empty((2, len(idx)), dtype=np.complex128)
         for i in range(0, len(idx), 8):
             # blocks of 8 rows bound the (rows x n_cut) temporaries
-            total[i : i + 8] = np.exp(-np.outer(sv[i : i + 8], log_n)).sum(axis=1)
-        nf = float(n_val)
-        total += 0.5 * nf ** (-sv) + nf ** (1.0 - sv) / (sv - 1.0)
-        poch = sv.copy()  # s (s+1) ... rising
+            terms = np.exp(-np.outer(sv[i : i + 8], log_n))
+            total[:, i : i + 8] = terms.sum(axis=1), -(terms * log_n).sum(axis=1)
+        nf, log_nf = float(n_val), math.log(n_val)
+        head, tail = 0.5 * nf ** (-sv), nf ** (1.0 - sv) / (sv - 1.0)
+        total += head + tail, -log_nf * (head + tail) - tail / (sv - 1.0)
+        poch, harm = sv.copy(), 1.0 / sv  # s (s+1) ... rising, and its log-derivative
         npow = nf ** (-sv - 1.0)
         for k, b in enumerate(_BERNOULLI, start=1):
-            total += b / math.factorial(2 * k) * poch * npow
+            term = b / math.factorial(2 * k) * poch * npow
+            total += term, term * (harm - log_nf)
+            harm = harm + 1.0 / (sv + 2 * k - 1) + 1.0 / (sv + 2 * k)
             poch = poch * (sv + 2 * k - 1) * (sv + 2 * k)
             npow = npow / (nf * nf)
-        out[idx] = total
-    return out if out.shape != (1,) else complex(out[0])
+        out[:, idx] = total
+    vals = [v if v.shape != (1,) else complex(v[0]) for v in out]
+    return tuple(vals) if derivative else vals[0]
 
 
-def _hardy_z_em(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = np.exp(1j * rs_theta(t)) * zeta_euler_maclaurin(0.5 + 1j * t)
-    z = np.atleast_1d(z)
-    return z.real, np.abs(z.imag)
+def _hardy_z_em(t: np.ndarray) -> np.ndarray:
+    """Rows e^{i theta} zeta(1/2 + it) and its t-derivative e^{i theta} i (theta' zeta + zeta')."""
+    theta, dtheta = rs_theta(t, derivative=True)
+    zeta, dzeta = np.atleast_1d(*zeta_euler_maclaurin(0.5 + 1j * t, derivative=True))
+    return np.exp(1j * theta) * np.array([zeta, 1j * (dtheta * zeta + dzeta)])
 
 
-def _hardy_z_rs(t: np.ndarray) -> np.ndarray:
+def _hardy_z_rs(t: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """Rows Z and, with ``derivative``, Z' = -2 sum n^{-1/2} (theta' - log n)
+    sin(theta - t log n) plus the t-derivative of the corrections."""
     tau = t / (2 * math.pi)
     root = np.sqrt(tau)
     a = np.floor(root).astype(int)
-    p = root - a
-    theta = rs_theta(t)
-    out = np.zeros_like(t)
+    theta, dtheta = rs_theta(t, derivative=True)
+    out = np.zeros((1 + derivative, len(t)))
     for a_val in np.unique(a):
         idx = np.nonzero(a == a_val)[0]
-        n = np.arange(1, a_val + 1, dtype=np.float64)
-        phases = theta[idx, None] - np.outer(t[idx], np.log(n))
-        out[idx] = 2.0 * (np.cos(phases) / np.sqrt(n)).sum(axis=1)
-    x = 2.0 * p - 1.0
-    corr = np.zeros_like(t)
+        log_n = np.log(np.arange(1, a_val + 1, dtype=np.float64))
+        weight = np.exp(-0.5 * log_n)
+        phases = np.outer(t[idx], -log_n)
+        phases += theta[idx, None]
+        out[0, idx] = 2.0 * (np.cos(phases) @ weight)
+        if derivative:
+            sums = np.sin(phases, out=phases) @ np.stack([weight, weight * log_n], axis=1)
+            out[1, idx] = 2.0 * (sums[:, 1] - dtheta[idx] * sums[:, 0])
+    x, dx_dt = 2.0 * (root - a) - 1.0, 1.0 / (2 * math.pi * root)
+    corr = np.zeros((2, len(t)))
     scale = np.ones_like(t)
-    for cheb in _RS_CORRECTIONS:
-        corr += np.polynomial.chebyshev.chebval(x, cheb) * scale
+    for k, cheb in enumerate(_RS_CORRECTIONS):
+        c_k = chebval(x, cheb)  # times tau^{-1/4-k/2}, of t-derivative -(1/4+k/2) tau^{..} / t
+        corr[0] += c_k * scale
+        corr[1] += (chebval(x, chebder(cheb)) * dx_dt - (0.25 + 0.5 * k) * c_k / t) * scale
         scale /= root
-    out += np.where(a % 2 == 1, 1.0, -1.0) * tau ** (-0.25) * corr
+    out += np.where(a % 2 == 1, 1.0, -1.0) * tau ** (-0.25) * corr[: len(out)]
     return out
 
 
-def hardy_z(t, em_cutoff: float = EM_CUTOFF):
+def hardy_z(t, em_cutoff: float = EM_CUTOFF, derivative: bool = False):
     """Hardy's Z(t): real by the functional equation, so zeros of zeta on the
-    critical line are its sign changes.  Scalar or array."""
+    critical line are its sign changes.  Scalar or array.  With
+    ``derivative``, the pair (Z, Z') from the same phases."""
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if np.any(arr < 0):
         raise ValueError("hardy_z requires t >= 0")
-    out = np.empty_like(arr)
+    out = np.empty((1 + derivative, arr.size))
     lo = arr < em_cutoff
     if lo.any():
-        out[lo] = _hardy_z_em(arr[lo])[0]
+        out[:, lo] = _hardy_z_em(arr[lo])[: len(out)].real
     if (~lo).any():
-        out[~lo] = _hardy_z_rs(arr[~lo])
-    return out if np.ndim(t) else float(out[0])
+        out[:, ~lo] = _hardy_z_rs(arr[~lo], derivative)
+    vals = [v if np.ndim(t) else float(v[0]) for v in out]
+    return tuple(vals) if derivative else vals[0]
 
 
 def z_imag_residue(t) -> np.ndarray:
     """|Im e^{i theta} zeta(1/2+it)| from the Euler-Maclaurin route; the
     functional-equation reality monitor."""
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return _hardy_z_em(arr)[1]
+    return np.abs(_hardy_z_em(arr)[0].imag)
 
 
 def gram_points(T: float) -> np.ndarray:
     """Gram points g_0 = 17.845..., g_1, ... below T (theta(g_n) = n pi),
     Newton-refined; entry n is g_n."""
     n = np.arange(0, max(0, int(rs_theta(max(T, 18.0)) / math.pi)) + 2, dtype=np.float64)
-    u = special.lambertw((n + 0.125) / math.e).real
-    g = 2 * math.pi * np.exp(1.0 + u)
+    # theta(2 pi e^{1+u}) ~ pi (e u e^u - 1/8), and u e^u = x has e^u ~ x / log(1 + x)
+    g = 2 * math.pi * (n + 0.125) / np.log1p((n + 0.125) / math.e)
     for _ in range(6):
-        g = g - (rs_theta(g) - n * math.pi) / (0.5 * np.log(g / (2 * math.pi)))
+        theta, dtheta = rs_theta(g, derivative=True)
+        g = g - (theta - n * math.pi) / dtheta
     return g[g < T]
 
 
@@ -198,7 +232,7 @@ def gram_points(T: float) -> np.ndarray:
 class ZeroList:
     """Ordered positive ordinates of critical-line zeros.
 
-    Validated on construction: strictly increasing, all above the first-zero
+    Validated on construction: finite, strictly increasing, all above the first-zero
     floor 14, and census consistent with the counting formula at the top
     (within the 2 + log T slack that covers S(T) at desk heights).
     """
@@ -210,6 +244,8 @@ class ZeroList:
     def __post_init__(self):
         ords = np.asarray(self.ordinates, dtype=np.float64)
         object.__setattr__(self, "ordinates", ords)
+        if not (np.isfinite(ords).all() and math.isfinite(self.max_height)):
+            raise ValueError("ordinates and max_height must be finite")
         if ords.size:
             if np.any(np.diff(ords) <= 0):
                 bad = int(np.nonzero(np.diff(ords) <= 0)[0][0])
@@ -303,9 +339,9 @@ def find_zeros(T: float) -> ZeroList:
         return ZeroList(np.zeros(0), "computed", T)
     gram = gram_points(T)
     t = np.concatenate([[14.0], gram, [T]])
-    z = _eval_chunked(t)
+    z = hardy_z(t)
     if abs(z[-1]) < 1e-8:  # a zero at T is in (0, T], as count_formula counts it
-        z[-1] = _eval_chunked(np.array([T + 1e-4]))[0]
+        z[-1] = hardy_z(T + 1e-4)
     good = np.nonzero((-1.0) ** np.arange(len(gram)) * z[1:-1] > 0)[0]
     bounds = np.concatenate([[14.0], gram[good], [T]])
     expected = np.diff(np.concatenate([[0], good + 1, [round(count_formula(T))]]))
@@ -318,7 +354,7 @@ def find_zeros(T: float) -> ZeroList:
             break
         at = np.nonzero(split)[0] + 1
         mids = 0.5 * (t[at - 1] + t[at])
-        t, z = np.insert(t, at, mids), np.insert(z, at, _eval_chunked(mids))
+        t, z = np.insert(t, at, mids), np.insert(z, at, hardy_z(mids))
     if (found != expected).any():
         i = np.argmax(found != expected)
         raise ZeroScanError(
@@ -328,32 +364,31 @@ def find_zeros(T: float) -> ZeroList:
 
 
 def _refine(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
-    """Illinois iteration, in place, on every bracket (Z > 0 at one end only)
-    still open, to an absolute width of 1e-11 (4 ulp where coarser) or Z = 0.
-    Points stay half the width inside, so each step shrinks a bracket, and one
-    next to the root closes it."""
-    kept = np.zeros(len(lo), dtype=np.int8)  # -1 / +1: lo / hi kept by the last step
+    """Safeguarded Newton on every bracket (Z > 0 at one end only), narrowed in
+    place: a secant step, then x - Z/Z', or the midpoint where that leaves the
+    bracket.  Points stay half the tolerance (1e-11, 4 ulp where coarser) inside,
+    so one next to the root closes a bracket to its midpoint; a Newton step that
+    stays inside and lands, by a bound on |Z''|, within that half is the root."""
     half = 0.5 * np.maximum(1e-11, 4 * np.spacing(hi))
+    x = np.clip((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + half, hi - half)
+    root = np.empty(len(lo))
     live = np.arange(len(lo))
     while live.size:
-        a, b, fa, fb, d = lo[live], hi[live], f_lo[live], f_hi[live], half[live]
-        x = np.clip((a * fb - b * fa) / (fb - fa), a + d, b - d)
-        fx = _eval_chunked(x)
-        left = (fx > 0) == (fb > 0)  # the root is in [a, x]: x replaces hi
-        # Illinois: halve the value at an end kept twice in a row
-        fa = np.where(left & (kept[live] == -1), 0.5 * fa, fa)
-        fb = np.where(~left & (kept[live] == 1), 0.5 * fb, fb)
-        lo[live], f_lo[live] = np.where(left, a, x), np.where(left, fa, fx)
-        hi[live], f_hi[live] = np.where(left, x, b), np.where(left, fx, fb)
-        kept[live] = np.where(left, -1, 1)
-        lo[live[fx == 0]] = hi[live[fx == 0]] = x[fx == 0]
-        live = live[hi[live] - lo[live] > 2 * d]
-    return 0.5 * (lo + hi)
-
-
-def _eval_chunked(grid: np.ndarray, chunk: int = 20000) -> np.ndarray:
-    # chunks bound the (points x sqrt(t / 2 pi)) phase matrices of the Riemann-Siegel sum
-    return np.concatenate([hardy_z(grid[i : i + chunk]) for i in range(0, len(grid), chunk)])
+        z, dz = hardy_z(x[live], derivative=True)
+        at, d = x[live], half[live]
+        left = (z > 0) == (f_hi[live] > 0)  # the root is in [lo, x]: x replaces hi
+        lo[live] = a = np.where(left, lo[live], at)
+        hi[live] = b = np.where(left, at, hi[live])
+        step = -z / dz
+        inside = (at + step >= a) & (at + step <= b)
+        closed = b - a <= 2 * d
+        # |Z''| <= 2 sum_{n^2 <= tau} n^{-1/2} (theta' - log n)^2 + 1 <= 4 theta'^2 tau^{1/4} + 1
+        bound2 = 4 * rs_theta(at, derivative=True)[1] ** 2 * (at / (2 * math.pi)) ** 0.25 + 1.0
+        converged = inside & (bound2 * step**2 <= 2 * np.abs(dz) * d)
+        root[live] = np.where(closed, 0.5 * (a + b), at + step)
+        x[live] = np.clip(np.where(inside, at + step, 0.5 * (a + b)), a + d, b - d)
+        live = live[~closed & ~converged]
+    return root
 
 
 def write_zeros(zeros: ZeroList, path) -> None:
@@ -432,27 +467,21 @@ def ingest_zeros(path, cross_check: bool = True) -> ZeroList:
 # zeta'(rho) and the moments
 
 
-def _zprime(gammas: np.ndarray) -> np.ndarray:
-    h = 1e-5 * np.maximum(1.0, gammas) ** (-1.0 / 3.0)
-    return (hardy_z(gammas + h) - hardy_z(gammas - h)) / (2 * h)
-
-
 def zeta_prime_at_zero(gamma: float) -> complex:
-    """zeta'(1/2 + i gamma) = -i Z'(gamma) e^{-i theta(gamma)} (differentiate
-    zeta = e^{-i theta} Z and use Z(gamma) = 0)."""
+    """zeta'(1/2 + i gamma) = e^{-i theta} (-i Z' - theta' Z) at gamma
+    (differentiate zeta = e^{-i theta} Z); at a zero only -i Z' e^{-i theta} is left."""
     return complex(zeta_prime_many(np.array([gamma]))[0])
 
 
 def zeta_prime_many(gammas: np.ndarray) -> np.ndarray:
     gammas = np.asarray(gammas, dtype=np.float64)
-    zp = _zprime(gammas)
+    z, zp = hardy_z(gammas, derivative=True)
     tiny = np.abs(zp) < 1e-12
     if tiny.any():
-        warnings.warn(
-            f"|Z'(gamma)| < 1e-12 at {gammas[tiny]}: possible multiple zero",
-            RuntimeWarning,
-        )
-    return -1j * zp * np.exp(-1j * rs_theta(gammas))
+        warnings.warn(f"|Z'(gamma)| < 1e-12 at {gammas[tiny]}: possible multiple zero",
+                      RuntimeWarning)
+    theta, dtheta = rs_theta(gammas, derivative=True)
+    return (-1j * zp - dtheta * z) * np.exp(-1j * theta)
 
 
 def zeta_prime_line_route(gamma: float) -> complex:

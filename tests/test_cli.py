@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +106,50 @@ def test_truncated_zero_table_exits_1(tmp_path, capsys):
     table.write_text("".join(table.read_text().splitlines(keepends=True)[:-3]))
     assert run(["zeros", "ingest", str(table)]) == 1
     assert "count=29, file has 26" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["nan_line", "inf_last"])
+def test_non_finite_zero_table_exits_1(tmp_path, capsys, damage):
+    table = tmp_path / "z.txt"
+    if damage == "nan_line":
+        table.write_text("14.134725141734693\n21.022039638771555\nnan\n25.010857580145688\n"
+                         "30.424876125859513\n")
+    else:
+        table.write_text("14.134725141734693\n21.022039638771555\ninf\n")
+    assert run(["zeros", "ingest", str(table)]) == 1
+    err = capsys.readouterr().err
+    assert "finite" in err and "ingested" not in err
+
+
+def test_non_finite_cache_entry_is_a_miss(tmp_path):
+    cache = tmp_path / "cache"
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--T", "100", "--theta", "0.3", "--cache-dir", str(cache),
+            "--output", str(out)]
+    assert run(argv) == 0
+    (path,) = cache.iterdir()
+    good = path.read_text()
+    lines = good.splitlines(keepends=True)
+    lines[10] = "nan\n"
+    path.write_text("".join(lines))
+    assert run(argv) == 0
+    header, row = out.read_text().strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["N"] == "29"
+    assert path.read_text() == good  # found again and rewritten
+
+
+def test_warm_moments_loads_no_scipy(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["moments", "--T", "300", "--theta", "0.3", "--cache-dir", str(cache)]
+    assert run(argv + ["--output", str(tmp_path / "cold.csv")]) == 0
+    code = ("import sys; from zetalab import cli; "
+            f"rc = cli.main({argv + ['--output', str(tmp_path / 'warm.csv')]!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0 []"
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
 
 def test_monitor_sieve(tmp_path):

@@ -433,7 +433,7 @@ def test_library_modules_do_not_import_scipy():
     import zetalab
 
     code = ("import sys, zetalab.arith, zetalab.characters, zetalab.mollifier, "
-            "zetalab.vaughan, zetalab.cli; "
+            "zetalab.vaughan, zetalab.zeta, zetalab.cache, zetalab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(zetalab.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
