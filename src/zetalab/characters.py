@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import ArithFnTable
 from .intfun import divisors, factorize, mobius_int, multiplicative_order, totient
-from .mollifier import MollifierSpec, eval_b
+from .mollifier import MollifierSpec, b_table
 
 
 def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
@@ -238,9 +238,10 @@ def m_nu_direct(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
     The k-terms are summed with math.fsum on real and imaginary parts.
     """
     av = _a_values(nu, spec, a_table)
+    b = b_table(spec, int(spec.y)).values.tolist()
     terms = []
     for k in range(1, int(spec.y) + 1):
-        bk = eval_b(k, spec)
+        bk = b[k]
         if bk == 0.0:
             continue
         m_max = int(k * spec.T / (2 * math.pi))
@@ -265,6 +266,7 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
     """
     av = _a_values(nu, spec, a_table)
     y = spec.y
+    b = b_table(spec, int(y)).values.tolist()
     terms = []
     for q in range(1, int(y) + 1):
         table = character_table(q)
@@ -273,7 +275,7 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
         C = table.values(table.primitive)
         inner = np.zeros(len(C), dtype=np.complex128)
         for k in range(1, int(y / q) + 1):
-            bkq = eval_b(k * q, spec)
+            bkq = b[k * q]
             if bkq == 0.0:
                 continue
             for d in divisors(k):

@@ -5,14 +5,17 @@ Each command's flags are ``(flag, type, default)`` rows of one table,
 group takes no flags).  The parser is built from it and handlers read typed
 ``args.*``.  A ``--config`` file holds ``key=value`` lines keyed by the
 command's flag names (booleans ``true``/``false``); they are parsed by the same
-parser ahead of the explicit flags, so flags win.  Exit status: 0 only if every
-hard assertion passed, 1 on a failed check or a module rejection, 2 on a usage
-error, a bad config file included.
+parser ahead of the explicit flags, so flags win (a flag also drops the key of
+its mutually exclusive partner).  Exit status: 0 only if every hard assertion
+passed, 1 on a failed check or a module rejection, 2 on a usage error, a bad
+config file included.  CSV reports quote fields that hold commas.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import math
@@ -58,13 +61,15 @@ def _polynomial(text: str):
 
 def _emit(args, payload: dict | list[dict]) -> None:
     """Write a report to --output or stdout, as JSON or as a CSV header and
-    row (a list holds one row)."""
+    row (a list holds one row; a field holding a comma is quoted)."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2, default=repr) + "\n"
     else:
         row = payload[0] if isinstance(payload, list) else payload
-        values = (repr(v) if isinstance(v, float) else str(v) for v in row.values())
-        text = ",".join(row) + "\n" + ",".join(values) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [row, [repr(v) if isinstance(v, float) else str(v) for v in row.values()]])
+        text = buf.getvalue()
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -309,11 +314,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(parser: argparse.ArgumentParser, args) -> list[str]:
+def _config_argv(parser: argparse.ArgumentParser, args, explicit: list[str]) -> list[str]:
     """The config file's lines as argv tokens, each key checked against the
-    command's rows; any fault is a usage error (exit 2)."""
+    command's rows; any fault is a usage error (exit 2).  A key is dropped
+    when the ``explicit`` command line names another member of its mutually
+    exclusive group, in full or abbreviated as argparse allows: flags win."""
     flags = {flag[2:].replace("-", "_"): (flag, kind)
              for flag, kind, *_ in _rows(args.command) if flag.startswith("--")}
+    named = [t.partition("=")[0] for t in explicit if t.startswith("--") and len(t) > 2]
+    yields = {flag for row in COMMANDS[args.command][2] if isinstance(row[0], tuple)
+              for flag, *_ in row for other, *_ in row
+              if other != flag and any(other.startswith(name) for name in named)}
     try:
         with open(args.config) as fh:
             lines = fh.read().splitlines()
@@ -330,6 +341,8 @@ def _config_argv(parser: argparse.ArgumentParser, args) -> list[str]:
         if key.replace("-", "_") not in flags:
             parser.error(f"{where}: unknown key {key!r} for {args.command}")
         flag, kind = flags[key.replace("-", "_")]
+        if flag in yields:
+            continue
         if kind is not bool:
             argv.append(f"{flag}={value}")
         elif value.lower() in ("true", "false"):
@@ -346,7 +359,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             at = len(args.command.split())
-            args = parser.parse_args(argv[:at] + _config_argv(parser, args) + argv[at:])
+            args = parser.parse_args(argv[:at] + _config_argv(parser, args, argv[at:]) + argv[at:])
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -2,21 +2,22 @@
 
 The mollifier is the short Dirichlet polynomial with coefficients
 b(k) = mu(k) P(log(y/k)/log y), where P has real coefficients, no constant
-term, and P(1) = 1, and y = T^theta with 0 < theta < 1/2.  All first/second
+term, and P(1) = 1, and y = T^theta with 0 < theta < 1/2.  ``b_table`` is
+the one evaluator of b: every caller indexes its values.  All first/second
 moment main terms reduce to closed forms in the three polynomial moments
 
     int_0^1 P,   int_0^1 P^2,   int_0^1 P'^2,
 
 which are evaluated exactly from the coefficients.  theta = 1/2 is accepted
 by the factor-level functions as the limiting substitution (the closed forms
-are continuous there); MollifierSpec itself keeps the strict range.
+are continuous there); MollifierSpec itself keeps the strict range.  The
+P maximising s1^2 / s2 is one symmetric linear solve (``optimize_P``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,8 @@ class MollifierSpec:
             raise ValueError(f"T = {self.T} must exceed 2*pi")
         if abs(self.y - self.T**self.theta) > 1e-9 * self.y:
             raise ValueError(f"y = {self.y} is not T^theta = {self.T**self.theta}")
+        if self.y <= 1.0:
+            raise ValueError(f"y = T^theta = {self.y} must exceed 1 (theta = {self.theta})")
 
     @classmethod
     def from_T_theta(cls, T: float, theta: float, P: MollifierPolynomial | None = None):
@@ -134,10 +137,6 @@ class MollifierSpec:
     def log_scale(self) -> float:
         """L = log(T / 2 pi)."""
         return math.log(self.T / (2 * math.pi))
-
-    @cached_property
-    def _mobius(self) -> arith.ArithFnTable:
-        return arith.sieve_standard("mobius", max(1, int(self.y)))
 
 
 @dataclass(frozen=True)
@@ -196,14 +195,6 @@ def m21_factor(P: MollifierPolynomial, theta: float) -> float:
     )
 
 
-def predicted_S1_factor(spec: MollifierSpec) -> float:
-    return s1_factor(spec.P, spec.theta)
-
-
-def predicted_S2_factor(spec: MollifierSpec) -> float:
-    return s2_factor(spec.P, spec.theta)
-
-
 def kappa_star_lower(s1: float, s2: float) -> float:
     """s1^2 / s2, the asymptotic simple-zero proportion bound."""
     if s2 <= 0:
@@ -241,7 +232,7 @@ def _quadratic_forms(theta: float, degree: int):
 
     s1 = a.z is affine, s2 = z.B z is a positive quadratic, so the objective
     is a Rayleigh-type quotient (a.z)^2 / (z.B z) on the hyperplane
-    g.z = 0 encoding sum c_j = 1.
+    -z_0 + sum z_j = 0 encoding sum c_j = 1.
     """
     j = np.arange(1, degree + 1, dtype=np.float64)
     v = 1.0 / (j + 1.0)
@@ -251,48 +242,27 @@ def _quadratic_forms(theta: float, degree: int):
     B[0, 0] = 1.0 / 3.0
     B[0, 1:] = B[1:, 0] = 0.5 * theta * v
     B[1:, 1:] = theta**2 * np.outer(v, v) + deriv / (12.0 * theta)
-    g = np.concatenate(([-1.0], np.ones(degree)))
-    return a, B, g, v, deriv
-
-
-def _objective_gradient(c: np.ndarray, theta: float, v: np.ndarray, deriv: np.ndarray):
-    s = float(v @ c)
-    s1 = 0.5 + theta * s
-    s2 = 1.0 / 3.0 + theta * s + (theta * s) ** 2 + float(c @ deriv @ c) / (12 * theta)
-    grad_s1 = theta * v
-    grad_s2 = theta * v + 2 * theta**2 * s * v + (deriv @ c) / (6 * theta)
-    value = s1 * s1 / s2
-    grad = (2 * s1 * grad_s1 * s2 - s1 * s1 * grad_s2) / (s2 * s2)
-    return value, grad
+    return a, B
 
 
 def optimize_P(theta: float, degree: int) -> tuple[MollifierPolynomial, float]:
     """Maximise s1_factor^2 / s2_factor over degree-d polynomials with
     P(0) = 0, P(1) = 1.
 
-    The quotient is a ratio of quadratic forms in homogeneous coordinates;
-    restricted to the constraint hyperplane the maximiser solves a single
-    symmetric-definite linear system (the numerator form has rank one).  A
-    projected-gradient ascent pass then polishes to gradient norm <= 1e-10.
+    The quotient is a ratio of quadratic forms in homogeneous coordinates.
+    The numerator form has rank one, so on the constraint hyperplane its
+    maximiser is the solution of one symmetric-definite linear system,
+    projected back to c and normalised to sum c_j = 1.  At degree 1 the
+    solve returns P(x) = x, the only admissible polynomial.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if not 0.0 < theta <= 0.5:
         raise ValueError(f"theta = {theta} outside (0, 1/2]")
-    if degree == 1:
-        # constraints pin P(x) = x
-        poly = MollifierPolynomial((1.0,))
-        return poly, kappa_star_lower(s1_factor(poly, theta), s2_factor(poly, theta))
-
-    a, B, g, v, deriv = _quadratic_forms(theta, degree)
-    d = degree
-    # basis of the hyperplane g.z = 0: (1,1,0,...) and the c-space differences
-    Z = np.zeros((d + 1, d))
-    Z[0, 0] = 1.0
+    a, B = _quadratic_forms(theta, degree)
+    # basis of the hyperplane: (1,1,0,...) and the c-space differences e_i - e_{i+1}
+    Z = np.eye(degree + 1, degree) - np.eye(degree + 1, degree, k=-1)
     Z[1, 0] = 1.0
-    for i in range(1, d):
-        Z[i, i] = 1.0
-        Z[i + 1, i] = -1.0
     Bp = Z.T @ B @ Z
     ap = Z.T @ a
     try:
@@ -306,24 +276,6 @@ def optimize_P(theta: float, degree: int) -> tuple[MollifierPolynomial, float]:
             f"(z0 = {z[0]!r}) at theta={theta}, degree={degree}"
         )
     c = z[1:] / z[0]
-
-    # projected ascent polish on the affine slice sum c_j = 1
-    value, grad = _objective_gradient(c, theta, v, deriv)
-    for _ in range(200):
-        pgrad = grad - grad.mean()
-        if np.linalg.norm(pgrad) <= 1e-10 * max(1.0, abs(value)):
-            break
-        step = 1.0
-        while step > 1e-14:
-            trial = c + step * pgrad
-            tval, tgrad = _objective_gradient(trial, theta, v, deriv)
-            if tval > value:
-                c, value, grad = trial, tval, tgrad
-                break
-            step *= 0.5
-        else:
-            break
-
     # re-normalise the constraint exactly before constructing the polynomial
     c = c / math.fsum(c.tolist())
     poly = MollifierPolynomial(tuple(c))
@@ -334,34 +286,22 @@ def optimize_P(theta: float, degree: int) -> tuple[MollifierPolynomial, float]:
 # b coefficients and the Dirichlet polynomial B(s)
 
 
-def eval_b(k: int, spec: MollifierSpec) -> float:
-    """b(k) = mu(k) P(log(y/k)/log y) for k <= y, else 0."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > spec.y:
-        return 0.0
-    mu = spec._mobius[k]
-    if mu == 0.0:
-        return 0.0
-    if spec.y == 1.0:
-        return mu if k == 1 else 0.0
-    x = math.log(spec.y / k) / math.log(spec.y)
-    return mu * spec.P(x)
-
-
 def b_table(spec: MollifierSpec, limit: int) -> arith.ArithFnTable:
-    """b(k) on [1..limit] (zero beyond the support cutoff y)."""
+    """b(k) = mu(k) P(log(y/k)/log y) on [1..limit], zero beyond the cutoff y;
+    log(y/k) per k by math.log, as np.log rounds a few arguments differently."""
+    mu = arith.sieve_standard("mobius", int(spec.y)).values.tolist()
+    log_y = math.log(spec.y)
     values = np.zeros(limit + 1)
     for k in range(1, min(limit, int(spec.y)) + 1):
-        values[k] = eval_b(k, spec)
+        if mu[k]:
+            values[k] = mu[k] * spec.P(math.log(spec.y / k) / log_y)
     return arith.ArithFnTable("b", limit, values)
 
 
 def eval_B(s: complex, spec: MollifierSpec) -> complex:
     """B(s) = sum_{k <= y} b(k) k^{-s}."""
     total = 0.0 + 0.0j
-    for k in range(1, int(spec.y) + 1):
-        bk = eval_b(k, spec)
+    for k, bk in enumerate(b_table(spec, int(spec.y)).values.tolist()):
         if bk != 0.0:
             total += bk * complex(k) ** (-s)
     return total

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 from numpy.polynomial.polynomial import polyval
 
-from .mollifier import MollifierSpec, eval_b
+from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
 
 EM_CUTOFF = 400.0
 FIRST_ZERO = 14.134725141734693
@@ -513,20 +513,15 @@ def compute_moments(T: float, spec: MollifierSpec, zeros: ZeroList) -> MomentRes
     if len(gammas) == 0:
         raise ValueError(f"no zeros below T = {T}")
     zp = zeta_prime_many(gammas)
-    ks = np.arange(1, int(spec.y) + 1)
-    bk = np.array([eval_b(int(k), spec) for k in ks])
-    live = bk != 0.0
-    ks, bk = ks[live], bk[live]
-    if len(ks):
-        # B(1/2 + i gamma) in blocks of zeros
-        B_vals = np.empty(len(gammas), dtype=np.complex128)
-        logk = np.log(ks.astype(np.float64))
-        coef = bk / np.sqrt(ks.astype(np.float64))
-        for i in range(0, len(gammas), 4096):
-            g = gammas[i : i + 4096]
-            B_vals[i : i + 4096] = np.exp(-1j * np.outer(g, logk)) @ coef
-    else:
-        B_vals = np.ones(len(gammas), dtype=np.complex128)
+    # B(1/2 + i gamma) in blocks of zeros; ks holds 1 at least, as b(1) = P(1)
+    b = b_table(spec, int(spec.y)).values
+    ks = np.flatnonzero(b)
+    logk = np.log(ks.astype(np.float64))
+    coef = b[ks] / np.sqrt(ks.astype(np.float64))
+    B_vals = np.empty(len(gammas), dtype=np.complex128)
+    for i in range(0, len(gammas), 4096):
+        g = gammas[i : i + 4096]
+        B_vals[i : i + 4096] = np.exp(-1j * np.outer(g, logk)) @ coef
     prod = B_vals * zp
     s1 = complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))
     s2 = math.fsum((np.abs(prod) ** 2).tolist())
@@ -546,8 +541,7 @@ def empirical_kappa_bound(result: MomentResult) -> float:
 
 def predicted_moment_scales(T: float, spec: MollifierSpec) -> tuple[float, float]:
     """The asymptotic scales (T L^2 / 2pi) s1_factor and (T L^3 / 2pi) s2_factor."""
-    from .mollifier import predicted_S1_factor, predicted_S2_factor
-
     L = spec.log_scale
     base = T / (2 * math.pi)
-    return base * L**2 * predicted_S1_factor(spec), base * L**3 * predicted_S2_factor(spec)
+    return (base * L**2 * s1_factor(spec.P, spec.theta),
+            base * L**3 * s2_factor(spec.P, spec.theta))

@@ -193,11 +193,12 @@ def test_character_off_units_zero():
 def m_nu_oracle(nu, spec, a_table):
     """Reversed loop order, scalar arithmetic throughout."""
     total = 0j
+    b = mo.b_table(spec, int(spec.y))
     m_top = int(spec.y * spec.T / (2 * math.pi))
     for m in range(1, m_top + 1):
         for k in range(1, int(spec.y) + 1):
             if m <= k * spec.T / (2 * math.pi):
-                bk = mo.eval_b(k, spec)
+                bk = b[k]
                 if bk:
                     total += a_table[m] * bk / k * complex(
                         math.cos(2 * math.pi * m / k), -math.sin(2 * math.pi * m / k)
@@ -255,10 +256,11 @@ def test_rearrangement_equals_direct():
 
 def test_rearrangement_coprimality_is_forced_by_b():
     spec = mo.MollifierSpec.with_y(200.0, 14.0)
+    b = mo.b_table(spec, int(spec.y))
     for q in range(2, 15):
         for k in range(1, int(spec.y / q) + 1):
             if math.gcd(k, q) > 1:
-                assert mo.eval_b(k * q, spec) == 0.0
+                assert b[k * q] == 0.0
 
 
 def delta_oracle(q, k, d, psi):
@@ -276,12 +278,13 @@ def m_nu_rearranged_oracle(nu, spec, a_table):
     """The rearranged form one character at a time: a per-psi Gauss sum,
     per-psi delta and a gathered dot product for every (q, psi, k, d)."""
     av = a_table.values
+    b = mo.b_table(spec, int(spec.y))
     terms = []
     for q in range(1, int(spec.y) + 1):
         for psi in ch.primitive_characters(q):
             inner = 0j
             for k in range(1, int(spec.y / q) + 1):
-                bkq = mo.eval_b(k * q, spec)
+                bkq = b[k * q]
                 if bkq == 0.0:
                     continue
                 for d in divisors(k):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -169,6 +170,54 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert out1 != out2  # flag overrode the config theta
     k2 = float(dict(l.split(" = ") for l in out2.strip().splitlines())["kappa_star"])
     assert abs(k2 - 19 / 27) < 1e-12
+
+
+def _moments_row(path):
+    header, row = csv.reader(path.read_text().splitlines())
+    return dict(zip(header, row))
+
+
+@pytest.mark.parametrize("config, flags, theta", [
+    ("y=10\n", ["--theta", "0.3"], 0.3),
+    ("y=10\n", ["--the", "0.3"], 0.3),            # an abbreviated flag is explicit too
+    ("theta=0.2\n", ["--y", "10"], math.log(10) / math.log(150)),
+])
+def test_config_key_yields_to_its_exclusive_partner(tmp_path, config, flags, theta):
+    """A config key is dropped when the command line gives the other member
+    of its mutually exclusive group: explicit flags win over the file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "m.csv"
+    assert run(["moments", "--T", "150", "--no-cache", "--config", str(cfg), *flags,
+                "--output", str(out)]) == 0
+    assert float(_moments_row(out)["theta"]) == theta
+
+
+def test_config_exclusive_pair_is_still_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta=0.2\ny=10\n")
+    assert run(["moments", "--T", "150", "--no-cache", "--config", str(cfg)]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert run(["moments", "--T", "150", "--no-cache", "--config", str(cfg),
+                "--theta", "0.3", "--y", "10"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-vaughan"],
+    ["verify-split", "--m-limit", "300"],
+    ["verify-rearrangement", "--y", "6", "--T", "60"],
+    ["monitor-sieve", "--trials", "5"],
+    ["optimize-poly", "--degree", "3"],
+    ["report-kappa"],
+    ["moments", "--T", "150", "--no-cache"],
+])
+def test_csv_reports_parse_as_two_equal_rows(tmp_path, argv):
+    """Nested fields (parameters, worst cases, coefficient lists) are quoted,
+    so a CSV reader sees a header and a row of the same length."""
+    out = tmp_path / "report.csv"
+    assert run(argv + ["--format", "csv", "--output", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert len(rows) == 2 and len(rows[0]) == len(rows[1])
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

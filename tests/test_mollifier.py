@@ -1,6 +1,9 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import mollifier as mo
 from zetalab.mollifier import MollifierPolynomial, MollifierSpec
@@ -30,14 +33,51 @@ def test_spec_invariants():
         MollifierSpec(theta=0.3, T=1000.0, y=55.5, P=mo.paper_quadratic(0.3))
     derived = MollifierSpec.with_y(1000.0, 12.0)
     assert derived.y == pytest.approx(1000.0**derived.theta, rel=1e-12)
+    with pytest.raises(ValueError, match="must exceed 1"):
+        MollifierSpec.from_T_theta(1000.0, 1e-18)  # y = T^theta rounds to 1.0
 
 
-def test_eval_b_examples():
+def test_b_table_examples():
     spec = MollifierSpec.with_y(1000.0, 12.0)
-    assert mo.eval_b(1, spec) == 1.0
-    assert mo.eval_b(4, spec) == 0.0  # mu(4) = 0
-    assert mo.eval_b(13, spec) == 0.0  # beyond the support cutoff
-    assert mo.eval_b(2, spec) == -spec.P(math.log(spec.y / 2) / math.log(spec.y))
+    b = mo.b_table(spec, 13)
+    assert b[1] == 1.0
+    assert b[4] == 0.0  # mu(4) = 0
+    assert b[13] == 0.0  # beyond the support cutoff
+    assert b[2] == -spec.P(math.log(spec.y / 2) / math.log(spec.y))
+
+
+def mobius_trial(k):
+    """mu(k) by trial division."""
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
+def test_b_table_bitwise_against_scalar_formula(rng):
+    """Every entry, signed zeros included, equals mu(k) P(log(y/k)/log y)
+    with mu by trial division, and 0.0 where mu(k) = 0 or k > y."""
+    specs = [MollifierSpec.with_y(1000.0, 1.5), MollifierSpec.with_y(80.0, 7.9),
+             MollifierSpec.with_y(1000.0, 12.0), MollifierSpec.from_T_theta(1e4, 0.37),
+             MollifierSpec.with_y(5000.0, 37.3, random_poly(rng, 4)),
+             MollifierSpec.with_y(2e4, 64.0, random_poly(rng, 6))]
+    for spec in specs:
+        for limit in (1, int(spec.y) // 2, int(spec.y), int(spec.y) + 5):
+            if limit < 1:
+                continue
+            want = [0.0] * (limit + 1)
+            for k in range(1, limit + 1):
+                mu = mobius_trial(k)
+                if mu and k <= spec.y:
+                    want[k] = mu * spec.P(math.log(spec.y / k) / math.log(spec.y))
+            got = mo.b_table(spec, limit)
+            assert got.limit == limit
+            assert got.values.tobytes() == np.array(want).tobytes()
 
 
 def eval_B_oracle(s, spec):
@@ -140,6 +180,28 @@ def test_optimize_degree1_and_monotonicity():
         mo.optimize_P(0.3, 0)
     with pytest.raises(ValueError):
         mo.optimize_P(0.7, 2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.floats(0.02, 0.5), st.integers(2, 8))
+def test_optimize_is_stationary_on_the_constraint_slice(theta, degree):
+    """Optimality without the solver: kappa* is s1^2 / s2 of the returned
+    coefficients, and no step c + h (e_i - e_j), which keeps P(1) = 1,
+    raises that quotient."""
+    poly, value = mo.optimize_P(theta, degree)
+
+    def quotient(coefficients):
+        p = MollifierPolynomial(tuple(coefficients))
+        return mo.s1_factor(p, theta) ** 2 / mo.s2_factor(p, theta)
+
+    assert value == pytest.approx(quotient(poly.coefficients), rel=1e-13, abs=0)
+    c = np.array(poly.coefficients)
+    for i, j in itertools.permutations(range(degree), 2):
+        for h in (1e-4, -1e-4):
+            step = c.copy()
+            step[i] += h
+            step[j] -= h
+            assert quotient(step) <= value * (1 + 1e-12)
 
 
 def test_kappa_arithmetic():
