@@ -212,7 +212,8 @@ def cmd_zeros_ingest(args) -> int:
     from . import zeta as ze
 
     zeros = ze.ingest_zeros(args.path)
-    print(f"# ingested {len(zeros)} zeros up to {zeros.max_height!r}", file=sys.stderr)
+    top = float(zeros.ordinates.max(initial=0.0))  # the header's max_height may lie above
+    print(f"# ingested {len(zeros)} zeros up to {top!r}", file=sys.stderr)
     if args.output:
         ze.write_zeros(zeros, args.output)
     return 0

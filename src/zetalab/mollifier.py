@@ -307,12 +307,8 @@ def eval_B(s: complex, spec: MollifierSpec) -> complex:
     return total
 
 
-# Gauss-Legendre on [0, 1]; cross-check fallback for the closed-form moments
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
 def quadrature_01(fn) -> float:
-    """64-node Gauss-Legendre integral of fn over [0, 1]."""
-    return float(np.dot(_GL_WEIGHTS, [fn(x) for x in _GL_NODES]))
+    """64-node Gauss-Legendre integral of fn over [0, 1], the cross-check route
+    for the closed-form moments; the nodes are built per call, not at import."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    return float(np.dot(0.5 * weights, [fn(x) for x in 0.5 * (nodes + 1.0)]))

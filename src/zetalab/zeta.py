@@ -21,6 +21,7 @@ Edwards, Riemann's Zeta Function, ch. 8) and refined by Newton steps on (Z, Z').
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -230,26 +231,28 @@ def gram_points(T: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroList:
-    """Ordered positive ordinates of critical-line zeros.
+    """Ordered positive ordinates of critical-line zeros, and zeta'(rho) at each if known.
 
     Validated on construction: finite, strictly increasing, all above the first-zero
     floor 14, and census consistent with the counting formula at the top
-    (within the 2 + log T slack that covers S(T) at desk heights).
+    (within the 2 + log T slack that covers S(T) at desk heights); one finite
+    zeta'(rho) per ordinate.  Both arrays are read-only copies of the caller's.
     """
 
     ordinates: np.ndarray = field(repr=False)
     source: str
     max_height: float
+    zeta_prime: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        ords = np.asarray(self.ordinates, dtype=np.float64)
+        ords = np.array(self.ordinates, dtype=np.float64)
         object.__setattr__(self, "ordinates", ords)
         if not (np.isfinite(ords).all() and math.isfinite(self.max_height)):
             raise ValueError("ordinates and max_height must be finite")
         if ords.size:
-            if np.any(np.diff(ords) <= 0):
-                bad = int(np.nonzero(np.diff(ords) <= 0)[0][0])
-                raise ValueError(f"ordinates not strictly increasing at position {bad + 1}")
+            bad = np.flatnonzero(np.diff(ords) <= 0)
+            if bad.size:
+                raise ValueError(f"ordinates not strictly increasing at position {bad[0] + 1}")
             if ords[0] <= 14.0:
                 raise ValueError(f"first ordinate {ords[0]} at or below 14")
             if ords[-1] > self.max_height + 1e-9:
@@ -258,11 +261,15 @@ class ZeroList:
             expected = rs_theta(self.max_height) / math.pi + 1.0
             slack = 2.0 + math.log(self.max_height)
             if abs(len(ords) - expected) > slack:
-                raise ValueError(
-                    f"census {len(ords)} vs counting formula {expected:.2f} "
-                    f"differs beyond slack {slack:.2f}"
-                )
+                raise ValueError(f"census {len(ords)} vs counting formula {expected:.2f} "
+                                 f"differs beyond slack {slack:.2f}")
         ords.setflags(write=False)
+        if self.zeta_prime is not None:
+            zp = np.array(self.zeta_prime, dtype=np.complex128)
+            if zp.shape != ords.shape or not np.isfinite(zp).all():
+                raise ValueError("zeta_prime must hold one finite value per ordinate")
+            zp.setflags(write=False)
+            object.__setattr__(self, "zeta_prime", zp)
 
     def __len__(self) -> int:
         return len(self.ordinates)
@@ -310,18 +317,14 @@ class NCount:
         return self.census == self.formula
 
 
-def count_N(T: float, zeros: "ZeroList | None" = None) -> NCount:
-    """N(T) two ways; raises if the methods disagree by 2 or more."""
+def count_N(T: float, zeros: ZeroList) -> NCount:
+    """N(T) by the census of ``zeros`` and by the counting formula; raises if they differ by 2+."""
     if T > 1e5:
         raise ValueError("desk scale tops out at T = 1e5")
-    if zeros is None:
-        zeros = find_zeros(T)
     census = int(len(zeros.up_to(T)))
     formula = int(round(count_formula(T))) if T > 14.5 else 0
     if abs(census - formula) >= 2:
-        raise ZeroScanError(
-            f"zero census {census} vs formula {formula} at T={T}: missing zeros"
-        )
+        raise ZeroScanError(f"zero census {census} vs formula {formula} at T={T}: missing zeros")
     return NCount(T=T, census=census, formula=formula)
 
 
@@ -391,23 +394,27 @@ def _refine(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) 
     return root
 
 
-def write_zeros(zeros: ZeroList, path) -> None:
-    """Write the ordinate table to ``path`` atomically, its header line
-    declaring the ordinate count: the lines go to a temporary file in the same
-    directory, which then replaces ``path``, so a failed or interrupted write
-    leaves ``path`` absent or as it was."""
-    lines = [f"{float(g)!r}\n" for g in zeros.ordinates]
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write to a temporary file that replaces ``path`` when the block ends, so a
+    failed or interrupted write leaves ``path`` absent or as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(f"# zero ordinates, source={zeros.source}, "
-                     f"max_height={float(zeros.max_height)!r}, count={len(lines)}\n")
-            fh.writelines(lines)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_zeros(zeros: ZeroList, path) -> None:
+    """Write the ordinate table, under a header declaring max_height and count, atomically."""
+    lines = [f"{float(g)!r}\n" for g in zeros.ordinates]
+    with atomic_open(path) as fh:
+        fh.write(f"# zero ordinates, source={zeros.source}, "
+                 f"max_height={float(zeros.max_height)!r}, count={len(lines)}\n")
+        fh.writelines(lines)
 
 
 def table_header(path) -> dict[str, str]:
@@ -420,43 +427,43 @@ def table_header(path) -> dict[str, str]:
     return dict(field.strip().split("=", 1) for field in first[1:].split(",") if "=" in field)
 
 
-def ingest_zeros(path, cross_check: bool = True) -> ZeroList:
-    """Read one decimal ordinate per line ('#' comments allowed), validate
-    monotonicity and the header's ordinate count when it declares one, and
-    cross-check the overlap with computed zeros to 1e-6."""
-    declared = table_header(path).get("count")
-    ordinates = []
+def ingest_zeros(path) -> ZeroList:
+    """Read one decimal ordinate per line ('#' comments allowed), validate monotonicity
+    and the header's count and max_height (default the top ordinate) when it declares
+    them, and cross-check the overlap with computed zeros to 1e-6."""
+    header = table_header(path)
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a decimal ordinate: {line!r}")
-            if ordinates and value <= ordinates[-1]:
-                raise ValueError(
-                    f"{path}:{lineno}: ordinate {value} not above previous {ordinates[-1]}"
-                )
-            ordinates.append(value)
-    if declared is not None and declared != str(len(ordinates)):
-        raise ValueError(
-            f"{path}: header declares count={declared}, file has {len(ordinates)} ordinates"
-        )
-    arr = np.array(ordinates)
-    max_height = float(arr[-1]) if len(arr) else 0.0
+        lines = list(map(str.strip, fh.read().split("\n")))
+    body = [n for n, line in enumerate(lines) if line and line[0] != "#"]
+    values = []
+    with contextlib.suppress(ValueError):  # extend keeps the values parsed before a bad line
+        values.extend(map(float, [lines[n] for n in body]))
+    arr = np.array(values)
+    down = np.flatnonzero(arr[1:] <= arr[:-1])
+    if down.size:  # every value here precedes the first unparsable line, so it is reported first
+        i = int(down[0]) + 1
+        raise ValueError(f"{path}:{body[i] + 1}: ordinate {values[i]} not above "
+                         f"previous {values[i - 1]}")
+    if len(values) < len(body):
+        n = body[len(values)]
+        raise ValueError(f"{path}:{n + 1}: not a decimal ordinate: {lines[n]!r}")
+    if header.get("count", str(len(values))) != str(len(values)):
+        raise ValueError(f"{path}: header declares count={header['count']}, "
+                         f"file has {len(values)} ordinates")
+    try:
+        max_height = float(header.get("max_height", values[-1] if values else 0.0))
+    except ValueError:
+        raise ValueError(f"{path}: header max_height={header['max_height']!r} is not a number")
     zeros = ZeroList(arr, "ingested", max_height)
-    if cross_check and len(arr):
-        top = min(200.0, max_height)
+    if len(arr):
+        top = min(200.0, values[-1])
         # scan a little past the window so a zero sitting exactly at the
         # endpoint cannot fall outside the computed list
         mine = find_zeros(top + 1.0).ordinates
         theirs = zeros.up_to(top)
         if len(mine) < len(theirs):
-            raise ValueError(
-                f"overlap [0, {top}]: file has {len(theirs)} zeros, computed {len(mine)}"
-            )
+            raise ValueError(f"overlap [0, {top}]: file has {len(theirs)} zeros, "
+                             f"computed {len(mine)}")
         dev = np.abs(mine[: len(theirs)] - theirs).max() if len(theirs) else 0.0
         if dev > 1e-6:
             raise ValueError(f"overlap mismatch: max deviation {dev:.2e} exceeds 1e-6")
@@ -467,21 +474,20 @@ def ingest_zeros(path, cross_check: bool = True) -> ZeroList:
 # zeta'(rho) and the moments
 
 
-def zeta_prime_at_zero(gamma: float) -> complex:
-    """zeta'(1/2 + i gamma) = e^{-i theta} (-i Z' - theta' Z) at gamma
-    (differentiate zeta = e^{-i theta} Z); at a zero only -i Z' e^{-i theta} is left."""
-    return complex(zeta_prime_many(np.array([gamma]))[0])
-
-
 def zeta_prime_many(gammas: np.ndarray) -> np.ndarray:
+    """zeta'(1/2 + i gamma) = e^{-i theta} (-i Z' - theta' Z) at each gamma
+    (differentiate zeta = e^{-i theta} Z); at a zero only -i Z' e^{-i theta} is left."""
     gammas = np.asarray(gammas, dtype=np.float64)
     z, zp = hardy_z(gammas, derivative=True)
-    tiny = np.abs(zp) < 1e-12
-    if tiny.any():
-        warnings.warn(f"|Z'(gamma)| < 1e-12 at {gammas[tiny]}: possible multiple zero",
-                      RuntimeWarning)
+    warn_if_multiple(gammas, zp)
     theta, dtheta = rs_theta(gammas, derivative=True)
     return (-1j * zp - dtheta * z) * np.exp(-1j * theta)
+
+
+def warn_if_multiple(gammas: np.ndarray, derivative: np.ndarray) -> None:
+    if (tiny := np.abs(derivative) < 1e-12).any():  # |Z'(gamma)| = |zeta'(rho)| at a zero
+        warnings.warn(f"|Z'(gamma)| < 1e-12 at {gammas[tiny]}: possible multiple zero",
+                      RuntimeWarning)
 
 
 def zeta_prime_line_route(gamma: float) -> complex:
@@ -512,7 +518,7 @@ def compute_moments(T: float, spec: MollifierSpec, zeros: ZeroList) -> MomentRes
     gammas = zeros.up_to(T)
     if len(gammas) == 0:
         raise ValueError(f"no zeros below T = {T}")
-    zp = zeta_prime_many(gammas)
+    zp = zeta_prime_many(gammas) if zeros.zeta_prime is None else zeros.zeta_prime[:len(gammas)]
     # B(1/2 + i gamma) in blocks of zeros; ks holds 1 at least, as b(1) = P(1)
     b = b_table(spec, int(spec.y)).values
     ks = np.flatnonzero(b)

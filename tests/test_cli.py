@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetalab import cli
+from zetalab import zeta as ze
 
 
 def run(argv):
@@ -129,14 +131,54 @@ def test_non_finite_cache_entry_is_a_miss(tmp_path):
             "--output", str(out)]
     assert run(argv) == 0
     (path,) = cache.iterdir()
-    good = path.read_text()
-    lines = good.splitlines(keepends=True)
-    lines[10] = "nan\n"
-    path.write_text("".join(lines))
+    good = path.read_bytes()
+    table = np.load(path, allow_pickle=False)
+    table[0, 10] = np.nan
+    np.save(path, table)
     assert run(argv) == 0
     header, row = out.read_text().strip().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["N"] == "29"
-    assert path.read_text() == good  # found again and rewritten
+    assert path.read_bytes() == good  # found again and rewritten
+
+
+@pytest.mark.parametrize("T", ["300", "3000"])
+def test_warm_moments_evaluates_no_hardy_z(tmp_path, monkeypatch, T):
+    base = ["moments", "--T", T, "--theta", "0.3", "--format", "csv"]
+    cached = base + ["--cache-dir", str(tmp_path / "cache")]
+    assert run(cached + ["--output", str(tmp_path / "cold.csv")]) == 0
+    assert run(base + ["--no-cache", "--output", str(tmp_path / "nocache.csv")]) == 0
+
+    def no_hardy_z(*args, **kwargs):
+        raise AssertionError("hardy_z called on a warm cache")
+
+    monkeypatch.setattr(ze, "hardy_z", no_hardy_z)
+    assert run(cached + ["--output", str(tmp_path / "warm.csv")]) == 0
+    cold = (tmp_path / "cold.csv").read_bytes()
+    assert (tmp_path / "warm.csv").read_bytes() == cold
+    assert (tmp_path / "nocache.csv").read_bytes() == cold
+
+
+def test_zero_source_accepts_a_table_zetalab_wrote(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    assert run(["zeros", "find", "--T", "1000", "--no-cache", "--output", str(table)]) == 0
+    argv = ["moments", "--T", "1000", "--theta", "0.3"]
+    assert run(argv + ["--zero-source", str(table), "--output", str(tmp_path / "src.csv")]) == 0
+    assert run(argv + ["--cache-dir", str(tmp_path / "cache"),
+                       "--output", str(tmp_path / "cached.csv")]) == 0
+    assert (tmp_path / "src.csv").read_bytes() == (tmp_path / "cached.csv").read_bytes()
+    capsys.readouterr()
+    assert run(["zeros", "ingest", str(table)]) == 0
+    top = table.read_text().splitlines()[-1]
+    assert f"ingested 649 zeros up to {top}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("height", ["98.5", "nan", "inf", "high"])
+def test_zero_table_max_height_is_validated(tmp_path, capsys, height):
+    table = tmp_path / "z.txt"
+    assert run(["zeros", "find", "--T", "100", "--no-cache", "--output", str(table)]) == 0
+    table.write_text(table.read_text().replace("max_height=100.0", f"max_height={height}"))
+    assert run(["zeros", "ingest", str(table)]) == 1
+    assert "max_height" in capsys.readouterr().err
 
 
 def test_warm_moments_loads_no_scipy(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import math
 from types import SimpleNamespace
 
@@ -171,6 +172,28 @@ def test_zero_list_validation():
         ze.ZeroList(np.array([15.0]), "computed", 5000.0)
 
 
+def test_zero_list_copies_its_inputs():
+    base = np.array(FIRST_ZEROS)
+    zl = ze.ZeroList(base[:], "computed", 31.0)
+    base[1] = 22.5
+    assert zl.ordinates.tolist() == FIRST_ZEROS
+    own = np.array(FIRST_ZEROS)
+    ze.ZeroList(own, "computed", 31.0)
+    own[0] = 14.5  # the caller's array stays theirs and writable
+    assert not zl.ordinates.flags.writeable
+
+
+def test_zero_list_zeta_prime_is_validated_and_copied():
+    zp = np.array([0.79 + 0.12j, -1.1 + 0.3j, 1.3 - 0.2j])
+    zl = ze.ZeroList(np.array(FIRST_ZEROS), "computed", 31.0, zp[:])
+    zp[1] = 0.0
+    assert zl.zeta_prime[1] == -1.1 + 0.3j and zp.flags.writeable
+    assert zl.zeta_prime.dtype == np.complex128 and not zl.zeta_prime.flags.writeable
+    for bad in (zp[:2], np.array([1.0, np.nan, 1.0]), np.array([1.0, 1.0, 1j * np.inf])):
+        with pytest.raises(ValueError, match="zeta_prime"):
+            ze.ZeroList(np.array(FIRST_ZEROS), "computed", 31.0, bad)
+
+
 def test_count_N(zeros_1000):
     n100 = ze.count_N(100.0, zeros_1000)
     assert n100.census == 29 and n100.formula == 29 and n100.agree
@@ -219,19 +242,85 @@ def test_truncated_table_is_rejected(tmp_path, zeros_300):
         ze.ingest_zeros(path)
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop_count"])
+def _npy(header: dict, body: bytes = b"") -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue() + body
+
+
+def _damage(raw: bytes, kind: str) -> bytes:
+    table = np.load(io.BytesIO(raw))
+    n = table.shape[1]
+    if kind == "truncate":
+        return raw[:-48]
+    if kind == "huge_header":  # claims 240 GB; must fail without allocating it
+        return _npy({"descr": "<f8", "fortran_order": False, "shape": (3, 10**10)}, raw[-64:])
+    if kind == "wrong_dtype":
+        return _npy({"descr": "<f4", "fortran_order": False, "shape": (3, n)},
+                    table.astype(np.float32).tobytes())
+    if kind == "wrong_shape":
+        return _npy({"descr": "<f8", "fortran_order": False, "shape": (2, n)},
+                    table[:2].tobytes())
+    if kind == "pickled":
+        buf = io.BytesIO()
+        np.save(buf, np.array([list(row) for row in table], dtype=object), allow_pickle=True)
+        return buf.getvalue()
+    row, col, value = {"nan_ordinate": (0, 10, np.nan), "nan_prime": (2, 10, np.nan),
+                       "not_increasing": (0, 11, table[0, 10])}[kind]
+    table[row, col] = value
+    buf = io.BytesIO()
+    np.save(buf, table)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("damage", ["truncate", "huge_header", "wrong_dtype", "wrong_shape",
+                                    "pickled", "nan_ordinate", "nan_prime", "not_increasing"])
 def test_damaged_cache_file_is_a_miss(tmp_path, zeros_300, damage):
+    fresh = cache.load_or_find_zeros(300.0, tmp_path)
     path = cache.zeros_path(300.0, tmp_path)
-    ze.write_zeros(zeros_300, path)
-    lines = path.read_text().splitlines(keepends=True)
-    if damage == "truncate":
-        path.write_text("".join(lines[:-6]))
-    else:
-        path.write_text(lines[0].replace(f", count={len(zeros_300)}", "") + "".join(lines[1:]))
+    assert path.name == "zeros-300.0.npy"
+    good = path.read_bytes()
+    path.write_bytes(_damage(good, damage))
     zl = cache.load_or_find_zeros(300.0, tmp_path)
-    assert zl.source == "computed"
+    assert zl.source == "computed" and zl.max_height == 300.0
     assert np.array_equal(zl.ordinates, zeros_300.ordinates)
-    assert path.read_text().splitlines(keepends=True) == lines  # found again and rewritten
+    assert np.array_equal(zl.zeta_prime, fresh.zeta_prime)
+    assert path.read_bytes() == good  # found again and rewritten
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_cache_holds_zeta_prime_of_the_scan(tmp_path, zeros_300):
+    cold = cache.load_or_find_zeros(300.0, tmp_path)
+    warm = cache.load_or_find_zeros(300.0, tmp_path)
+    want = ze.zeta_prime_many(zeros_300.ordinates)
+    for zl in (cold, warm):
+        assert np.array_equal(zl.ordinates, zeros_300.ordinates)
+        assert zl.zeta_prime.tobytes() == want.tobytes()
+    table = np.load(cache.zeros_path(300.0, tmp_path), allow_pickle=False)
+    assert table.dtype == np.float64 and table.shape == (3, len(zeros_300))
+    assert cache.load_or_find_zeros(300.0, tmp_path, enabled=False).zeta_prime is None
+
+
+def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    def failing_save(fh, arr):
+        fh.write(b"\x93NUMPY\x01\x00")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(RuntimeError, match="disk full"):
+        cache.load_or_find_zeros(100.0, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cached_tiny_zeta_prime_warns(tmp_path):
+    cache.load_or_find_zeros(100.0, tmp_path)
+    path = cache.zeros_path(100.0, tmp_path)
+    table = np.load(path)
+    table[1:, 7] = 1e-13
+    np.save(path, table)
+    with pytest.warns(RuntimeWarning, match="possible multiple zero"):
+        zl = cache.load_or_find_zeros(100.0, tmp_path)
+    assert abs(zl.zeta_prime[7]) < 1e-12
 
 
 def test_euler_maclaurin_row_blocks_are_exact():
@@ -285,7 +374,7 @@ def test_zeta_prime_against_oracle():
     for k in (1, 2, 5, 10):
         gamma = float(mp.zetazero(k).imag)
         want = complex(mp.zeta(mp.mpc(0.5, gamma), derivative=1))
-        got = ze.zeta_prime_at_zero(gamma)
+        got = complex(ze.zeta_prime_many(np.array([gamma]))[0])
         assert abs(got - want) / abs(want) < 1e-8
 
 
