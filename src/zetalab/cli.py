@@ -269,7 +269,9 @@ COMMANDS = {
     "zeros find": ("scan for zero ordinates up to T", cmd_zeros_find, [
         ("--T", _finite, 100.0), *_CACHE, _OUTPUT]),
     "zeros ingest": ("read and validate a zero table", cmd_zeros_ingest, [
-        ("path", str, None), *_CACHE, _OUTPUT]),
+        ("path", str, None),
+        ("--cache-dir", str, None, "accepted and unused: ingest reads and writes no cache"),
+        _OUTPUT]),
     "monitor-sieve": ("hybrid large sieve ratio sweep", cmd_monitor_sieve, [
         ("--Q", _sieve_Q, 20), ("--H", _sieve_H, 200), ("--V", _sieve_V, 20.0),
         ("--trials", _positive_int, 200), ("--seed", _seed, 20250811), _OUTPUT, _JSON]),

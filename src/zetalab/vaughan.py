@@ -53,12 +53,11 @@ def _neg_log(limit: int) -> ArithFnTable:
 
 
 def mu_truncated(X: float, limit: int) -> ArithFnTable:
-    """mu(n) for n <= X, zero beyond, as a table on [1..limit]."""
-    mu = arith.sieve_standard("mobius", limit)
-    values = mu.values.copy()
-    cut = int(X)
-    if cut < limit:
-        values[cut + 1 :] = 0.0
+    """mu(n) for n <= X, zero beyond, as a table on [1..limit]; the sieve runs to min(X, limit)."""
+    cut = min(int(X), limit)
+    values = np.zeros(limit + 1)
+    if cut >= 1:
+        values[: cut + 1] = arith.sieve_standard("mobius", cut).values
     return ArithFnTable(f"mu<={X:g}", limit, values)
 
 
@@ -363,10 +362,15 @@ def _role_tables(spec: MollifierSpec, config: VaughanConfig, n: int) -> dict:
 
 
 def _term_product(term: DecompositionTerm, tables: dict, n: int) -> np.ndarray:
-    acc = tables[IDENTITY].copy()
-    for role, (lo, hi) in zip(term.roles, term.blocks):
-        if role != IDENTITY:
-            acc = convolve_values(acc, _restrict(tables[role], lo, hi, n), n)
+    """The product of the restricted factors on [0..n]; it vanishes beyond the
+    product of their floor(hi), so the convolutions stop there."""
+    factors = [(role, lo, hi) for role, (lo, hi) in zip(term.roles, term.blocks)
+               if role != IDENTITY]
+    top = min(n, math.prod(int(hi) for _, _, hi in factors))
+    acc = np.zeros(n + 1)
+    acc[: top + 1] = tables[IDENTITY][: top + 1]
+    for role, lo, hi in factors:
+        acc[: top + 1] = convolve_values(acc, _restrict(tables[role], lo, hi, top), top)
     return acc
 
 

@@ -17,19 +17,22 @@ improving to ~3e-10 by t = 5000; the Euler-Maclaurin branch is ~1e-13.
 theta and theta' come from Stirling's series, so the module needs numpy only.
 Zeros are scanned on Gram points by Rosser's rule (Brent, Math. Comp. 1979;
 Edwards, Riemann's Zeta Function, ch. 8) and refined by Newton steps on (Z, Z').
+Every pass over the zeros works on blocks of at most ``BLOCK`` points, so its
+temporaries do not grow with T, and no value depends on the block it is in.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.chebyshev import chebder
 from numpy.polynomial.polynomial import polyval
 
 from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
@@ -37,6 +40,7 @@ from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
 EM_CUTOFF = 400.0
 FIRST_ZERO = 14.134725141734693
 HALVINGS = 12  # passes of interval halving the zero scan may make
+BLOCK = 2048  # points per pass over the zeros: bounds every per-point temporary
 
 _C0_CHEB = np.array([
     0.6426672862397681, -1.1373021762322886e-16, 0.2719729999978549, 3.6393669639433235e-17,
@@ -76,6 +80,9 @@ _C3_CHEB = np.array([
 ])
 
 _RS_CORRECTIONS = (_C0_CHEB, _C1_CHEB, _C2_CHEB, _C3_CHEB)
+# C0..C3 and their x-derivatives as the columns of one table, zero-padded at the top
+_RS_CHEB = np.stack([np.pad(c, (0, 25 - len(c)))
+                     for c in (*_RS_CORRECTIONS, *map(chebder, _RS_CORRECTIONS))], axis=1)
 
 # B_2 ... B_24 for the Euler-Maclaurin tail
 _BERNOULLI = np.array([
@@ -92,6 +99,17 @@ def rs_theta(t, derivative: bool = False):
     series (8 terms) at w = z + 8, less the angles of z + k for k < 8.  With
     ``derivative``, (theta, theta') where theta' = Re psi(z)/2 - (log pi)/2."""
     t = np.asarray(t, dtype=np.float64)
+    flat = t.ravel()
+    out = np.empty((2, flat.size))
+    for i in range(0, flat.size, BLOCK):
+        out[:, i : i + BLOCK] = _theta_block(flat[i : i + BLOCK])
+    val, dval = out.reshape((2, *t.shape))
+    if derivative:
+        return (val, dval) if val.ndim else (float(val), float(dval))
+    return val if val.ndim else float(val)
+
+
+def _theta_block(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = 8.25 + 0.5j * t
     iw, log_w = 1.0 / w, np.log(w)
     lg = (w - 0.5) * log_w - w + iw * polyval(iw * iw, _LOGGAMMA_SERIES)
@@ -100,9 +118,7 @@ def rs_theta(t, derivative: bool = False):
     for k in np.arange(8) + 0.25:  # Gamma(z + 8) = Gamma(z) prod_{k < 8} (z + k)
         val -= np.arctan2(0.5 * t, k)
         dval -= 0.5 * k / (k * k + 0.25 * t * t)
-    if derivative:
-        return (val, dval) if val.ndim else (float(val), float(dval))
-    return val if val.ndim else float(val)
+    return val, dval
 
 
 def rs_theta_asymptotic(t):
@@ -129,9 +145,8 @@ def zeta_euler_maclaurin(s, derivative: bool = False):
     """
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     out = np.empty((2, s.size), dtype=np.complex128)
-    t_abs = np.abs(s.imag)
-    n_cut = 32 * np.ceil(0.7 * (t_abs + 25) / 32).astype(int)  # multiples of 32: few row groups
-    for n_val in np.unique(n_cut):
+    n_cut = _em_terms(np.abs(s.imag))
+    for n_val in _distinct(n_cut):
         idx = np.nonzero(n_cut == n_val)[0]
         sv = s[idx]
         log_n = np.log(np.arange(1, n_val))
@@ -140,20 +155,53 @@ def zeta_euler_maclaurin(s, derivative: bool = False):
             # blocks of 8 rows bound the (rows x n_cut) temporaries
             terms = np.exp(-np.outer(sv[i : i + 8], log_n))
             total[:, i : i + 8] = terms.sum(axis=1), -(terms * log_n).sum(axis=1)
-        nf, log_nf = float(n_val), math.log(n_val)
-        head, tail = 0.5 * nf ** (-sv), nf ** (1.0 - sv) / (sv - 1.0)
-        total += head + tail, -log_nf * (head + tail) - tail / (sv - 1.0)
-        poch, harm = sv.copy(), 1.0 / sv  # s (s+1) ... rising, and its log-derivative
-        npow = nf ** (-sv - 1.0)
-        for k, b in enumerate(_BERNOULLI, start=1):
-            term = b / math.factorial(2 * k) * poch * npow
-            total += term, term * (harm - log_nf)
-            harm = harm + 1.0 / (sv + 2 * k - 1) + 1.0 / (sv + 2 * k)
-            poch = poch * (sv + 2 * k - 1) * (sv + 2 * k)
-            npow = npow / (nf * nf)
-        out[:, idx] = total
+        out[:, idx] = _add_em_tail(total, sv, n_val)
     vals = [v if v.shape != (1,) else complex(v[0]) for v in out]
     return tuple(vals) if derivative else vals[0]
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a), without the import of numpy.ma (2 MB of memory) that it makes."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
+
+
+def _em_terms(t_abs):
+    """The Euler-Maclaurin cutoff at height |Im s|, in multiples of 32: few row groups."""
+    return 32 * np.ceil(0.7 * (t_abs + 25) / 32).astype(int)
+
+
+def _add_em_tail(total: np.ndarray, s: np.ndarray, n_val: int) -> np.ndarray:
+    """Add to rows (zeta, zeta') of ``total``, the sums over n < n_val, the
+    terms at n_val, the integral from it and the Bernoulli corrections."""
+    nf, log_nf = float(n_val), math.log(n_val)
+    head, tail = 0.5 * nf ** (-s), nf ** (1.0 - s) / (s - 1.0)
+    total += head + tail, -log_nf * (head + tail) - tail / (s - 1.0)
+    poch, harm = s.copy(), 1.0 / s  # s (s+1) ... rising, and its log-derivative
+    npow = nf ** (-s - 1.0)
+    for k, b in enumerate(_BERNOULLI, start=1):
+        term = b / math.factorial(2 * k) * poch * npow
+        total += term, term * (harm - log_nf)
+        harm = harm + 1.0 / (s + 2 * k - 1) + 1.0 / (s + 2 * k)
+        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
+        npow = npow / (nf * nf)
+    return total
+
+
+def _zeta_at_height(sigmas: np.ndarray, T: float) -> np.ndarray:
+    """zeta(sigma + iT) at every sigma of one height by the sums of
+    ``zeta_euler_maclaurin``, with n^{-s} = n^{-sigma} n^{-iT} and n^{-iT}
+    computed once for all rows."""
+    n_val = int(_em_terms(abs(T)))
+    neg_log_n = -np.log(np.arange(1, n_val))
+    parts = np.exp(1j * T * neg_log_n).view(np.float64).reshape(-1, 2)  # Re, Im of n^{-iT}
+    total = np.zeros((2, len(sigmas)), dtype=np.complex128)
+    rows = np.empty((8, len(neg_log_n)))  # 8 rows of n^{-sigma} at a time
+    for i in range(0, len(sigmas), 8):
+        sig = sigmas[i : i + 8]
+        blk = np.exp(np.outer(sig, neg_log_n, out=rows[: len(sig)]), out=rows[: len(sig)])
+        total[0, i : i + 8] = (blk @ parts).view(np.complex128)[:, 0]
+    return _add_em_tail(total, sigmas + 1j * T, n_val)[0]  # its zeta' row goes unused
 
 
 def _hardy_z_em(t: np.ndarray) -> np.ndarray:
@@ -165,32 +213,46 @@ def _hardy_z_em(t: np.ndarray) -> np.ndarray:
 
 def _hardy_z_rs(t: np.ndarray, derivative: bool = False) -> np.ndarray:
     """Rows Z and, with ``derivative``, Z' = -2 sum n^{-1/2} (theta' - log n)
-    sin(theta - t log n) plus the t-derivative of the corrections."""
+    sin(theta - t log n) plus the t-derivative of the corrections.  The main
+    sums are row reductions (einsum), not BLAS products, whose kernels depend
+    on the matrix shape: a point's bits do not depend on its batch."""
     tau = t / (2 * math.pi)
     root = np.sqrt(tau)
     a = np.floor(root).astype(int)
     theta, dtheta = rs_theta(t, derivative=True)
     out = np.zeros((1 + derivative, len(t)))
-    for a_val in np.unique(a):
+    for a_val in _distinct(a):
         idx = np.nonzero(a == a_val)[0]
         log_n = np.log(np.arange(1, a_val + 1, dtype=np.float64))
         weight = np.exp(-0.5 * log_n)
         phases = np.outer(t[idx], -log_n)
         phases += theta[idx, None]
-        out[0, idx] = 2.0 * (np.cos(phases) @ weight)
+        out[0, idx] = 2.0 * np.einsum("ij,j->i", np.cos(phases), weight)
         if derivative:
-            sums = np.sin(phases, out=phases) @ np.stack([weight, weight * log_n], axis=1)
-            out[1, idx] = 2.0 * (sums[:, 1] - dtheta[idx] * sums[:, 0])
+            sines = np.sin(phases, out=phases)
+            sums = [np.einsum("ij,j->i", sines, w) for w in (weight, weight * log_n)]
+            out[1, idx] = 2.0 * (sums[1] - dtheta[idx] * sums[0])
     x, dx_dt = 2.0 * (root - a) - 1.0, 1.0 / (2 * math.pi * root)
+    cheb = _chebval_columns(x, _RS_CHEB)  # C0..C3, then their x-derivatives
     corr = np.zeros((2, len(t)))
     scale = np.ones_like(t)
-    for k, cheb in enumerate(_RS_CORRECTIONS):
-        c_k = chebval(x, cheb)  # times tau^{-1/4-k/2}, of t-derivative -(1/4+k/2) tau^{..} / t
+    for k in range(4):
+        c_k = cheb[k]  # times tau^{-1/4-k/2}, of t-derivative -(1/4+k/2) tau^{..} / t
         corr[0] += c_k * scale
-        corr[1] += (chebval(x, chebder(cheb)) * dx_dt - (0.25 + 0.5 * k) * c_k / t) * scale
+        corr[1] += (cheb[4 + k] * dx_dt - (0.25 + 0.5 * k) * c_k / t) * scale
         scale /= root
     out += np.where(a % 2 == 1, 1.0, -1.0) * tau ** (-0.25) * corr[: len(out)]
     return out
+
+
+def _chebval_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Each column of ``coef`` as a Chebyshev series at x, one row per column:
+    one Clenshaw pass with the steps of numpy's ``chebval``, so the same bits."""
+    x2 = 2.0 * x
+    c0, c1 = coef[-2, :, None], coef[-1, :, None]
+    for c in coef[-3::-1, :, None]:
+        c0, c1 = c - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def hardy_z(t, em_cutoff: float = EM_CUTOFF, derivative: bool = False):
@@ -201,11 +263,13 @@ def hardy_z(t, em_cutoff: float = EM_CUTOFF, derivative: bool = False):
     if np.any(arr < 0):
         raise ValueError("hardy_z requires t >= 0")
     out = np.empty((1 + derivative, arr.size))
-    lo = arr < em_cutoff
-    if lo.any():
-        out[:, lo] = _hardy_z_em(arr[lo])[: len(out)].real
-    if (~lo).any():
-        out[:, ~lo] = _hardy_z_rs(arr[~lo], derivative)
+    for i in range(0, arr.size, BLOCK):
+        t_blk, out_blk = arr[i : i + BLOCK], out[:, i : i + BLOCK]
+        lo = t_blk < em_cutoff
+        if lo.any():
+            out_blk[:, lo] = _hardy_z_em(t_blk[lo])[: len(out)].real
+        if (~lo).any():
+            out_blk[:, ~lo] = _hardy_z_rs(t_blk[~lo], derivative)
     vals = [v if np.ndim(t) else float(v[0]) for v in out]
     return tuple(vals) if derivative else vals[0]
 
@@ -221,11 +285,15 @@ def gram_points(T: float) -> np.ndarray:
     """Gram points g_0 = 17.845..., g_1, ... below T (theta(g_n) = n pi),
     Newton-refined; entry n is g_n."""
     n = np.arange(0, max(0, int(rs_theta(max(T, 18.0)) / math.pi)) + 2, dtype=np.float64)
-    # theta(2 pi e^{1+u}) ~ pi (e u e^u - 1/8), and u e^u = x has e^u ~ x / log(1 + x)
-    g = 2 * math.pi * (n + 0.125) / np.log1p((n + 0.125) / math.e)
-    for _ in range(6):
-        theta, dtheta = rs_theta(g, derivative=True)
-        g = g - (theta - n * math.pi) / dtheta
+    g = np.empty_like(n)
+    for i in range(0, len(n), BLOCK):
+        n_blk = n[i : i + BLOCK]
+        # theta(2 pi e^{1+u}) ~ pi (e u e^u - 1/8), and u e^u = x has e^u ~ x / log(1 + x)
+        g_blk = 2 * math.pi * (n_blk + 0.125) / np.log1p((n_blk + 0.125) / math.e)
+        for _ in range(6):
+            theta, dtheta = rs_theta(g_blk, derivative=True)
+            g_blk = g_blk - (theta - n_blk * math.pi) / dtheta
+        g[i : i + BLOCK] = g_blk
     return g[g < T]
 
 
@@ -289,7 +357,7 @@ def count_formula(T: float) -> float:
     if abs(float(hardy_z(T))) < 1e-8:
         T = T + 1e-4  # nudge off a zero height
     sigmas = np.concatenate([np.linspace(20.0, 3.0, 30), np.linspace(3.0, 0.5, 140)[1:]])
-    ang = np.angle(np.atleast_1d(zeta_euler_maclaurin(sigmas + 1j * T)))
+    ang = np.angle(_zeta_at_height(sigmas, T))
     for _ in range(12):
         # raw phase steps folded to (-pi, pi]; unwrap is only trustworthy if
         # the true step between samples stays well under a half turn
@@ -298,8 +366,8 @@ def count_formula(T: float) -> float:
             break
         worst = np.nonzero(np.abs(step) >= 1.5)[0]
         extra = 0.5 * (sigmas[worst] + sigmas[worst + 1])
-        sigmas = np.unique(np.concatenate([sigmas, extra]))[::-1]
-        ang = np.angle(np.atleast_1d(zeta_euler_maclaurin(sigmas + 1j * T)))
+        sigmas = _distinct(np.concatenate([sigmas, extra]))[::-1]
+        ang = np.angle(_zeta_at_height(sigmas, T))
     s_T = np.unwrap(ang)[-1] / math.pi
     return rs_theta(T) / math.pi + 1.0 + s_T
 
@@ -340,6 +408,12 @@ def find_zeros(T: float) -> ZeroList:
         raise ValueError("desk scale tops out at T = 1e5")
     if T < FIRST_ZERO:
         return ZeroList(np.zeros(0), "computed", T)
+    return ZeroList(_refine(*_brackets(T)), "computed", T)
+
+
+def _brackets(T: float) -> tuple[np.ndarray, ...]:
+    """(lo, hi, Z(lo), Z(hi)) of the sign changes of the scan; the scan's own
+    arrays end with this call, before the refinement allocates its own."""
     gram = gram_points(T)
     t = np.concatenate([[14.0], gram, [T]])
     z = hardy_z(t)
@@ -363,7 +437,7 @@ def find_zeros(T: float) -> ZeroList:
         raise ZeroScanError(
             f"segment ({bounds[i]:.6f}, {bounds[i + 1]:.6f}] has {found[i]} sign changes, not "
             f"{expected[i]}; census {found.sum()}, counting formula {expected.sum()}")
-    return ZeroList(_refine(t[flips], t[flips + 1], z[flips], z[flips + 1]), "computed", T)
+    return t[flips], t[flips + 1], z[flips], z[flips + 1]
 
 
 def _refine(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
@@ -377,20 +451,24 @@ def _refine(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) 
     root = np.empty(len(lo))
     live = np.arange(len(lo))
     while live.size:
-        z, dz = hardy_z(x[live], derivative=True)
-        at, d = x[live], half[live]
-        left = (z > 0) == (f_hi[live] > 0)  # the root is in [lo, x]: x replaces hi
-        lo[live] = a = np.where(left, lo[live], at)
-        hi[live] = b = np.where(left, at, hi[live])
-        step = -z / dz
-        inside = (at + step >= a) & (at + step <= b)
-        closed = b - a <= 2 * d
-        # |Z''| <= 2 sum_{n^2 <= tau} n^{-1/2} (theta' - log n)^2 + 1 <= 4 theta'^2 tau^{1/4} + 1
-        bound2 = 4 * rs_theta(at, derivative=True)[1] ** 2 * (at / (2 * math.pi)) ** 0.25 + 1.0
-        converged = inside & (bound2 * step**2 <= 2 * np.abs(dz) * d)
-        root[live] = np.where(closed, 0.5 * (a + b), at + step)
-        x[live] = np.clip(np.where(inside, at + step, 0.5 * (a + b)), a + d, b - d)
-        live = live[~closed & ~converged]
+        keep = np.empty(live.size, dtype=bool)
+        for i in range(0, live.size, BLOCK):  # one pass over the live brackets, in blocks
+            j = live[i : i + BLOCK]
+            z, dz = hardy_z(x[j], derivative=True)
+            at, d = x[j], half[j]
+            left = (z > 0) == (f_hi[j] > 0)  # the root is in [lo, x]: x replaces hi
+            lo[j] = a = np.where(left, lo[j], at)
+            hi[j] = b = np.where(left, at, hi[j])
+            step = -z / dz
+            inside = (at + step >= a) & (at + step <= b)
+            closed = b - a <= 2 * d
+            # |Z''| <= 2 sum_{n^2 <= tau} n^{-1/2} (theta' - log n)^2 + 1 <= 4 theta'^2 tau^{1/4} + 1
+            bound2 = 4 * rs_theta(at, derivative=True)[1] ** 2 * (at / (2 * math.pi)) ** 0.25 + 1.0
+            converged = inside & (bound2 * step**2 <= 2 * np.abs(dz) * d)
+            root[j] = np.where(closed, 0.5 * (a + b), at + step)
+            x[j] = np.clip(np.where(inside, at + step, 0.5 * (a + b)), a + d, b - d)
+            keep[i : i + BLOCK] = ~closed & ~converged
+        live = live[keep]
     return root
 
 
@@ -410,11 +488,12 @@ def atomic_open(path, mode: str = "w"):
 
 def write_zeros(zeros: ZeroList, path) -> None:
     """Write the ordinate table, under a header declaring max_height and count, atomically."""
-    lines = [f"{float(g)!r}\n" for g in zeros.ordinates]
+    ords = np.fromiter(zeros.ordinates, dtype=np.float64)
     with atomic_open(path) as fh:
         fh.write(f"# zero ordinates, source={zeros.source}, "
-                 f"max_height={float(zeros.max_height)!r}, count={len(lines)}\n")
-        fh.writelines(lines)
+                 f"max_height={float(zeros.max_height)!r}, count={len(ords)}\n")
+        for i in range(0, len(ords), BLOCK):
+            fh.writelines(f"{g!r}\n" for g in ords[i : i + BLOCK].tolist())
 
 
 def table_header(path) -> dict[str, str]:
@@ -432,31 +511,36 @@ def ingest_zeros(path) -> ZeroList:
     and the header's count and max_height (default the top ordinate) when it declares
     them, and cross-check the overlap with computed zeros to 1e-6."""
     header = table_header(path)
+    parts, last = [], []  # last: the ordinate before the current block, once there is one
     with open(path) as fh:
-        lines = list(map(str.strip, fh.read().split("\n")))
-    body = [n for n, line in enumerate(lines) if line and line[0] != "#"]
-    values = []
-    with contextlib.suppress(ValueError):  # extend keeps the values parsed before a bad line
-        values.extend(map(float, [lines[n] for n in body]))
-    arr = np.array(values)
-    down = np.flatnonzero(arr[1:] <= arr[:-1])
-    if down.size:  # every value here precedes the first unparsable line, so it is reported first
-        i = int(down[0]) + 1
-        raise ValueError(f"{path}:{body[i] + 1}: ordinate {values[i]} not above "
-                         f"previous {values[i - 1]}")
-    if len(values) < len(body):
-        n = body[len(values)]
-        raise ValueError(f"{path}:{n + 1}: not a decimal ordinate: {lines[n]!r}")
+        lines = enumerate(map(str.strip, fh), start=1)
+        while block := list(itertools.islice(lines, BLOCK)):
+            body = [(n, line) for n, line in block if line and line[0] != "#"]
+            values = last.copy()
+            with contextlib.suppress(ValueError):  # extend keeps the values before a bad line
+                values.extend(map(float, [line for _, line in body]))
+            arr = np.array(values)
+            down = np.flatnonzero(arr[1:] <= arr[:-1])
+            if down.size:  # every value here precedes the first bad line, so it is reported first
+                i = int(down[0]) + 1
+                raise ValueError(f"{path}:{body[i - len(last)][0]}: ordinate {values[i]} not above "
+                                 f"previous {values[i - 1]}")
+            if len(values) - len(last) < len(body):
+                n, line = body[len(values) - len(last)]
+                raise ValueError(f"{path}:{n}: not a decimal ordinate: {line!r}")
+            parts.append(arr[len(last):])
+            last = values[-1:]
+    values = np.concatenate(parts) if parts else np.zeros(0)
     if header.get("count", str(len(values))) != str(len(values)):
         raise ValueError(f"{path}: header declares count={header['count']}, "
                          f"file has {len(values)} ordinates")
     try:
-        max_height = float(header.get("max_height", values[-1] if values else 0.0))
+        max_height = float(header.get("max_height", values[-1] if len(values) else 0.0))
     except ValueError:
         raise ValueError(f"{path}: header max_height={header['max_height']!r} is not a number")
-    zeros = ZeroList(arr, "ingested", max_height)
-    if len(arr):
-        top = min(200.0, values[-1])
+    zeros = ZeroList(values, "ingested", max_height)
+    if len(values):
+        top = min(200.0, float(values[-1]))
         # scan a little past the window so a zero sitting exactly at the
         # endpoint cannot fall outside the computed list
         mine = find_zeros(top + 1.0).ordinates
@@ -478,10 +562,14 @@ def zeta_prime_many(gammas: np.ndarray) -> np.ndarray:
     """zeta'(1/2 + i gamma) = e^{-i theta} (-i Z' - theta' Z) at each gamma
     (differentiate zeta = e^{-i theta} Z); at a zero only -i Z' e^{-i theta} is left."""
     gammas = np.asarray(gammas, dtype=np.float64)
-    z, zp = hardy_z(gammas, derivative=True)
-    warn_if_multiple(gammas, zp)
-    theta, dtheta = rs_theta(gammas, derivative=True)
-    return (-1j * zp - dtheta * z) * np.exp(-1j * theta)
+    out = np.empty(gammas.shape, dtype=np.complex128)
+    for i in range(0, len(gammas), BLOCK):
+        g = gammas[i : i + BLOCK]
+        z, zp = hardy_z(g, derivative=True)
+        warn_if_multiple(g, zp)
+        theta, dtheta = rs_theta(g, derivative=True)
+        out[i : i + BLOCK] = (-1j * zp - dtheta * z) * np.exp(-1j * theta)
+    return out
 
 
 def warn_if_multiple(gammas: np.ndarray, derivative: np.ndarray) -> None:
@@ -525,9 +613,9 @@ def compute_moments(T: float, spec: MollifierSpec, zeros: ZeroList) -> MomentRes
     logk = np.log(ks.astype(np.float64))
     coef = b[ks] / np.sqrt(ks.astype(np.float64))
     B_vals = np.empty(len(gammas), dtype=np.complex128)
-    for i in range(0, len(gammas), 4096):
-        g = gammas[i : i + 4096]
-        B_vals[i : i + 4096] = np.exp(-1j * np.outer(g, logk)) @ coef
+    for i in range(0, len(gammas), BLOCK):
+        g = gammas[i : i + BLOCK]
+        B_vals[i : i + BLOCK] = np.einsum("ij,j->i", np.exp(-1j * np.outer(g, logk)), coef)
     prod = B_vals * zp
     s1 = complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))
     s2 = math.fsum((np.abs(prod) ** 2).tolist())

@@ -103,6 +103,14 @@ def test_zeros_roundtrip_via_cli(tmp_path, capsys):
     assert "ingested 29 zeros" in err
 
 
+def test_zeros_ingest_cache_dir_is_accepted_and_unused(tmp_path, capsys):
+    table = tmp_path / "z.txt"
+    table.write_text("14.134725141734693\n21.022039638771555\n")
+    assert run(["zeros", "ingest", str(table), "--cache-dir", str(tmp_path / "new")]) == 0
+    assert "ingested 2 zeros" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["z.txt"]
+
+
 def test_truncated_zero_table_exits_1(tmp_path, capsys):
     table = tmp_path / "z.txt"
     assert run(["zeros", "find", "--T", "100", "--no-cache", "--output", str(table)]) == 0
@@ -301,6 +309,8 @@ def test_config_no_cache_writes_no_cache(tmp_path, capsys):
     (None, ["monitor-sieve", "--V", "60"]),
     (None, ["monitor-sieve", "--V", "-1"]),
     (None, ["monitor-sieve", "--V", "nan"]),
+    (None, ["zeros", "ingest", "z.txt", "--no-cache"]),  # ingest reads and writes no cache
+    ("no-cache=true\n", ["zeros", "ingest", "z.txt"]),
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, config, argv):
     if config is not None:

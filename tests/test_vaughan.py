@@ -131,13 +131,15 @@ def oracle_terms(dec):
     return out
 
 
-def oracle_split(term, dec, d, m_limit, tolerance=1e-10):
-    """The splitting lemma state by state, each g_i gathered on its own."""
-    n = m_limit * d
-    tables = {va.LOG: arith.sieve_standard("log", n).values,
-              va.ONE: arith.sieve_standard("one", n).values,
-              va.MU: va.mu_truncated(dec.config.X, n).values,
-              va.B_COEF: mo.b_table(dec.spec, n).values}
+def oracle_tables(dec, n):
+    return {va.LOG: arith.sieve_standard("log", n).values,
+            va.ONE: arith.sieve_standard("one", n).values,
+            va.MU: va.mu_truncated(dec.config.X, n).values,
+            va.B_COEF: mo.b_table(dec.spec, n).values}
+
+
+def oracle_product(term, tables, n):
+    """The term's product of restricted factors, every convolution on all of [0..n]."""
     big = np.zeros(n + 1)
     big[1] = 1.0
     for role, (lo, hi) in zip(term.roles, term.blocks):
@@ -146,6 +148,14 @@ def oracle_split(term, dec, d, m_limit, tolerance=1e-10):
             a, b = int(lo) + 1, min(int(hi), n)
             restricted[a : b + 1] = tables[role][a : b + 1]
             big = arith.convolve_values(big, restricted, n)
+    return big
+
+
+def oracle_split(term, dec, d, m_limit, tolerance=1e-10):
+    """The splitting lemma state by state, each g_i gathered on its own."""
+    n = m_limit * d
+    tables = oracle_tables(dec, n)
+    big = oracle_product(term, tables, n)
     lhs = np.zeros(m_limit + 1)
     lhs[1:] = big[d::d][:m_limit]
 
@@ -439,3 +449,24 @@ def test_library_modules_do_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_term_product_vanishes_beyond_its_support_bound():
+    """A term's product of factors restricted to (lo, hi] vanishes beyond the
+    product of their floor(hi); the convolutions that stop there give the
+    whole-length product bit for bit, and mu_truncated sieves only to X."""
+    dec = va.decompose_a2(small_spec(), VaughanConfig(3, 16.0), n_cap=1000)
+    terms = list(dec.terms())
+    n = 30 * 1000
+    tables = oracle_tables(dec, n)
+    for idx in np.random.default_rng(20251018).choice(len(terms), 12, replace=False):
+        term = terms[int(idx)]
+        top = math.prod(int(hi) for role, (_, hi) in zip(term.roles, term.blocks)
+                        if role != va.IDENTITY)
+        full = oracle_product(term, tables, n)
+        assert top < n and not full[top + 1 :].any()
+        for m in (n, top, top // 2):
+            assert np.array_equal(va.term_convolution(term, dec, m), full[: m + 1])
+    mu = va.mu_truncated(16.0, n)
+    assert len(mu.values) == n + 1 and not mu.values[17:].any()
+    assert np.array_equal(mu.values[:17], arith.sieve_standard("mobius", 16).values)

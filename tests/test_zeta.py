@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -421,3 +422,90 @@ def test_gram_points_interleaving():
     gp = ze.gram_points(120.0)
     theta_over_pi = ze.rs_theta(gp) / math.pi
     assert np.max(np.abs(theta_over_pi - np.round(theta_over_pi))) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# blocks: bounded memory, and no output bit depends on the block size
+
+
+def test_hardy_z_point_equals_its_value_in_any_batch():
+    """Z and Z' at a point, alone or inside any batch of either branch, bit for bit."""
+    rng = np.random.default_rng(20251018)
+    t = np.concatenate([rng.uniform(14.0, 400.0, 20), rng.uniform(399.0, 401.0, 6),
+                        rng.uniform(400.0, 3e4, 30), [400.0, 2 * math.pi * 37.0**2]])
+    alone = np.array([ze.hardy_z(x, derivative=True) for x in t])
+    assert np.array_equal(alone[:, 0], [ze.hardy_z(x) for x in t])
+    big = np.concatenate([rng.permutation(np.repeat(t, 50)), t])  # t again past a block edge
+    for batch in (t, t[::-1], rng.permutation(t)):
+        z, dz = ze.hardy_z(batch, derivative=True)
+        order = [np.flatnonzero(t == x)[0] for x in batch]
+        assert np.array_equal(z, alone[order, 0]) and np.array_equal(dz, alone[order, 1])
+        assert np.array_equal(ze.hardy_z(batch), z)
+    z, dz = ze.hardy_z(big, derivative=True)
+    assert np.array_equal(z[-len(t):], alone[:, 0]) and np.array_equal(dz[-len(t):], alone[:, 1])
+
+
+def test_zero_pipeline_is_block_size_invariant(monkeypatch):
+    spec = mo.MollifierSpec.from_T_theta(5000.0, 0.4)
+    runs = []
+    for block in (ze.BLOCK, 300):
+        monkeypatch.setattr(ze, "BLOCK", block)
+        zeros = ze.find_zeros(5000.0)
+        runs.append((zeros.ordinates, ze.zeta_prime_many(zeros.ordinates),
+                     ze.gram_points(5000.0), ze.compute_moments(5000.0, spec, zeros)))
+    (o1, p1, g1, m1), (o2, p2, g2, m2) = runs
+    assert len(o1) == 4520
+    assert np.array_equal(o1, o2) and np.array_equal(p1, p2) and np.array_equal(g1, g2)
+    assert m1 == m2
+
+
+def test_zero_pipeline_memory_is_bounded():
+    """The largest temporary of find_zeros and zeta_prime_many is O(BLOCK x terms):
+    at T = 3e4 (35673 zeros) their traced peak was about 15 MB with whole-length passes."""
+    ze.count_formula.cache_clear()
+    tracemalloc.start()
+    try:
+        zeros = ze.find_zeros(3e4)
+        ze.zeta_prime_many(zeros.ordinates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(zeros) == 35673
+    assert peak < 6 * 2**20
+
+
+# (lines, message after "path:") with BLOCK = 3: each fault sits at a block edge
+INGEST_EDGES = [
+    (["14.134725141734693", "21.022039638771555", "25.010857580145688", "24.0"],
+     "4: ordinate 24.0 not above previous 25.01085758014569"),
+    (["14.134725141734693", "21.022039638771555", "25.01", "25.01"],
+     "4: ordinate 25.01 not above previous 25.01"),
+    (["14.134725141734693", "21.022039638771555", "25.01", "# note", "", "#", "20.0"],
+     "7: ordinate 20.0 not above previous 25.01"),
+    (["14.134725141734693", "21.022039638771555", "25.01", "x25", "20.0"],
+     "4: not a decimal ordinate: 'x25'"),
+    (["14.134725141734693", "21.022039638771555", "x21", "25.01", "24.0"],
+     "3: not a decimal ordinate: 'x21'"),
+    (["14.134725141734693", "21.022039638771555", "25.01", "30.4", "29.0", "?"],
+     "5: ordinate 29.0 not above previous 30.4"),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 2048])
+@pytest.mark.parametrize("lines, message", INGEST_EDGES)
+def test_ingest_messages_at_block_edges(tmp_path, monkeypatch, block, lines, message):
+    monkeypatch.setattr(ze, "BLOCK", block)
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        ze.ingest_zeros(path)
+    assert str(err.value) == f"{path}:{message}"
+
+
+def test_sigma_path_against_euler_maclaurin():
+    """count_formula's zeta along sigma + iT (n^{-iT} shared by the rows) against
+    zeta_euler_maclaurin, which exponentiates each n^{-s} on its own."""
+    sigmas = np.concatenate([np.linspace(20.0, 3.0, 30), np.linspace(3.0, 0.5, 140)[1:]])
+    for T in np.random.default_rng(20251018).uniform(100.0, 3e4, 20):
+        got = ze._zeta_at_height(sigmas, T)
+        assert np.abs(got - ze.zeta_euler_maclaurin(sigmas + 1j * T)).max() <= 1e-9
