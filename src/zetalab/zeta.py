@@ -13,10 +13,17 @@ correction terms above it.  The corrections are Chebyshev fits, generated at
 with Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) on p in [0, 1].
 Observed accuracy of the Riemann-Siegel branch is ~1e-8 absolute at t = 400
 improving to ~3e-10 by t = 5000; the Euler-Maclaurin branch is ~1e-13.
+Every n^{-it} of the Riemann-Siegel sums and of B(1/2 + i gamma) comes from one
+kernel, ``_phases``: cos and sin are taken at the primes only, of t log p reduced
+to within pi/4 in double-double (Dekker's exact product of t with the high word
+of log p / (pi/2), plus t times its low word), and a composite row is a product
+of two rows.  The main sum for a given theta is then exact to about 1e-15;
+theta's own rounding is the phase error left.
 ``hardy_z(t, derivative=True)`` also returns Z', differentiating the same sums.
 theta and theta' come from Stirling's series, so the module needs numpy only.
 Zeros are scanned on Gram points by Rosser's rule (Brent, Math. Comp. 1979;
-Edwards, Riemann's Zeta Function, ch. 8) and refined by Newton steps on (Z, Z').
+Edwards, Riemann's Zeta Function, ch. 8) and refined by Newton steps on (Z, Z'),
+the first one from a degree-7 local model of Z.
 Every pass over the zeros works on blocks of at most ``BLOCK`` points, so its
 temporaries do not grow with T, and no value depends on the block it is in.
 """
@@ -32,8 +39,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder
-from numpy.polynomial.polynomial import polyval
 
 from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
 
@@ -42,47 +47,24 @@ FIRST_ZERO = 14.134725141734693
 HALVINGS = 12  # passes of interval halving the zero scan may make
 BLOCK = 2048  # points per pass over the zeros: bounds every per-point temporary
 
-_C0_CHEB = np.array([
-    0.6426672862397681, -1.1373021762322886e-16, 0.2719729999978549, 3.6393669639433235e-17,
-    0.010738605819339823, -2.2876020916215177e-16, -0.0013743815296340886, 1.0138236542413542e-16,
-    -0.0001246822188034505, 7.798643494164265e-18, -5.76459970553334e-07, -1.0398191325552351e-16,
-    2.7280674307437e-07, -6.238914795331411e-17, 8.077953231478052e-09, -2.807511657899133e-16,
-    -2.088462092282897e-10, 9.878281759274729e-17, -1.3115750829841954e-11, -3.249434789235107e-17,
-    -1.450807644697691e-14, 5.9789600121926e-17, 9.837338880930376e-15,
-])
-
-_C1_CHEB = np.array([
-    1.3786184246951634e-18, 0.010697913921003015, 2.3070987003569286e-17, 0.01717065124337787,
-    -1.6897060904022574e-17, 0.002793211149788462, 1.1048078283399375e-17, -3.637565371928601e-05,
-    7.148756536317241e-18, -2.7108955231151637e-05, 1.949660873541066e-17, -1.0483749866717334e-06,
-    8.448530452011287e-18, 5.8864671669801026e-08, -5.199095662776173e-18, 4.3229672587502056e-09,
-    -4.87415218385266e-18, -1.1369588084581093e-11, 0.0, -6.699807477079977e-12,
-    -1.2022908720169898e-17, -1.0080526580556723e-13, -1.1535493501784645e-17, 5.1480795365851875e-15,
-])
-
-_C2_CHEB = np.array([
-    0.0031461158539889114, 5.194653076150269e-19, -0.002308783884530749, -8.123586973087776e-20,
-    5.7698207666901066e-05, 1.1779201110977274e-18, 0.0003523886202366621, 5.584966043997845e-20,
-    2.524666745868579e-05, -4.874152183852666e-19, -3.4428211971929584e-06, 1.0560663065014107e-18,
-    -3.5350745566314006e-07, -8.935945670396552e-19, 3.730830180522904e-09, 5.28033153250705e-19,
-    1.2776951866989953e-09, -2.1324415804355398e-18, 2.1874616723592064e-11, -1.5130180737375966e-18,
-    -1.9141389967921318e-12, -3.655614137889497e-19, -6.562466094537412e-14, 1.9902788084065058e-18,
-    1.2604760637117318e-15,
-])
-
-_C3_CHEB = np.array([
-    7.180304295285781e-21, 7.123256221203876e-05, 1.2320244696489567e-19, 0.00023234305298164789,
-    -3.046345114907916e-19, -0.00012929912045472474, 7.362000694360796e-20, 1.8074496413671444e-05,
-    6.092690229815831e-20, 6.526185187220401e-06, 1.3264294354494882e-19, -1.1696365378534899e-07,
-    7.869724880178782e-20, -7.349476126501233e-08, 4.696448718816368e-20, -1.7750910078945127e-09,
-    -6.854276508542804e-20, 2.5555529628228424e-10, -3.046345114907913e-20, 1.1376636778834866e-11,
-    -2.0562829525628414e-19, -3.349864359452138e-13, -1.3960431812393767e-19, -2.553756187069165e-14,
-])
-
-_RS_CORRECTIONS = (_C0_CHEB, _C1_CHEB, _C2_CHEB, _C3_CHEB)
-# C0..C3 and their x-derivatives as the columns of one table, zero-padded at the top
-_RS_CHEB = np.stack([np.pad(c, (0, 25 - len(c)))
-                     for c in (*_RS_CORRECTIONS, *map(chebder, _RS_CORRECTIONS))], axis=1)
+# C0, C1 / x, C2 and C3 / x as Chebyshev series in y = 2x^2 - 1: the fits in x less the
+# coefficients of the other parity (noise below 3e-16), by T_2k(x) = T_k(y), T_2k+1 + T_2k-1 = 2x T_k
+_RS_Y = [np.array(c) for c in (
+    [0.6426672862397681, 0.2719729999978549, 0.010738605819339823, -0.0013743815296340886,
+     -0.0001246822188034505, -5.76459970553334e-07, 2.7280674307437e-07, 8.077953231478052e-09,
+     -2.088462092282897e-10, -1.3115750829841954e-11, -1.450807644697691e-14, 9.837338880930376e-15],
+    [-0.0036691565621829094, 0.02873414096637185, 0.00560716152038389, -2.0739220806966406e-05,
+     -5.201208663160561e-05, -2.205823830697663e-06, 1.0907385735419596e-07, 8.655485985406097e-09,
+     -9.551467905686538e-12, -1.3187708263475648e-11, -2.1190669068430483e-13, 1.0296159073170375e-14],
+    [0.0031461158539889114, -0.002308783884530749, 5.7698207666901066e-05, 0.0003523886202366621,
+     2.524666745868579e-05, -3.4428211971929584e-06, -3.5350745566314006e-07, 3.730830180522904e-09,
+     1.2776951866989953e-09, 2.1874616723592064e-11, -1.9141389967921318e-12, -6.562466094537412e-14,
+     1.2604760637117318e-15],
+    [-0.0003019124345980461, 0.0007462899936201697, -0.00028160388765687385, 2.3005646747424364e-05,
+     1.3143346079918523e-05, -9.09757054777211e-08, -1.4295160209297688e-07, -4.037920437047775e-09,
+     4.877384212587497e-10, 2.3372171305818775e-11, -6.188977481490443e-13, -5.10751237413833e-14],
+)]
+_RS_DY = [np.arange(1, len(c)) * c[1:] for c in _RS_Y]  # dT_k/dy = k U_k-1(y): their derivatives
 
 # B_2 ... B_24 for the Euler-Maclaurin tail
 _BERNOULLI = np.array([
@@ -92,12 +74,31 @@ _BERNOULLI = np.array([
 ])
 _PSI_SERIES = _BERNOULLI[:8] / np.arange(2, 18, 2)  # B_2k / 2k, k = 1..8
 _LOGGAMMA_SERIES = _PSI_SERIES / np.arange(1, 17, 2)  # B_2k / (2k (2k - 1))
+_EM_SERIES = _BERNOULLI / np.array([math.factorial(2 * k) for k in range(1, 13)], dtype=float)
+
+
+def _polyval(x, c):
+    """sum_k c[k] x^k by Horner's rule, in the operations of numpy's ``polyval``, whose
+    module takes 6 to 16 ms of every job to import."""
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * x
+    return acc
+
+
+def _clenshaw(y, c, kind: int):
+    """sum_k c[k] T_k(y) for ``kind`` 1, or sum_k c[k] U_k(y) for ``kind`` 2 (Clenshaw)."""
+    b1, b2, y2 = 0.0, 0.0, y + y
+    for ck in c[:0:-1]:
+        b1, b2 = ck + y2 * b1 - b2, b1
+    return c[0] + kind * y * b1 - b2
 
 
 def rs_theta(t, derivative: bool = False):
     """theta(t) = Im log Gamma(z) - (t/2) log pi, z = 1/4 + it/2: Stirling's
-    series (8 terms) at w = z + 8, less the angles of z + k for k < 8.  With
-    ``derivative``, (theta, theta') where theta' = Re psi(z)/2 - (log pi)/2."""
+    series (8 terms) at z itself from ``EM_CUTOFF`` up (|z| >= 200), and below it at
+    w = z + 8, less the angles of z + k for k < 8.  With ``derivative``,
+    (theta, theta') where theta' = Re psi(z)/2 - (log pi)/2."""
     t = np.asarray(t, dtype=np.float64)
     flat = t.ravel()
     out = np.empty((2, flat.size))
@@ -110,14 +111,18 @@ def rs_theta(t, derivative: bool = False):
 
 
 def _theta_block(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w = 8.25 + 0.5j * t
+    low = t < EM_CUTOFF
+    w = (0.25 + 8.0 * low) + 0.5j * t
     iw, log_w = 1.0 / w, np.log(w)
-    lg = (w - 0.5) * log_w - w + iw * polyval(iw * iw, _LOGGAMMA_SERIES)
-    psi = log_w - 0.5 * iw - iw * iw * polyval(iw * iw, _PSI_SERIES)
+    lg = (w - 0.5) * log_w - w + iw * _polyval(iw * iw, _LOGGAMMA_SERIES)
+    psi = log_w - 0.5 * iw - iw * iw * _polyval(iw * iw, _PSI_SERIES)
     val, dval = lg.imag - 0.5 * t * math.log(math.pi), 0.5 * (psi.real - math.log(math.pi))
-    for k in np.arange(8) + 0.25:  # Gamma(z + 8) = Gamma(z) prod_{k < 8} (z + k)
-        val -= np.arctan2(0.5 * t, k)
-        dval -= 0.5 * k / (k * k + 0.25 * t * t)
+    if low.any():
+        t, v, dv = t[low], val[low], dval[low]
+        for k in np.arange(8) + 0.25:  # Gamma(z + 8) = Gamma(z) prod_{k < 8} (z + k)
+            v -= np.arctan2(0.5 * t, k)
+            dv -= 0.5 * k / (k * k + 0.25 * t * t)
+        val[low], dval[low] = v, dv
     return val, dval
 
 
@@ -179,9 +184,10 @@ def _add_em_tail(total: np.ndarray, s: np.ndarray, n_val: int) -> np.ndarray:
     total += head + tail, -log_nf * (head + tail) - tail / (s - 1.0)
     poch, harm = s.copy(), 1.0 / s  # s (s+1) ... rising, and its log-derivative
     npow = nf ** (-s - 1.0)
-    for k, b in enumerate(_BERNOULLI, start=1):
-        term = b / math.factorial(2 * k) * poch * npow
-        total += term, term * (harm - log_nf)
+    for k, b in enumerate(_EM_SERIES, start=1):  # b = B_2k / (2k)!
+        term = b * poch * npow
+        total[0] += term
+        total[1] += term * (harm - log_nf)
         harm = harm + 1.0 / (s + 2 * k - 1) + 1.0 / (s + 2 * k)
         poch = poch * (s + 2 * k - 1) * (s + 2 * k)
         npow = npow / (nf * nf)
@@ -204,55 +210,132 @@ def _zeta_at_height(sigmas: np.ndarray, T: float) -> np.ndarray:
     return _add_em_tail(total, sigmas + 1j * T, n_val)[0]  # its zeta' row goes unused
 
 
-def _hardy_z_em(t: np.ndarray) -> np.ndarray:
+def _hardy_z_em(t: np.ndarray, theta: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
     """Rows e^{i theta} zeta(1/2 + it) and its t-derivative e^{i theta} i (theta' zeta + zeta')."""
-    theta, dtheta = rs_theta(t, derivative=True)
     zeta, dzeta = np.atleast_1d(*zeta_euler_maclaurin(0.5 + 1j * t, derivative=True))
     return np.exp(1j * theta) * np.array([zeta, 1j * (dtheta * zeta + dzeta)])
 
 
-def _hardy_z_rs(t: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """Rows Z and, with ``derivative``, Z' = -2 sum n^{-1/2} (theta' - log n)
-    sin(theta - t log n) plus the t-derivative of the corrections.  The main
-    sums are row reductions (einsum), not BLAS products, whose kernels depend
-    on the matrix shape: a point's bits do not depend on its batch."""
-    tau = t / (2 * math.pi)
-    root = np.sqrt(tau)
-    a = np.floor(root).astype(int)
-    theta, dtheta = rs_theta(t, derivative=True)
-    out = np.zeros((1 + derivative, len(t)))
-    for a_val in _distinct(a):
-        idx = np.nonzero(a == a_val)[0]
-        log_n = np.log(np.arange(1, a_val + 1, dtype=np.float64))
-        weight = np.exp(-0.5 * log_n)
-        phases = np.outer(t[idx], -log_n)
-        phases += theta[idx, None]
-        out[0, idx] = 2.0 * np.einsum("ij,j->i", np.cos(phases), weight)
-        if derivative:
-            sines = np.sin(phases, out=phases)
-            sums = [np.einsum("ij,j->i", sines, w) for w in (weight, weight * log_n)]
-            out[1, idx] = 2.0 * (sums[1] - dtheta[idx] * sums[0])
-    x, dx_dt = 2.0 * (root - a) - 1.0, 1.0 / (2 * math.pi * root)
-    cheb = _chebval_columns(x, _RS_CHEB)  # C0..C3, then their x-derivatives
-    corr = np.zeros((2, len(t)))
-    scale = np.ones_like(t)
-    for k in range(4):
-        c_k = cheb[k]  # times tau^{-1/4-k/2}, of t-derivative -(1/4+k/2) tau^{..} / t
-        corr[0] += c_k * scale
-        corr[1] += (cheb[4 + k] * dx_dt - (0.25 + 0.5 * k) * c_k / t) * scale
-        scale /= root
-    out += np.where(a % 2 == 1, 1.0, -1.0) * tau ** (-0.25) * corr[: len(out)]
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+_TURNS = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^q = e^{-i pi q / 2}
+
+
+def _halves(x):
+    big = _SPLIT * x
+    hi = big - (big - x)
+    return hi, x - hi
+
+
+@functools.lru_cache(maxsize=1024)
+def _log_turns(p: int) -> tuple[float, float]:
+    """log p / (pi/2) as a double-double (hi, lo), summed in 128-bit fixed point: with
+    2^k <= p < 2^(k+1), log p = 2k atanh(1/3) + 2 atanh((p - 2^k) / (p + 2^k))."""
+    k, one, num = p.bit_length() - 1, 1 << 128, 0
+    for a, b, w in ((1, 3, 4 * k), (p - (1 << k), p + (1 << k), 4)):
+        term, j = a * one // b, 1
+        while term:
+            num, term, j = num + w * term // j, term * a * a // (b * b), j + 2
+    den = 3141592653589793238462643383279502884197 * one // 10**39  # pi to 40 digits
+    hi = num / den  # int / int: rounded once, correctly
+    h_num, h_den = hi.as_integer_ratio()
+    return hi, (num * h_den - h_num * den) / (den * h_den)
+
+
+@functools.lru_cache(maxsize=256)
+def _phase_plan(n_max: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The primes up to n_max, log p / (pi/2) of each as rows (hi, lo), and each composite
+    n as (n - 1, p - 1, n / p - 1), rows of ``_phases``' table, p its smallest prime."""
+    spf = np.zeros(n_max + 1, dtype=int)
+    for p in range(n_max, 1, -1):  # the smallest divisor of each n writes last
+        spf[p::p] = p
+    n = np.arange(2, n_max + 1)
+    primes, comp = n[spf[2:] == n], n[spf[2:] != n]
+    turns = np.array([_log_turns(int(p)) for p in primes]).reshape(-1, 2).T
+    return primes, turns, np.stack([comp - 1, spf[comp] - 1, comp // spf[comp] - 1], 1).tolist()
+
+
+def _phases(t: np.ndarray, n_max: int) -> np.ndarray:
+    """table[n - 1] = n^{-it} for n <= n_max, one column per point, from cos and sin at the
+    primes only (see the module docstring); a composite row is the product of the rows of
+    its smallest prime p and of n / p.  A value depends on its own t only."""
+    primes, (hi, lo), steps = _phase_plan(n_max)
+    table = np.empty((n_max, len(t)), dtype=np.complex128)
+    table[0] = 1.0
+    (t1, t2), (h1, h2) = _halves(t), _halves(hi)
+    x = np.multiply.outer(hi, t)
+    err = np.multiply.outer(h1, t1) - x
+    for u, v in ((h1, t2), (h2, t1), (h2, t2), (lo, t)):  # in Dekker's order: exact up to lo t
+        err += np.multiply.outer(u, v)
+    quarters = np.rint(x)
+    x = (x - quarters + err) * (-0.5 * math.pi)
+    table.real[primes - 1] = np.cos(x, out=err)
+    table.imag[primes - 1] = np.sin(x, out=x)
+    table[primes - 1] *= _TURNS[quarters.astype(int) % 4]
+    for n, p, m in steps:  # contiguous rows, which numpy multiplies alike at any length
+        np.multiply(table[p], table[m], out=table[n])
+    return table
+
+
+def _sums(t: np.ndarray, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_{n <= a} weights[:, n - 1] n^{-it} at each t, a row per row of weights, from
+    ``_phases`` on quarter blocks.  einsum adds the terms in row order for each Re or Im
+    column, its inner loop running over two or more: no sum depends on the other points."""
+    n = np.arange(1, weights.shape[1] + 1)
+    out = np.empty((len(weights), len(t)), dtype=np.complex128)
+    step = max(1, BLOCK // 4)
+    for i in range(0, len(t), step):
+        table, cut = _phases(t[i : i + step], n[-1]), a[i : i + step]
+        table[cut.min() :][n[cut.min() :, None] > cut] = 0.0  # n past a(t): exact zeros
+        out[:, i : i + step] = np.einsum("kj,jr->kr", weights, table.view(np.float64)).view(np.complex128)
+        del table  # before the next quarter's table is built
     return out
 
 
-def _chebval_columns(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Each column of ``coef`` as a Chebyshev series at x, one row per column:
-    one Clenshaw pass with the steps of numpy's ``chebval``, so the same bits."""
-    x2 = 2.0 * x
-    c0, c1 = coef[-2, :, None], coef[-1, :, None]
-    for c in coef[-3::-1, :, None]:
-        c0, c1 = c - c1, c0 + c1 * x2
-    return c0 + c1 * x
+def _hardy_z_rs(t: np.ndarray, theta: np.ndarray, dtheta: np.ndarray, order: int) -> np.ndarray:
+    """Rows Z, Z' for ``order`` >= 1, then the coefficients of h^2 .. h^order in the main
+    sum's model 2 Re e^{i (theta + theta' h + h^2 / 4t)} sum_k (-ih)^k S_k / k!, where
+    S_k = sum_{n <= a} n^{-1/2} (log n)^k n^{-it}: Z = 2 Re e^{i theta} S_0 + corrections."""
+    tau = t / (2 * math.pi)
+    root = np.sqrt(tau)
+    a = np.floor(root).astype(int)
+    log_n = np.log(np.arange(1, max(a.max(), 1) + 1, dtype=np.float64))
+    s = _sums(t, a, np.exp(-0.5 * log_n) * log_n ** np.arange(order + 1)[:, None])
+    cos, sin = np.cos(theta), np.sin(theta)  # f_k = e^{i theta} S_k, in real arithmetic: numpy's
+    fr = cos * s.real - sin * s.imag  # complex product of a row and a matrix can depend on shapes
+    fi = sin * s.real + cos * s.imag
+    quarter = (fr, fi, -fr, -fi)  # Re i^m f = quarter[-m % 4], Im i^m f = quarter[(1 - m) % 4]
+    powers = [dtheta**m / math.factorial(m) for m in range(order + 1)]
+
+    def coef(k, part):  # h^k in e^{i theta' h} sum_j (-ih)^j f_j / j!, Re (part 0) or Im (1)
+        return sum(powers[k - j] * quarter[(part - k + 2 * j) % 4][j] / math.factorial(j)
+                   for j in range(k + 1))
+
+    # the coefficients of h^k, times 1 + i h^2 / 4t from theta's second order
+    out = np.array([2.0 * (coef(k, 0) - (0.25 / t * coef(k - 2, 1) if k > 1 else 0.0))
+                    for k in range(order + 1)])
+    x, dx_dt = 2.0 * (root - a) - 1.0, 1.0 / (2 * math.pi * root)
+    y, sign = 2.0 * x * x - 1.0, np.where(a % 2 == 1, 1.0, -1.0) * tau ** (-0.25)
+    for k, (e, de) in enumerate(zip(_RS_Y, _RS_DY)):  # C_k tau^{-1/4-k/2}, C_k = E(y) or x O(y)
+        e_y, scale = _clenshaw(y, e, 1), sign / root**k
+        c = x * e_y if k % 2 else e_y
+        out[0] += c * scale
+        if order:  # dC_k/dx = 4x E'(y), or O(y) + 4x^2 O'(y)
+            dc = e_y + 4.0 * x * x * _clenshaw(y, de, 2) if k % 2 else 4.0 * x * _clenshaw(y, de, 2)
+            out[1] += (dc * dx_dt - (0.25 + 0.5 * k) * c / t) * scale
+    return out
+
+
+def _z_rows(t: np.ndarray, order: int = 1, em_cutoff: float = EM_CUTOFF) -> np.ndarray:
+    """Rows theta, theta', Z, then those of ``_hardy_z_rs`` that ``order`` asks for (the
+    model's coefficients are 0 on the Euler-Maclaurin branch), at at most ``BLOCK`` points."""
+    out = np.zeros((3 + order, len(t)))
+    out[:2] = _theta_block(t)
+    lo = t < em_cutoff
+    if lo.any():
+        out[2 : 3 + min(order, 1), lo] = _hardy_z_em(t[lo], *out[:2, lo])[: order + 1].real
+    if (~lo).any():
+        out[2:, ~lo] = _hardy_z_rs(t[~lo], *out[:2, ~lo], order)
+    return out
 
 
 def hardy_z(t, em_cutoff: float = EM_CUTOFF, derivative: bool = False):
@@ -264,12 +347,7 @@ def hardy_z(t, em_cutoff: float = EM_CUTOFF, derivative: bool = False):
         raise ValueError("hardy_z requires t >= 0")
     out = np.empty((1 + derivative, arr.size))
     for i in range(0, arr.size, BLOCK):
-        t_blk, out_blk = arr[i : i + BLOCK], out[:, i : i + BLOCK]
-        lo = t_blk < em_cutoff
-        if lo.any():
-            out_blk[:, lo] = _hardy_z_em(t_blk[lo])[: len(out)].real
-        if (~lo).any():
-            out_blk[:, ~lo] = _hardy_z_rs(t_blk[~lo], derivative)
+        out[:, i : i + BLOCK] = _z_rows(arr[i : i + BLOCK], int(derivative), em_cutoff)[2:]
     vals = [v if np.ndim(t) else float(v[0]) for v in out]
     return tuple(vals) if derivative else vals[0]
 
@@ -278,7 +356,7 @@ def z_imag_residue(t) -> np.ndarray:
     """|Im e^{i theta} zeta(1/2+it)| from the Euler-Maclaurin route; the
     functional-equation reality monitor."""
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return np.abs(_hardy_z_em(arr)[0].imag)
+    return np.abs(_hardy_z_em(arr, *rs_theta(arr, derivative=True))[0].imag)
 
 
 def gram_points(T: float) -> np.ndarray:
@@ -443,19 +521,22 @@ def _brackets(T: float) -> tuple[np.ndarray, ...]:
 def _refine(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
     """Safeguarded Newton on every bracket (Z > 0 at one end only), narrowed in
     place: a secant step, then x - Z/Z', or the midpoint where that leaves the
-    bracket.  Points stay half the tolerance (1e-11, 4 ulp where coarser) inside,
-    so one next to the root closes a bracket to its midpoint; a Newton step that
-    stays inside and lands, by a bound on |Z''|, within that half is the root."""
+    bracket; from ``EM_CUTOFF`` up, the step after the secant one goes to the root
+    of the degree-7 model of Z of ``_hardy_z_rs``.  Points stay half the tolerance
+    (1e-11, 4 ulp where coarser) inside, so one next to the root closes a bracket
+    to its midpoint; a Newton step that stays inside and lands, by a bound on
+    |Z''|, within that half is the root."""
     half = 0.5 * np.maximum(1e-11, 4 * np.spacing(hi))
     x = np.clip((lo * f_hi - hi * f_lo) / (f_hi - f_lo), lo + half, hi - half)
     root = np.empty(len(lo))
     live = np.arange(len(lo))
+    order = 7
     while live.size:
         keep = np.empty(live.size, dtype=bool)
         for i in range(0, live.size, BLOCK):  # one pass over the live brackets, in blocks
             j = live[i : i + BLOCK]
-            z, dz = hardy_z(x[j], derivative=True)
             at, d = x[j], half[j]
+            _, dtheta, z, dz, *model = _z_rows(at, order)
             left = (z > 0) == (f_hi[j] > 0)  # the root is in [lo, x]: x replaces hi
             lo[j] = a = np.where(left, lo[j], at)
             hi[j] = b = np.where(left, at, hi[j])
@@ -463,12 +544,20 @@ def _refine(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) 
             inside = (at + step >= a) & (at + step <= b)
             closed = b - a <= 2 * d
             # |Z''| <= 2 sum_{n^2 <= tau} n^{-1/2} (theta' - log n)^2 + 1 <= 4 theta'^2 tau^{1/4} + 1
-            bound2 = 4 * rs_theta(at, derivative=True)[1] ** 2 * (at / (2 * math.pi)) ** 0.25 + 1.0
+            bound2 = 4 * dtheta**2 * (at / (2 * math.pi)) ** 0.25 + 1.0
             converged = inside & (bound2 * step**2 <= 2 * np.abs(dz) * d)
             root[j] = np.where(closed, 0.5 * (a + b), at + step)
+            if model:  # the first pass: Newton steps to the root of the model from at
+                c = np.array([z, dz, *model])
+                h, dc = step, c[1:] * np.arange(1, len(c))[:, None]
+                for _ in range(4):
+                    h = h - _polyval(h, c) / _polyval(h, dc)
+                step = np.where(at < EM_CUTOFF, step, h)
+                inside = (at + step >= a) & (at + step <= b)
             x[j] = np.clip(np.where(inside, at + step, 0.5 * (a + b)), a + d, b - d)
             keep[i : i + BLOCK] = ~closed & ~converged
         live = live[keep]
+        order = 1
     return root
 
 
@@ -565,9 +654,8 @@ def zeta_prime_many(gammas: np.ndarray) -> np.ndarray:
     out = np.empty(gammas.shape, dtype=np.complex128)
     for i in range(0, len(gammas), BLOCK):
         g = gammas[i : i + BLOCK]
-        z, zp = hardy_z(g, derivative=True)
+        theta, dtheta, z, zp = _z_rows(g)
         warn_if_multiple(g, zp)
-        theta, dtheta = rs_theta(g, derivative=True)
         out[i : i + BLOCK] = (-1j * zp - dtheta * z) * np.exp(-1j * theta)
     return out
 
@@ -607,15 +695,13 @@ def compute_moments(T: float, spec: MollifierSpec, zeros: ZeroList) -> MomentRes
     if len(gammas) == 0:
         raise ValueError(f"no zeros below T = {T}")
     zp = zeta_prime_many(gammas) if zeros.zeta_prime is None else zeros.zeta_prime[:len(gammas)]
-    # B(1/2 + i gamma) in blocks of zeros; ks holds 1 at least, as b(1) = P(1)
-    b = b_table(spec, int(spec.y)).values
-    ks = np.flatnonzero(b)
-    logk = np.log(ks.astype(np.float64))
-    coef = b[ks] / np.sqrt(ks.astype(np.float64))
+    # B(1/2 + i gamma) = sum_{k <= y} b(k) k^{-1/2} k^{-i gamma}, in blocks of zeros
+    y = int(spec.y)
+    coef = b_table(spec, y).values[1:] / np.sqrt(np.arange(1, y + 1, dtype=np.float64))
     B_vals = np.empty(len(gammas), dtype=np.complex128)
     for i in range(0, len(gammas), BLOCK):
         g = gammas[i : i + BLOCK]
-        B_vals[i : i + BLOCK] = np.einsum("ij,j->i", np.exp(-1j * np.outer(g, logk)), coef)
+        B_vals[i : i + BLOCK] = _sums(g, np.full(len(g), y), coef[None])[0]
     prod = B_vals * zp
     s1 = complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))
     s2 = math.fsum((np.abs(prod) ** 2).tolist())

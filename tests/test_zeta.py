@@ -509,3 +509,90 @@ def test_sigma_path_against_euler_maclaurin():
     for T in np.random.default_rng(20251018).uniform(100.0, 3e4, 20):
         got = ze._zeta_at_height(sigmas, T)
         assert np.abs(got - ze.zeta_euler_maclaurin(sigmas + 1j * T)).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the prime-phase kernel
+
+
+def test_log_turns_against_mpmath():
+    """The double-double log p / (pi/2) of the kernel, rebuilt at 50 digits."""
+    with mp.workdps(50):
+        for p in [2, 3, 5, 7, 11, 13, 61, 127, 131, 251, 313, 509, 1021, 4099]:
+            exact = mp.log(p) / (mp.pi / 2)
+            hi, lo = ze._log_turns(p)
+            assert hi == float(exact) and lo == float(exact - mp.mpf(hi))
+
+
+def test_phases_against_mpmath():
+    """Every entry n^{-it} of the table, primes and composites, within 2e-15 of mpmath at
+    40 digits, at t up to 1e5, where t log n alone is about 1e6."""
+    t = np.concatenate([[0.0, 400.0], np.random.default_rng(20261018).uniform(0.0, 1e5, 30)])
+    table = ze._phases(t, 130)
+    with mp.workdps(40):
+        for j, x in enumerate(t):
+            want = [complex(mp.exp(-1j * mp.mpf(x) * mp.log(n))) for n in range(1, 131)]
+            assert np.abs(table[:, j] - want).max() <= 2e-15
+
+
+def test_rs_main_sum_for_given_theta_against_mpmath():
+    """2 sum_{n <= a} n^{-1/2} cos(theta - t log n) for theta as computed, within 1e-14 of
+    the same sum at 40 digits; the per-column route, cos of the phases theta - t log n
+    rounded to doubles, is kept as a second route: it misses by up to ~1e-10."""
+    t = np.random.default_rng(20261019).uniform(400.0, 1e5, 50)
+    theta = ze.rs_theta(t)
+    a = np.floor(np.sqrt(t / (2 * math.pi))).astype(int)
+    s0 = ze._sums(t, a, np.arange(1, a.max() + 1.0)[None] ** -0.5)[0]
+    got = 2.0 * (np.cos(theta) * s0.real - np.sin(theta) * s0.imag)
+    per_column = [2.0 * np.sum(np.cos(th - x * np.log(n)) / np.sqrt(n))
+                  for x, th, n in zip(t, theta, (np.arange(1, m + 1.0) for m in a))]
+    assert np.abs(got - per_column).max() <= 1e-9
+    with mp.workdps(40):
+        for x, th, n_max, g in zip(t, theta, a, got):
+            x, th = mp.mpf(x), mp.mpf(th)
+            want = 2 * mp.fsum(mp.cos(th - x * mp.log(n)) / mp.sqrt(n) for n in range(1, n_max + 1))
+            assert abs(g - float(want)) <= 1e-14
+
+
+def test_b_of_rho_against_direct_route():
+    """B(1/2 + i gamma) = sum_{k <= y} b(k) k^{-1/2} k^{-i gamma} from the kernel, against
+    exp(-i gamma log k) term by term with gamma log k reduced mod 2 pi at 40 digits."""
+    rng = np.random.default_rng(20261020)
+    for T, theta in [(1.25e4, 0.2), (2.75e4, 0.4), (rng.uniform(1e4, 3e4), rng.uniform(0.2, 0.4))]:
+        spec = mo.MollifierSpec.from_T_theta(T, theta)
+        y = int(spec.y)
+        coef = mo.b_table(spec, y).values[1:] / np.sqrt(np.arange(1, y + 1.0))
+        gammas = rng.uniform(400.0, T, 25)
+        got = ze._sums(gammas, np.full(25, y), coef[None])[0]
+        with mp.workdps(40):
+            phases = np.array([[float((g * mp.log(k)) % (2 * mp.pi)) for k in range(1, y + 1)]
+                               for g in map(mp.mpf, gammas)])
+        want = np.exp(-1j * phases) @ coef
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(coef).sum()
+
+
+def test_rs_corrections_against_their_definitions():
+    """The correction series in y = 2x^2 - 1 against C0..C3 from Psi and its derivatives,
+    at p = (x + 1) / 2, in mpmath."""
+    psi = lambda p: mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
+    with mp.workdps(40):
+        for x in np.linspace(-0.97, 0.97, 15):
+            d = [mp.diff(psi, mp.mpf((x + 1) / 2), k) for k in range(10)]
+            pi2 = mp.pi**2
+            want = [d[0], -d[3] / (96 * pi2), d[2] / (64 * pi2) + d[6] / (18432 * pi2**2),
+                    -d[1] / (64 * pi2) - d[5] / (3840 * pi2**2) - d[9] / (5308416 * pi2**3)]
+            for k, (c, w) in enumerate(zip(ze._RS_Y, want)):
+                got = np.polynomial.chebyshev.chebval(2 * x * x - 1, c) * (x if k % 2 else 1.0)
+                assert abs(got - float(w)) <= 5e-15
+
+
+def test_refinement_work_per_zero(monkeypatch):
+    """The degree-7 model's first step: at most 2.4 (Z, Z') evaluations per zero in the
+    refinement of find_zeros(2e4); Newton steps from the secant point took 3.84."""
+    brackets = ze._brackets(2e4)
+    points = []
+    z_rows = ze._z_rows
+    monkeypatch.setattr(ze, "_z_rows", lambda t, *a: points.append(len(t)) or z_rows(t, *a))
+    roots = ze._refine(*brackets)
+    assert len(roots) == 22491
+    assert sum(points) <= 2.4 * len(roots)
