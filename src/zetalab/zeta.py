@@ -228,17 +228,14 @@ def _halves(x):
 
 @functools.lru_cache(maxsize=1024)
 def _log_turns(p: int) -> tuple[float, float]:
-    """log p / (pi/2) as a double-double (hi, lo), summed in 128-bit fixed point: with
-    2^k <= p < 2^(k+1), log p = 2k atanh(1/3) + 2 atanh((p - 2^k) / (p + 2^k))."""
-    k, one, num = p.bit_length() - 1, 1 << 128, 0
-    for a, b, w in ((1, 3, 4 * k), (p - (1 << k), p + (1 << k), 4)):
-        term, j = a * one // b, 1
-        while term:
-            num, term, j = num + w * term // j, term * a * a // (b * b), j + 2
-    den = 3141592653589793238462643383279502884197 * one // 10**39  # pi to 40 digits
-    hi = num / den  # int / int: rounded once, correctly
-    h_num, h_den = hi.as_integer_ratio()
-    return hi, (num * h_den - h_num * den) / (den * h_den)
+    """log p / (pi/2) as a double-double (hi, lo), from decimal's correctly rounded ln."""
+    import decimal  # 2 ms, paid by the processes that build a phase table only
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582")
+        q = decimal.Decimal(p).ln() * 2 / pi
+        hi = float(q)
+        return hi, float(q - decimal.Decimal(hi))
 
 
 @functools.lru_cache(maxsize=256)

@@ -157,9 +157,10 @@ def test_warm_moments_evaluates_no_hardy_z(tmp_path, monkeypatch, T):
     assert run(base + ["--no-cache", "--output", str(tmp_path / "nocache.csv")]) == 0
 
     def no_hardy_z(*args, **kwargs):
-        raise AssertionError("hardy_z called on a warm cache")
+        raise AssertionError("Z evaluated on a warm cache")
 
     monkeypatch.setattr(ze, "hardy_z", no_hardy_z)
+    monkeypatch.setattr(ze, "_z_rows", no_hardy_z)  # zeta_prime_many and _refine evaluate here
     assert run(cached + ["--output", str(tmp_path / "warm.csv")]) == 0
     cold = (tmp_path / "cold.csv").read_bytes()
     assert (tmp_path / "warm.csv").read_bytes() == cold

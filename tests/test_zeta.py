@@ -148,10 +148,9 @@ def test_find_zeros_census_off_by_one_raises(monkeypatch, offset):
 
 
 def test_find_zeros_work_per_zero(monkeypatch):
-    points = []
-    hardy_z = ze.hardy_z
-    monkeypatch.setattr(ze, "hardy_z",
-                        lambda t, **kw: points.append(np.size(t)) or hardy_z(t, **kw))
+    points = []  # every evaluation passes _z_rows: the scan through hardy_z, refinement directly
+    z_rows = ze._z_rows
+    monkeypatch.setattr(ze, "_z_rows", lambda t, *a: points.append(len(t)) or z_rows(t, *a))
     zeros = ze.find_zeros(5000.0)
     assert sum(points) <= 6 * len(zeros)  # a (Z, Z') point counts once
 
