@@ -293,14 +293,20 @@ def _add_row(parser, flag, kind, default, help=None) -> None:
     parser.add_argument(flag, default=default, help=help, **convert)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(first: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of ``first`` (with its actions)
+    when it names a command; the usage line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="zetalab",
         description="Desk-scale verification lab for mollified zeta moments",
     )
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    tops = [name for name in COMMANDS if " " not in name]
+    metavar = "{" + ",".join(tops) + "}" if first in tops else None
+    groups = {"": parser.add_subparsers(dest="command", required=True, metavar=metavar)}
     for name, (help_, handler, rows) in COMMANDS.items():
         group, _, word = name.rpartition(" ")
+        if metavar and name.split()[0] != first:
+            continue
         p = groups[group].add_parser(word, help=help_)
         if handler is None:
             groups[name] = p.add_subparsers(dest="action", required=True)
@@ -357,7 +363,7 @@ def _config_argv(parser: argparse.ArgumentParser, args, explicit: list[str]) -> 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.config:

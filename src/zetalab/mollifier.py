@@ -11,17 +11,18 @@ moment main terms reduce to closed forms in the three polynomial moments
 which are evaluated exactly from the coefficients.  theta = 1/2 is accepted
 by the factor-level functions as the limiting substitution (the closed forms
 are continuous there); MollifierSpec itself keeps the strict range.  The
-P maximising s1^2 / s2 is one symmetric linear solve (``optimize_P``).
+P maximising s1^2 / s2 is one symmetric linear solve (``optimize_P``) in plain
+Python; the functions that use numpy or ``arith`` import them on call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import arith
+if TYPE_CHECKING:
+    from .arith import ArithFnTable
 
 KAPPA_MULTIPLICITY_CONSTANT = 1.3275  # external multiplicity-sum input, not recomputed
 
@@ -81,6 +82,8 @@ class MollifierPolynomial:
 
     def sup_norm_01(self) -> float:
         """max_{0<=x<=1} |P(x)| via the critical points of P."""
+        import numpy as np
+
         candidates = [0.0, 1.0]
         dcoeffs = [(j + 1) * c for j, c in enumerate(self.coefficients)]
         if len(dcoeffs) > 1:
@@ -227,58 +230,41 @@ def main_term_report(P: MollifierPolynomial, theta: float) -> MainTermReport:
 # ratio optimisation over {P : P(0) = 0, P(1) = 1}
 
 
-def _quadratic_forms(theta: float, degree: int):
-    """Homogeneous forms for s1^2 and s2 in z = (1, c_1..c_d).
-
-    s1 = a.z is affine, s2 = z.B z is a positive quadratic, so the objective
-    is a Rayleigh-type quotient (a.z)^2 / (z.B z) on the hyperplane
-    -z_0 + sum z_j = 0 encoding sum c_j = 1.
-    """
-    j = np.arange(1, degree + 1, dtype=np.float64)
-    v = 1.0 / (j + 1.0)
-    deriv = np.outer(j, j) / (j[:, None] + j[None, :] - 1.0)
-    a = np.concatenate(([0.5], theta * v))
-    B = np.zeros((degree + 1, degree + 1))
-    B[0, 0] = 1.0 / 3.0
-    B[0, 1:] = B[1:, 0] = 0.5 * theta * v
-    B[1:, 1:] = theta**2 * np.outer(v, v) + deriv / (12.0 * theta)
-    return a, B
-
-
 def optimize_P(theta: float, degree: int) -> tuple[MollifierPolynomial, float]:
     """Maximise s1_factor^2 / s2_factor over degree-d polynomials with
     P(0) = 0, P(1) = 1.
 
-    The quotient is a ratio of quadratic forms in homogeneous coordinates.
-    The numerator form has rank one, so on the constraint hyperplane its
-    maximiser is the solution of one symmetric-definite linear system,
-    projected back to c and normalised to sum c_j = 1.  At degree 1 the
-    solve returns P(x) = x, the only admissible polynomial.
+    With the constraint substituted, s1 = ap.c and s2 = c.Bp c, where
+    v_i = 1/(i+2), ap_i = 1/2 + theta v_i and Bp_ij = 1/3 + theta (v_i + v_j)/2
+    + theta^2 v_i v_j + (i+1)(j+1) / (12 theta (i+j+1)).  Bp is positive
+    definite, so the quotient is maximal at w = Bp^{-1} ap (one Cholesky
+    solve), normalised to c = w / sum w; at degree 1 that is P(x) = x.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if not 0.0 < theta <= 0.5:
         raise ValueError(f"theta = {theta} outside (0, 1/2]")
-    a, B = _quadratic_forms(theta, degree)
-    # basis of the hyperplane: (1,1,0,...) and the c-space differences e_i - e_{i+1}
-    Z = np.eye(degree + 1, degree) - np.eye(degree + 1, degree, k=-1)
-    Z[1, 0] = 1.0
-    Bp = Z.T @ B @ Z
-    ap = Z.T @ a
-    try:
-        w = np.linalg.solve(Bp, ap)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"degenerate normal equations at theta={theta}, degree={degree}: {exc}")
-    z = Z @ w
-    if abs(z[0]) < 1e-12 * np.linalg.norm(z):
-        raise ValueError(
-            f"degenerate normal equations: optimiser escaped to infinity "
-            f"(z0 = {z[0]!r}) at theta={theta}, degree={degree}"
-        )
-    c = z[1:] / z[0]
-    # re-normalise the constraint exactly before constructing the polynomial
-    c = c / math.fsum(c.tolist())
-    poly = MollifierPolynomial(tuple(c))
+    v = [1.0 / (i + 2) for i in range(degree)]
+    L = [[0.0] * degree for _ in range(degree)]  # Bp = L L^T row by row, then L y = ap
+    y = [0.0] * degree
+    for i in range(degree):
+        for j in range(i + 1):
+            bp = (1.0 / 3.0 + 0.5 * theta * (v[i] + v[j]) + theta**2 * v[i] * v[j]
+                  + (i + 1) * (j + 1) / (12.0 * theta * (i + j + 1)))
+            s = bp - math.fsum(L[i][k] * L[j][k] for k in range(j))
+            if i == j and not s > 0.0:
+                raise ValueError(f"degenerate normal equations at theta={theta}, "
+                                 f"degree={degree}: pivot {i} is {s!r}")
+            L[i][j] = math.sqrt(s) if i == j else s / L[j][j]
+        y[i] = (0.5 + theta * v[i] - math.fsum(L[i][k] * y[k] for k in range(i))) / L[i][i]
+    w = [0.0] * degree
+    for i in reversed(range(degree)):
+        w[i] = (y[i] - math.fsum(L[k][i] * w[k] for k in range(i + 1, degree))) / L[i][i]
+    z0 = math.fsum(w)
+    if abs(z0) < 1e-12 * math.hypot(z0, *w):
+        raise ValueError(f"degenerate normal equations: optimiser escaped to infinity "
+                         f"(z0 = {z0!r}) at theta={theta}, degree={degree}")
+    poly = MollifierPolynomial(tuple(wi / z0 for wi in w))
     return poly, kappa_star_lower(s1_factor(poly, theta), s2_factor(poly, theta))
 
 
@@ -286,9 +272,13 @@ def optimize_P(theta: float, degree: int) -> tuple[MollifierPolynomial, float]:
 # b coefficients and the Dirichlet polynomial B(s)
 
 
-def b_table(spec: MollifierSpec, limit: int) -> arith.ArithFnTable:
+def b_table(spec: MollifierSpec, limit: int) -> ArithFnTable:
     """b(k) = mu(k) P(log(y/k)/log y) on [1..limit], zero beyond the cutoff y;
     log(y/k) per k by math.log, as np.log rounds a few arguments differently."""
+    import numpy as np
+
+    from . import arith
+
     mu = arith.sieve_standard("mobius", int(spec.y)).values.tolist()
     log_y = math.log(spec.y)
     values = np.zeros(limit + 1)
@@ -310,5 +300,7 @@ def eval_B(s: complex, spec: MollifierSpec) -> complex:
 def quadrature_01(fn) -> float:
     """64-node Gauss-Legendre integral of fn over [0, 1], the cross-check route
     for the closed-form moments; the nodes are built per call, not at import."""
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(64)
     return float(np.dot(0.5 * weights, [fn(x) for x in 0.5 * (nodes + 1.0)]))

@@ -22,6 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,8 +139,7 @@ _SLOT_ROLES = {
 _GROUP_WEIGHTS = {1: -3.0, 2: 3.0, 3: -1.0}
 
 
-@dataclass(frozen=True)
-class DecompositionTerm:
+class DecompositionTerm(NamedTuple):
     """One dyadic convolution term of Vaughan group j.
 
     Slot i holds its role's function restricted to (blocks[i][0], blocks[i][1]].
@@ -219,26 +219,25 @@ class A2Decomposition:
         """Emitted terms, group by group, blocks in lexicographic order.
 
         Every block list ascends in its lower edge, so a slot's admissible
-        blocks are a prefix: the walk stops at the first one that leaves no
-        room below n_cap, and takes the last slot's prefix by bisection.
+        blocks are a prefix, found by bisection: those that leave room below
+        n_cap for the smallest blocks of the later slots.  One explicit stack
+        walks the choices depth first, children pushed in reverse order.
         """
         n_cap = self.n_cap
         for j in (1, 2, 3):
             slots = self.slot_blocks[j]
             mins = [[int(lo) + 1 for lo, _ in blocks] for blocks in slots]
-            suffix_min = [math.prod(min(m) for m in mins[i:]) for i in range(9)]
-
-            def rec(i, prod, chosen):
+            suffix_min = [math.prod(min(m) for m in mins[i:]) for i in range(10)]
+            stack = [(0, 1, ())]  # (slot, product of mins so far, blocks so far)
+            while stack:
+                i, prod, chosen = stack.pop()
+                k = bisect_right(mins[i], n_cap // suffix_min[i + 1] // prod)
                 if i == 8:
-                    for blk in slots[8][: bisect_right(mins[8], n_cap // prod)]:
+                    for blk in slots[8][:k]:
                         yield DecompositionTerm(j, (*chosen, blk))
-                    return
-                for blk, mn in zip(slots[i], mins[i]):
-                    if prod * mn * suffix_min[i + 1] > n_cap:
-                        break
-                    yield from rec(i + 1, prod * mn, (*chosen, blk))
-
-            yield from rec(0, 1, ())
+                else:
+                    stack += reversed([(i + 1, prod * mn, (*chosen, blk))
+                                       for blk, mn in zip(slots[i][:k], mins[i])])
 
     def count_terms(self) -> dict:
         """Number of emitted terms per group and in total, without building them.

@@ -204,6 +204,44 @@ def test_warm_moments_loads_no_scipy(tmp_path):
     assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
 
+def test_cold_start_import_set(tmp_path):
+    """The polynomial commands load no numpy; the zero commands load no arith."""
+    table = tmp_path / "z.txt"
+    runs = [(["optimize-poly", "--theta", "0.3", "--degree", "4"], "numpy"),
+            (["report-kappa", "--degree", "3", "--output", str(tmp_path / "k.json")], "numpy"),
+            (["zeros", "find", "--T", "60", "--no-cache", "--output", str(table)],
+             "zetalab.arith"),
+            (["zeros", "ingest", str(table)], "zetalab.arith")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv, module in runs:
+        code = ("import sys; from zetalab import cli; "
+                f"rc = cli.main({argv!r}); print(rc, {module!r} in sys.modules, file=sys.stderr)")
+        err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stderr
+        assert err.splitlines()[-1] == "0 False", (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    *([*name.split(), "-h"] for name in cli.COMMANDS),
+    [], ["-h"], ["frobnicate"], ["zeros"], ["zeros", "frob"],
+    ["report-kappa", "--degree", "0"], ["optimize-poly", "--theta", "nan"],
+    ["verify-vaughan", "--r", "21"], ["verify-rearrangement", "--nu", "3"],
+    ["verify-split", "--seed", "-1"], ["moments", "--T", "inf"],
+    ["zeros", "find", "--T", "nan"], ["zeros", "ingest"], ["monitor-sieve", "--Q", "31"],
+    ["optimize-poly", "--bogus"], ["zeros", "ingest", "z.txt", "extra"],
+    ["report-kappa", "--config", "absent.cfg"],
+])
+def test_command_parser_matches_full_parser(capsys, monkeypatch, argv):
+    """Building only argv[0]'s parser leaves help, usage errors and exit codes
+    byte-identical to the parser of every command."""
+    rc = cli.main(argv)
+    got = capsys.readouterr()
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda first=None: build())
+    assert (cli.main(argv), capsys.readouterr()) == (rc, got)
+    assert rc in (0, 2) and got.out + got.err
+
+
 def test_monitor_sieve(tmp_path):
     out = tmp_path / "sieve.json"
     assert run(["monitor-sieve", "--trials", "25", "--output", str(out)]) == 0

@@ -204,6 +204,38 @@ def test_optimize_is_stationary_on_the_constraint_slice(theta, degree):
             assert quotient(step) <= value * (1 + 1e-12)
 
 
+def optimize_P_numpy(theta, degree):
+    """The earlier route, kept as the oracle: the forms in homogeneous
+    coordinates z = (1, c), restricted to the hyperplane -z_0 + sum c_j = 0
+    through the basis (1, 1, 0, ...), e_i - e_{i+1}, and np.linalg.solve."""
+    j = np.arange(1, degree + 1, dtype=np.float64)
+    v = 1.0 / (j + 1.0)
+    deriv = np.outer(j, j) / (j[:, None] + j[None, :] - 1.0)
+    a = np.concatenate(([0.5], theta * v))
+    B = np.zeros((degree + 1, degree + 1))
+    B[0, 0] = 1.0 / 3.0
+    B[0, 1:] = B[1:, 0] = 0.5 * theta * v
+    B[1:, 1:] = theta**2 * np.outer(v, v) + deriv / (12.0 * theta)
+    Z = np.eye(degree + 1, degree) - np.eye(degree + 1, degree, k=-1)
+    Z[1, 0] = 1.0
+    z = Z @ np.linalg.solve(Z.T @ B @ Z, Z.T @ a)
+    c = z[1:] / z[0]
+    poly = MollifierPolynomial(tuple(c / math.fsum(c.tolist())))
+    return poly, mo.kappa_star_lower(mo.s1_factor(poly, theta), mo.s2_factor(poly, theta))
+
+
+@pytest.mark.parametrize("theta", [0.02, 0.05] + [k / 20 for k in range(2, 11)])
+def test_optimize_matches_the_numpy_route(theta):
+    """kappa* agrees to 1e-13; the coefficients only to about 1e-7 at degree 8,
+    where the quotient is flat and Bp's condition number is about 1e10."""
+    for degree in range(1, 9):
+        poly, value = mo.optimize_P(theta, degree)
+        ref_poly, ref_value = optimize_P_numpy(theta, degree)
+        assert value == pytest.approx(ref_value, rel=1e-13, abs=0)
+        assert np.allclose(poly.coefficients, ref_poly.coefficients, rtol=0, atol=1e-6)
+    assert mo.optimize_P(theta, 1)[0].coefficients == (1.0,)
+
+
 def test_kappa_arithmetic():
     assert mo.kappa_star_lower(19 / 24, 57 / 64) == pytest.approx(19 / 27, abs=1e-15)
     assert mo.kappa_star_lower(0.75, 0.8125) == pytest.approx(0.75**2 / 0.8125, abs=1e-15)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,35 @@ def test_term_count_monitor():
     totals = [va.decompose_a2(small_spec(y), VaughanConfig(3, X), n_cap=10**4)
               .count_terms()["total"] for y, X in [(20.0, 16.0), (32.0, 32.0), (40.0, 22.0)]]
     assert totals == [369397, 422515, 408170]
+
+
+def recursive_terms(dec):
+    """(j, blocks) of every term from the earlier nested-generator walk."""
+    n_cap = dec.n_cap
+    for j in (1, 2, 3):
+        slots = dec.slot_blocks[j]
+        mins = [[int(lo) + 1 for lo, _ in blocks] for blocks in slots]
+        suffix_min = [math.prod(min(m) for m in mins[i:]) for i in range(9)]
+
+        def rec(i, prod, chosen):
+            if i == 8:
+                for blk in slots[8][: bisect_right(mins[8], n_cap // prod)]:
+                    yield j, (*chosen, blk)
+                return
+            for blk, mn in zip(slots[i], mins[i]):
+                if prod * mn * suffix_min[i + 1] > n_cap:
+                    break
+                yield from rec(i + 1, prod * mn, (*chosen, blk))
+
+        yield from rec(0, 1, ())
+
+
+@pytest.mark.parametrize("y, X, n_cap", [(20.0, 16.0, 1000), (7.5, 3.0, 64), (37.3, 30.5, 2000)])
+def test_terms_match_the_recursive_walk(y, X, n_cap):
+    dec = va.decompose_a2(small_spec(y), VaughanConfig(3, X), n_cap=n_cap)
+    terms = list(dec.terms())
+    assert [(t.j, t.blocks) for t in terms] == list(recursive_terms(dec))
+    assert len(terms) == dec.count_terms()["total"]
 
 
 def oracle_terms(dec):
