@@ -291,20 +291,3 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
         terms.extend(tau_bar * inner)
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
-
-def polya_vinogradov_max(chi: DirichletCharacter, Y: int, coprime_to: int = 1) -> float:
-    """max_{Y' <= Y} |sum_{h <= Y', gcd(h, coprime_to) = 1} chi(h)|."""
-    if chi.is_principal:
-        raise ValueError("principal character has unbounded partial sums")
-    if Y < 1:
-        raise ValueError(f"Y must be >= 1, got {Y}")
-    h = np.arange(1, Y + 1)
-    vals = chi.values[h % chi.modulus]
-    if coprime_to > 1:
-        vals = np.where(np.gcd(h, coprime_to) == 1, vals, 0.0)
-    return float(np.abs(np.cumsum(vals)).max())
-
-
-def primitive_count_formula(q: int) -> int:
-    """Number of primitive characters mod q: sum_{d | q} mu(q/d) phi(d)."""
-    return sum(mobius_int(q // d) * totient(d) for d in divisors(q))

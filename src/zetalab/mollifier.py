@@ -142,18 +142,6 @@ class MollifierSpec:
         return math.log(self.T / (2 * math.pi))
 
 
-@dataclass(frozen=True)
-class MainTermReport:
-    """The bracketed main-term factors and the kappa value they imply."""
-
-    theta: float
-    s1_factor: float
-    s2_factor: float
-    m11_factor: float
-    m21_factor: float
-    kappa_star: float
-
-
 # ---------------------------------------------------------------------------
 # closed-form main-term factors (theta in (0, 1/2], limit substitution at 1/2)
 
@@ -211,19 +199,6 @@ def kappa_d_lower(kappa_star: float,
     if not 0.0 <= kappa_star <= 1.0:
         raise ValueError(f"kappa_star = {kappa_star} outside [0, 1]")
     return (5.0 + 2.0 * kappa_star - multiplicity_constant) / 6.0
-
-
-def main_term_report(P: MollifierPolynomial, theta: float) -> MainTermReport:
-    s1 = s1_factor(P, theta)
-    s2 = s2_factor(P, theta)
-    return MainTermReport(
-        theta=theta,
-        s1_factor=s1,
-        s2_factor=s2,
-        m11_factor=m11_factor(P, theta),
-        m21_factor=m21_factor(P, theta),
-        kappa_star=kappa_star_lower(s1, s2),
-    )
 
 
 # ---------------------------------------------------------------------------

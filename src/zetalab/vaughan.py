@@ -10,9 +10,8 @@ of every factor, it yields the nine-slot terms
     f1 = f2 = f3 = log,  f4 = b,  f5 = f6 = 1,  f7 = f8 = f9 = mu (<= X),
 
 each restricted to a dyadic block, with absent slots set to the convolution
-identity.  The module also covers the divisor-splitting lemma, the Perron
-cutoff integral, the A/B factorisation plan, and a numerical monitor for the
-hybrid large sieve.
+identity.  The module also covers the divisor-splitting lemma and a numerical
+monitor for the hybrid large sieve.
 """
 
 from __future__ import annotations
@@ -461,131 +460,6 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
         tolerance=tolerance,
         factorization_count=count,
     )
-
-
-# ---------------------------------------------------------------------------
-# Perron cutoff
-
-
-def perron_truncation(M: float, U: float, m: int) -> complex:
-    """(1/2 pi i) int_{delta-iU}^{delta+iU} (M0/m)^s ds/s with M0 = M + 1/2,
-    delta = 1/log M.
-
-    The integral reduces to Si pieces in closed form plus two absolutely
-    convergent tail integrals over (U, inf), evaluated by adaptive
-    oscillatory quadrature.  The imaginary part vanishes by symmetry.
-    """
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    if U <= 0:
-        raise ValueError("U must be positive")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    from scipy import integrate, special  # lazy: scipy's import outweighs all of zetalab's
-
-    M0 = M + 0.5
-    assert m != M0  # half-integer cutoff can never hit an integer
-    delta = 1.0 / math.log(M)
-    L = math.log(M0 / m)
-    aL, sgn = abs(L), math.copysign(1.0, L)
-    si_LU = float(special.sici(L * U)[0])
-    core = si_LU + (math.pi / 2) * math.exp(-aL * delta) \
-        - sgn * (math.pi / 2) * (1.0 - math.exp(-aL * delta))
-    tail_cos = delta * integrate.quad(
-        lambda t: 1.0 / (delta**2 + t**2), U, np.inf, weight="cos", wvar=aL
-    )[0]
-    tail_sin = delta**2 * integrate.quad(
-        lambda t: 1.0 / (t * (delta**2 + t**2)), U, np.inf, weight="sin", wvar=aL
-    )[0]
-    value = (M0 / m) ** delta / math.pi * (core - tail_cos + sgn * tail_sin)
-    return complex(value, 0.0)
-
-
-def perron_indicator_error(M: float, U: float, m: int) -> float:
-    """|perron_truncation - [m <= M]|, the quantity bounded by O(M/U)."""
-    indicator = 1.0 if m <= M else 0.0
-    return abs(perron_truncation(M, U, m) - indicator)
-
-
-# ---------------------------------------------------------------------------
-# A/B factorisation plan
-
-
-@dataclass(frozen=True)
-class DyadicPlan:
-    """One (K, Q, D) cell of the decomposition pipeline.
-
-    X = KQT/(pi D); A0 = max(y T^(1/2), (KQT/D)^(2/3)); the nine factor
-    lengths M_1..M_9 are split into a product A * B with A <= A0, with either
-    a single long factor (mode 'single') or a greedy prefix of J factors
-    (mode 'greedy').  U is the Perron height T^5 retained for fidelity; V
-    records the representative integration half-length.
-    """
-
-    K: float
-    Q: float
-    D: float
-    y: float
-    T: float
-    X: float
-    A0: float
-    Ms: tuple[float, ...]
-    J: int
-    A: float
-    B: float
-    V: float
-    U: float
-    mode: str
-
-
-def build_dyadic_plan(K: float, Q: float, D: float, y: float, T: float,
-                      Ms, eta: float | None = None) -> DyadicPlan:
-    """Compute the (A, B) factorisation for one dyadic cell.
-
-    Admissibility: Q > eta (default eta = L^2 with L = log(T/2pi)), D <= K,
-    KQ <= 4y, max M_i <= y sqrt(T), and prod M_i <= 2^9 X (dyadic slack).
-    Rejections name the failed condition.
-    """
-    Ms = tuple(float(m) for m in Ms)
-    if len(Ms) != 9:
-        raise ValueError(f"need 9 factor lengths, got {len(Ms)}")
-    if any(m < 1 for m in Ms):
-        raise ValueError("factor lengths must be >= 1")
-    if eta is None:
-        eta = math.log(T / (2 * math.pi)) ** 2
-    if not Q > eta:
-        raise ValueError(f"inadmissible: Q = {Q} fails Q > eta = {eta:g}")
-    if not D <= K:
-        raise ValueError(f"inadmissible: D = {D} fails D <= K = {K}")
-    if not K * Q <= 4 * y:
-        raise ValueError(f"inadmissible: KQ = {K * Q} fails KQ <= 4y = {4 * y}")
-    X = K * Q * T / (math.pi * D)
-    root = y * math.sqrt(T)
-    if max(Ms) > root:
-        raise ValueError(
-            f"max M_i = {max(Ms):g} exceeds y sqrt(T) = {root:g}; such factors are "
-            "handled by the partial-summation route, not the A/B split"
-        )
-    prod = math.prod(Ms)
-    if prod > 2**9 * X:
-        raise ValueError(f"prod M_i = {prod:g} exceeds the dyadic slack cap 512 X = {512 * X:g}")
-    A0 = max(root, (K * Q * T / D) ** (2.0 / 3.0))
-    threshold = K * Q * T / (D * A0)
-
-    big = [i for i, m in enumerate(Ms) if m >= threshold]
-    if big:
-        i_star = max(big, key=lambda i: Ms[i])
-        A = Ms[i_star]
-        B = prod / A
-        return DyadicPlan(K, Q, D, y, T, X, A0, Ms, i_star + 1, A, B, T, T**5, "single")
-
-    J = 0
-    A = 1.0
-    while J < 9 and A * Ms[J] <= A0:
-        A *= Ms[J]
-        J += 1
-    B = math.prod(Ms[J:]) if J < 9 else 1.0
-    return DyadicPlan(K, Q, D, y, T, X, A0, Ms, J, A, B, T, T**5, "greedy")
 
 
 # ---------------------------------------------------------------------------

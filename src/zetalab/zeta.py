@@ -349,13 +349,6 @@ def hardy_z(t, em_cutoff: float = EM_CUTOFF, derivative: bool = False):
     return tuple(vals) if derivative else vals[0]
 
 
-def z_imag_residue(t) -> np.ndarray:
-    """|Im e^{i theta} zeta(1/2+it)| from the Euler-Maclaurin route; the
-    functional-equation reality monitor."""
-    arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return np.abs(_hardy_z_em(arr, *rs_theta(arr, derivative=True))[0].imag)
-
-
 def gram_points(T: float) -> np.ndarray:
     """Gram points g_0 = 17.845..., g_1, ... below T (theta(g_n) = n pi),
     Newton-refined; entry n is g_n."""
@@ -705,15 +698,6 @@ def compute_moments(T: float, spec: MollifierSpec, zeros: ZeroList) -> MomentRes
     n_t = len(gammas)
     kappa = abs(s1) ** 2 / (s2 * n_t)
     return MomentResult(T=T, spec=spec, S1=s1, S2=s2, N_T=n_t, kappa_bound=kappa)
-
-
-def empirical_kappa_bound(result: MomentResult) -> float:
-    """|S1|^2 / (S2 N(T)), the finite-T simple-zero fraction bound."""
-    if result.S2 <= 0:
-        raise ValueError("S2 must be positive")
-    if result.N_T <= 0:
-        raise ValueError("N_T must be positive")
-    return abs(result.S1) ** 2 / (result.S2 * result.N_T)
 
 
 def predicted_moment_scales(T: float, spec: MollifierSpec) -> tuple[float, float]:

@@ -204,6 +204,31 @@ def test_warm_moments_loads_no_scipy(tmp_path):
     assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
 
+def test_every_command_runs_without_scipy(tmp_path):
+    """Each command, at a small size, exits 0 in a process where scipy cannot
+    be imported; ``zeros ingest`` reads the table ``zeros find`` wrote."""
+    table = str(tmp_path / "z.txt")
+    runs = {
+        "report-kappa": [],
+        "optimize-poly": ["--degree", "3"],
+        "verify-vaughan": ["--r", "2", "--X", "10"],
+        "verify-rearrangement": ["--y", "8", "--T", "100"],
+        "verify-split": ["--d", "6", "--m-limit", "100"],
+        "moments": ["--T", "200", "--no-cache"],
+        "zeros find": ["--T", "100", "--no-cache", "--output", table],
+        "zeros ingest": [table],
+        "monitor-sieve": ["--trials", "5"],
+    }
+    assert list(runs) == [name for name, (_, handler, _) in cli.COMMANDS.items() if handler]
+    argvs = [[*name.split(), *args] for name, args in runs.items()]
+    code = ("import sys; sys.modules['scipy'] = None; from zetalab import cli; "
+            f"print([cli.main(argv) for argv in {argvs!r}], file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, cwd=tmp_path).stderr
+    assert err.splitlines()[-1] == str([0] * len(runs)), err
+
+
 def test_cold_start_import_set(tmp_path):
     """The polynomial commands load no numpy; the zero commands load no arith."""
     table = tmp_path / "z.txt"

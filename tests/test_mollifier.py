@@ -250,12 +250,6 @@ def test_kappa_arithmetic():
         mo.kappa_d_lower(1.2)
 
 
-def test_main_term_report():
-    report = mo.main_term_report(mo.paper_quadratic(0.5), 0.5)
-    assert report.kappa_star == pytest.approx(19 / 27, abs=1e-14)
-    assert report.s1_factor + report.m11_factor == pytest.approx(1.0, abs=1e-14)
-
-
 def test_sup_norm():
     p = mo.paper_quadratic(0.5)  # increasing on [0, 1], max at 1
     assert p.sup_norm_01() == pytest.approx(1.0, abs=1e-12)

@@ -285,91 +285,6 @@ def test_split_budget_rejection():
         va.split_by_divisor(term, dec, 8, 10**6)
 
 
-def test_perron_examples():
-    assert abs(va.perron_truncation(10.0, 1e4, 3) - 1.0) < 0.01
-    assert abs(va.perron_truncation(10.0, 1e4, 30)) < 0.01
-    assert va.perron_truncation(10.0, 1e4, 5).imag == 0.0
-
-
-def test_perron_deviation_bound(rng):
-    for _ in range(25):
-        M = float(rng.integers(2, 101))
-        U = float(rng.uniform(100 * M, 1500 * M))
-        m = int(rng.integers(1, int(2.5 * M)))
-        assert va.perron_indicator_error(M, U, m) <= 5.0 * M / U
-
-
-def test_perron_against_quadrature_oracle():
-    from scipy import integrate
-
-    def oracle(M, U, m):
-        M0, delta = M + 0.5, 1.0 / math.log(M)
-        real = integrate.quad(
-            lambda t: ((M0 / m) ** complex(delta, t) / complex(delta, t)).real,
-            -U, U, limit=2000,
-        )[0]
-        return real / (2 * math.pi)
-
-    for M, U, m in [(10.0, 500.0, 3), (10.0, 500.0, 30), (50.0, 2000.0, 49)]:
-        assert va.perron_truncation(M, U, m).real == pytest.approx(
-            oracle(M, U, m), abs=1e-10
-        )
-
-
-def test_perron_validation():
-    with pytest.raises(ValueError):
-        va.perron_truncation(1.0, 100.0, 1)
-    with pytest.raises(ValueError):
-        va.perron_truncation(10.0, -1.0, 1)
-
-
-def test_plan_trivial_and_huge():
-    plan = va.build_dyadic_plan(64, 32, 8, 600.0, 3000.0, [1.0] * 9, eta=20.0)
-    assert plan.A == 1.0 and plan.B == 1.0 and plan.J == 9
-    assert plan.X == pytest.approx(64 * 32 * 3000.0 / (math.pi * 8), rel=1e-12)
-    y, T = 600.0, 3000.0
-    m1 = y * math.sqrt(T)
-    plan2 = va.build_dyadic_plan(64, 32, 8, y, T, [m1] + [1.0] * 8, eta=20.0)
-    assert plan2.A == m1 and plan2.B == 1.0
-    assert plan2.A <= plan2.A0
-    assert plan2.U == T**5
-
-
-def test_plan_rejections_name_condition():
-    with pytest.raises(ValueError, match="Q > eta"):
-        va.build_dyadic_plan(64, 2, 8, 600.0, 3000.0, [1.0] * 9, eta=20.0)
-    with pytest.raises(ValueError, match="D <= K"):
-        va.build_dyadic_plan(4, 32, 8, 600.0, 3000.0, [1.0] * 9, eta=20.0)
-    with pytest.raises(ValueError, match="KQ <= 4y"):
-        va.build_dyadic_plan(64, 64, 8, 600.0, 3000.0, [1.0] * 9, eta=20.0)
-    with pytest.raises(ValueError, match="sqrt"):
-        va.build_dyadic_plan(64, 32, 8, 600.0, 3000.0, [1e9] + [1.0] * 8, eta=20.0)
-
-
-def test_plan_postconditions_random(rng):
-    checked = 0
-    while checked < 1000:
-        T = float(rng.uniform(500, 5000))
-        y = T ** float(rng.uniform(0.3, 0.49))
-        K = 2.0 ** int(rng.integers(1, 8))
-        D = 2.0 ** int(rng.integers(0, int(math.log2(K)) + 1))
-        if 4 * y / K < 22:
-            continue
-        Q = float(rng.uniform(21, 4 * y / K))
-        X = K * Q * T / (math.pi * D)
-        A0 = max(y * math.sqrt(T), (K * Q * T / D) ** (2 / 3))
-        threshold = K * Q * T / (D * A0)
-        cap = min(y * math.sqrt(T), threshold)
-        Ms = np.exp(rng.uniform(0.0, math.log(cap), size=9))
-        while np.prod(Ms) > X:
-            Ms = np.sqrt(Ms)
-        plan = va.build_dyadic_plan(K, Q, D, y, T, Ms, eta=20.0)
-        assert plan.A <= plan.A0 * (1 + 1e-12)
-        # every M_i <= threshold here, so B stays within the squared bound
-        assert plan.B <= 16 * max(plan.A0, threshold**2)
-        checked += 1
-
-
 def test_sieve_monitor_degenerate_and_exact():
     rep = va.hybrid_large_sieve_monitor(10, 0.0, 50, np.ones(50))
     assert rep.lhs == 0.0 and rep.ratio == 0.0
