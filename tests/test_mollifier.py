@@ -250,6 +250,16 @@ def test_kappa_arithmetic():
         mo.kappa_d_lower(1.2)
 
 
+def test_main_term_report():
+    """The main terms of the paper's quadratic at theta = 1/2, from the
+    closed-form factors: kappa* = 19/27 and s1 + m11 = 1 with m11 = 5/24."""
+    p = mo.paper_quadratic(0.5)
+    s1, s2, m11 = mo.s1_factor(p, 0.5), mo.s2_factor(p, 0.5), mo.m11_factor(p, 0.5)
+    assert mo.kappa_star_lower(s1, s2) == pytest.approx(19 / 27, abs=1e-14)
+    assert m11 == pytest.approx(5 / 24, abs=1e-15)
+    assert s1 + m11 == pytest.approx(1.0, abs=1e-14)
+
+
 def test_sup_norm():
     p = mo.paper_quadratic(0.5)  # increasing on [0, 1], max at 1
     assert p.sup_norm_01() == pytest.approx(1.0, abs=1e-12)

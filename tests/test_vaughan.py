@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -132,6 +134,18 @@ def test_terms_match_the_recursive_walk(y, X, n_cap):
     terms = list(dec.terms())
     assert [(t.j, t.blocks) for t in terms] == list(recursive_terms(dec))
     assert len(terms) == dec.count_terms()["total"]
+
+
+def test_term_pick_by_index_matches_the_list():
+    """``verify-split`` and criterion 5 pick a term by its index below
+    ``count_terms()["total"]`` in one pass over the lazy ``terms()``."""
+    dec = va.decompose_a2(small_spec(20.0), VaughanConfig(3, 16.0), n_cap=1000)
+    assert inspect.isgenerator(dec.terms())
+    terms = list(dec.terms())
+    total = dec.count_terms()["total"]
+    for pick in (0, 1, total // 2, total - 1):
+        assert next(itertools.islice(dec.terms(), pick, None)) == terms[pick]
+    assert next(itertools.islice(dec.terms(), total, None), None) is None
 
 
 def oracle_terms(dec):
