@@ -79,6 +79,7 @@ class CharacterTable:
     row i of E = (logs * strides) @ logs.T mod e.  The conductor is the
     smallest f | q with chi trivial on the units a = 1 (mod f), tested for
     every row at once; the conjugate of row i is the row with tuple -logs[i].
+    ``roots[k]`` = e(k / exponent); ``gauss_sums`` is computed on first use.
     """
 
     group: UnitGroup
@@ -86,13 +87,21 @@ class CharacterTable:
     conductors: np.ndarray
     conjugates: np.ndarray
     primitive: np.ndarray
+    roots: np.ndarray
 
     def values(self, rows) -> np.ndarray:
         """The (len(rows), q) complex matrix of chi(a), a = 0..q-1, for the given rows."""
-        e = self.group.exponent
         out = np.zeros((len(rows), self.group.modulus), dtype=np.complex128)
-        out[:, self.group.units] = np.exp(2j * np.pi * np.arange(e) / e)[self.expo[rows]]
+        out[:, self.group.units] = self.roots[self.expo[rows]]
         return out
+
+    @cached_property
+    def gauss_sums(self) -> np.ndarray:
+        """tau(chi_i) = sum_a chi_i(a) e(a/q) for every row i, with e(x) = exp(2 pi i x)."""
+        q = self.group.modulus
+        tau = (self.values(range(len(self.expo))) * np.exp(2j * np.pi * np.arange(q) / q)).sum(-1)
+        tau.flags.writeable = False
+        return tau
 
 
 @lru_cache(maxsize=512)
@@ -108,9 +117,10 @@ def character_table(q: int) -> CharacterTable:
     # the row of tuple -logs[i]; reshaped because q = 1, 2 have no generators
     conjugates = np.reshape(np.ravel_multi_index((-grp.logs % orders).T, grp.orders), len(expo))
     primitive = np.flatnonzero(conductors == q)
-    for a in (expo, conductors, conjugates, primitive):
+    roots = np.exp(2j * np.pi * np.arange(e) / e)
+    for a in (expo, conductors, conjugates, primitive, roots):
         a.flags.writeable = False
-    return CharacterTable(grp, expo, conductors, conjugates, primitive)
+    return CharacterTable(grp, expo, conductors, conjugates, primitive, roots)
 
 
 @dataclass(frozen=True)
@@ -178,15 +188,9 @@ class GaussSumResult:
     modulus_sqrt_check: float
 
 
-def _twisted_sums(C: np.ndarray) -> np.ndarray:
-    """sum_a C[..., a] e(a/q) along the last axis of q residues."""
-    q = C.shape[-1]
-    return (C * np.exp(2j * np.pi * np.arange(q) / q)).sum(axis=-1)
-
-
 def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
-    """tau(chi) = sum_a chi(a) e(a/q) with e(x) = exp(2 pi i x)."""
-    value = complex(_twisted_sums(chi.values))
+    """tau(chi) = sum_a chi(a) e(a/q) with e(x) = exp(2 pi i x), read from its table."""
+    value = complex(chi.table.gauss_sums[chi.index])
     return GaussSumResult(chi, value, abs(abs(value) - math.sqrt(chi.modulus)))
 
 
@@ -205,9 +209,8 @@ def delta_term(q: int, k: int, d: int) -> np.ndarray:
     if k % d != 0:
         raise ValueError(f"d={d} does not divide k={k}")
     table = character_table(q)
-    roots = np.exp(2j * np.pi * np.arange(table.group.exponent) / table.group.exponent)
     col = dict(zip(table.group.units.tolist(), range(q)))  # -k/l and d/l are units mod q
-    prim, conj = table.primitive, table.conjugates[table.primitive]
+    roots, prim, conj = table.roots, table.primitive, table.conjugates[table.primitive]
     total = np.zeros(len(prim), dtype=np.complex128)
     for l in divisors(math.gcd(d, k)):
         mu_dl, mu_kl = mobius_int(d // l), mobius_int(k // l)
@@ -287,7 +290,7 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
                 by_residue[1 : m_max + 1] = av[d : d * m_max + 1 : d]
                 w = np.ascontiguousarray(by_residue.reshape(-1, q).T).sum(axis=1)
                 inner += (bkq / (k * q)) * delta * (C @ w)
-        tau_bar = _twisted_sums(table.values(table.conjugates[table.primitive]))
+        tau_bar = table.gauss_sums[table.conjugates[table.primitive]]
         terms.extend(tau_bar * inner)
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 

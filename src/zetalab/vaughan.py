@@ -16,8 +16,8 @@ monitor for the hybrid large sieve.
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -48,10 +48,6 @@ class VaughanConfig:
             raise ValueError(f"X must be >= 1, got {self.X}")
 
 
-def _neg_log(limit: int) -> ArithFnTable:
-    return ArithFnTable("neglog", limit, -arith.sieve_standard("log", limit).values)
-
-
 def mu_truncated(X: float, limit: int) -> ArithFnTable:
     """mu(n) for n <= X, zero beyond, as a table on [1..limit]; the sieve runs to min(X, limit)."""
     cut = min(int(X), limit)
@@ -75,7 +71,8 @@ def vaughan_rhs_coefficients(config: VaughanConfig, limit: int) -> ArithFnTable:
     one = arith.sieve_standard("one", limit)
     mu_x = mu_truncated(config.X, limit)
     total = np.zeros(limit + 1)
-    term = dirichlet_convolve(_neg_log(limit), mu_x, limit)  # j = 1
+    neg_log = ArithFnTable("neglog", limit, -arith.sieve_standard("log", limit).values)
+    term = dirichlet_convolve(neg_log, mu_x, limit)  # j = 1
     for j in range(1, config.r + 1):
         if j > 1:
             term = dirichlet_convolve(dirichlet_convolve(term, mu_x, limit), one, limit)
@@ -115,13 +112,8 @@ def verify_vaughan(config: VaughanConfig, limit: int) -> IdentityReport:
     dev = np.abs(rhs.values[1:] + lam.values[1:])
     worst = int(dev.argmax()) + 1
     tol = VAUGHAN_TOLERANCE * max(1.0, math.log(limit))
-    return IdentityReport(
-        check="vaughan-identity",
-        parameters={"r": config.r, "X": config.X, "N": limit},
-        worst_index=worst,
-        deviation=float(dev.max()),
-        tolerance=tol,
-    )
+    return IdentityReport("vaughan-identity", {"r": config.r, "X": config.X, "N": limit},
+                          worst, float(dev.max()), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +155,7 @@ class DecompositionTerm(NamedTuple):
 
     @property
     def support_min(self) -> int:
-        prod = 1
-        for lo, _ in self.blocks:
-            prod *= int(lo) + 1
-        return prod
+        return math.prod(int(lo) + 1 for lo, _ in self.blocks)
 
 
 def _dyadic_blocks(cap: float, include_unit: bool, upper: float | None = None):
@@ -215,28 +204,17 @@ class A2Decomposition:
     slot_blocks: dict  # j -> tuple of 9 block tuples
 
     def terms(self):
-        """Emitted terms, group by group, blocks in lexicographic order.
-
-        Every block list ascends in its lower edge, so a slot's admissible
-        blocks are a prefix, found by bisection: those that leave room below
-        n_cap for the smallest blocks of the later slots.  One explicit stack
-        walks the choices depth first, children pushed in reverse order.
-        """
-        n_cap = self.n_cap
+        """Emitted terms, group by group, blocks in lexicographic order: the index
+        rows of :func:`_completions`, made terms by one zip over object columns."""
         for j in (1, 2, 3):
             slots = self.slot_blocks[j]
-            mins = [[int(lo) + 1 for lo, _ in blocks] for blocks in slots]
-            suffix_min = [math.prod(min(m) for m in mins[i:]) for i in range(10)]
-            stack = [(0, 1, ())]  # (slot, product of mins so far, blocks so far)
-            while stack:
-                i, prod, chosen = stack.pop()
-                k = bisect_right(mins[i], n_cap // suffix_min[i + 1] // prod)
-                if i == 8:
-                    for blk in slots[8][:k]:
-                        yield DecompositionTerm(j, (*chosen, blk))
-                else:
-                    stack += reversed([(i + 1, prod * mn, (*chosen, blk))
-                                       for blk, mn in zip(slots[i][:k], mins[i])])
+            mins = [np.array([int(lo) + 1 for lo, _ in blocks], dtype=np.int32) for blocks in slots]
+            low = [int(min(m, default=1)) for m in mins]  # an empty slot emits no rows
+            caps = [self.n_cap // math.prod(low[i + 1:]) for i in range(9)]
+            objects = [np.fromiter(blocks, dtype=object, count=len(blocks)) for blocks in slots]
+            for rows in _completions(mins, caps, [], np.ones(1, dtype=np.int32)):
+                columns = [obj[col] for obj, col in zip(objects, rows)]
+                yield from map(DecompositionTerm, itertools.repeat(j), zip(*columns))
 
     def count_terms(self) -> dict:
         """Number of emitted terms per group and in total, without building them.
@@ -289,12 +267,33 @@ class A2Decomposition:
         )
 
 
+_TERM_ROWS = 256
+
+
+def _completions(mins, caps, rows, prod):
+    """Block-index rows (one int8 column per slot) of the admissible completions
+    of ``rows``, whose products of m = floor(lo) + 1 are ``prod``, in
+    lexicographic order.  Slot i takes each block with prod * m <= caps[i],
+    which leaves room below n_cap for the smallest blocks of the later slots.
+    Rows are extended row-major, at most _TERM_ROWS at a time to bound memory.
+    """
+    i = len(rows)
+    if i == len(mins):
+        yield rows
+        return
+    for a in range(0, len(prod), _TERM_ROWS):
+        p = prod[a : a + _TERM_ROWS]
+        keep = mins[i] <= (caps[i] // p)[:, None]
+        counts = keep.sum(axis=1)
+        ext = [np.repeat(col[a : a + _TERM_ROWS], counts) for col in rows]
+        ext.append(np.broadcast_to(np.arange(len(mins[i]), dtype=np.int8), keep.shape)[keep])
+        yield from _completions(mins, caps, ext, np.repeat(p, counts) * mins[i][ext[-1]])
+
+
 def _restrict(values: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
     out = np.zeros(n + 1)
-    a = int(lo) + 1
-    b = min(int(hi), n)
-    if a <= b:
-        out[a : b + 1] = values[a : b + 1]
+    a, b = int(lo) + 1, min(int(hi), n)
+    out[a : b + 1] = values[a : b + 1]  # empty when a > b
     return out
 
 
@@ -330,21 +329,12 @@ def decompose_a2(spec: MollifierSpec, config: VaughanConfig, n_cap: int = 10**4)
         raise ValueError(f"the nine-slot decomposition requires r = 3, got r = {config.r}")
     if n_cap < 1 or n_cap > arith.DEFAULT_LIMIT_CAP:
         raise ValueError(f"n_cap {n_cap} outside [1, {arith.DEFAULT_LIMIT_CAP}]")
-    y, X = spec.y, config.X
-    log_blocks = _dyadic_blocks(n_cap, include_unit=False)
-    one_blocks = _dyadic_blocks(n_cap, include_unit=True)
-    mu_blocks = _dyadic_blocks(min(X, n_cap), include_unit=True, upper=X)
-    b_blocks = _b_blocks(min(y, n_cap))
-    per_role = {
-        LOG: log_blocks,
-        ONE: one_blocks,
-        MU: mu_blocks,
-        B_COEF: b_blocks,
-        IDENTITY: _IDENTITY_BLOCKS,
-    }
-    slot_blocks = {
-        j: tuple(per_role[role] for role in roles) for j, roles in _SLOT_ROLES.items()
-    }
+    X = config.X
+    per_role = {LOG: _dyadic_blocks(n_cap, include_unit=False),
+                ONE: _dyadic_blocks(n_cap, include_unit=True),
+                MU: _dyadic_blocks(min(X, n_cap), include_unit=True, upper=X),
+                B_COEF: _b_blocks(min(spec.y, n_cap)), IDENTITY: _IDENTITY_BLOCKS}
+    slot_blocks = {j: tuple(per_role[role] for role in roles) for j, roles in _SLOT_ROLES.items()}
     return A2Decomposition(spec=spec, config=config, n_cap=n_cap, slot_blocks=slot_blocks)
 
 
@@ -384,17 +374,8 @@ def term_convolution(term: DecompositionTerm, decomposition: A2Decomposition,
 
 
 @dataclass(frozen=True)
-class SplitReport:
-    check: str
-    parameters: dict
-    worst_index: int
-    deviation: float
-    tolerance: float
+class SplitReport(IdentityReport):
     factorization_count: int
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.tolerance
 
 
 def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
@@ -477,14 +458,42 @@ class SieveMonitorReport:
     seed: int | None = None
 
 
+_log_difference_cache: dict[str, np.ndarray] = {}
+
+
+def _log_differences(H: int) -> tuple[np.ndarray, np.ndarray]:
+    """log m and D_mn = 1/(log m - log n), D_mm = 0, for m, n <= H: read-only
+    prefix views of the largest pair built so far (entries do not depend on H)."""
+    if len(_log_difference_cache.get("logs", ())) < H:
+        logs = np.log(np.arange(1, H + 1, dtype=np.float64))
+        diff = logs[:, None] - logs[None, :]
+        np.fill_diagonal(diff, np.inf)
+        _log_difference_cache.update(logs=logs, D=np.reciprocal(diff, out=diff))
+        for a in _log_difference_cache.values():
+            a.flags.writeable = False
+    return _log_difference_cache["logs"][:H], _log_difference_cache["D"][:H, :H]
+
+
+def _band_values(Q: int, m: np.ndarray) -> np.ndarray:
+    """psi(m), one row per primitive psi mod q, q in the band (Q/2, Q]; the band
+    never includes q = 1 (its cell is the main-term path's), so Q = 1 has none."""
+    tables = [character_table(q) for q in range(max(2, Q // 2 + 1), Q + 1)]
+    return np.concatenate([np.zeros((0, len(m)))] +
+                          [t.values(t.primitive)[:, m % t.group.modulus] for t in tables])
+
+
 def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients,
                                seed: int | None = None) -> SieveMonitorReport:
     """LHS = sum_{q ~ Q} sum*_psi int_{-V}^{V} |sum_{m<=H} h_m psi(m) m^{-it}|^2 dt
     against RHS = (Q^2 V + H) sum |h_m|^2.
 
-    The t-integral is exact: int (m/n)^{-it} dt = 2 sin(V log(n/m))/log(n/m),
-    2V on the diagonal.  The band (Q/2, Q] never includes q = 1 (the q = 1
-    cell belongs to the main-term path), so Q = 1 yields an empty sum.
+    The t-integral is exact: int (m/n)^{-it} dt = K_mn = 2 sin(V log(m/n))/log(m/n),
+    2V on the diagonal: the Hilbert-inequality kernel of Montgomery & Vaughan
+    (J. London Math. Soc. 1974).  With s, c = sin, cos(V log m) and D from
+    :func:`_log_differences`, K_mn = 2 (s_m c_n - c_m s_n) D_mn off the
+    diagonal and D is antisymmetric, so x^T K x = 4 (x s)^T D (x c) + 2V |x|^2
+    for real x: the real and imaginary parts of all rows h psi(m) go through
+    one product with D, and a call takes O(H) sines and cosines.
     """
     if not 1 <= Q <= 30:
         raise ValueError(f"Q = {Q} outside desk scale [1, 30]")
@@ -495,22 +504,17 @@ def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients,
     h = np.asarray(coefficients, dtype=np.complex128)
     if h.shape != (H,):
         raise ValueError(f"need exactly H = {H} coefficients, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite coefficient: monitor ratio undefined")
     norm2 = float(np.vdot(h, h).real)
     if norm2 == 0.0:
         raise ValueError("zero coefficient vector: monitor ratio undefined")
 
-    logs = np.log(np.arange(1, H + 1, dtype=np.float64))
-    diff = logs[:, None] - logs[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = 2.0 * np.sin(V * diff) / diff
-    np.fill_diagonal(kernel, 2.0 * V)
-
-    lhs = 0.0
-    m_idx = np.arange(1, H + 1)
-    for q in range(max(2, Q // 2 + 1), Q + 1):
-        table = character_table(q)
-        rows = h * table.values(table.primitive)[:, m_idx % q]
-        lhs += float(np.real((np.conj(rows) @ kernel * rows).sum()))
+    logs, D = _log_differences(H)
+    rows = h * _band_values(Q, np.arange(1, H + 1))
+    x = np.concatenate([rows.real, rows.imag])
+    lhs = (4.0 * float(((x * np.sin(V * logs)) @ D * (x * np.cos(V * logs))).sum())
+           + 2.0 * V * float((x * x).sum()))
     rhs = (Q * Q * V + H) * norm2
     return SieveMonitorReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, Q=Q, V=V, H=H, seed=seed)
 
@@ -536,9 +540,7 @@ def run_sieve_trials(trials: int = 200, seed: int = 20250811, q_max: int = 20,
 def s_qxd_bruteforce(Q: int, X: int, d: int, nu: int, spec: MollifierSpec,
                      a_table: ArithFnTable | None = None) -> float:
     """S(Q,X,d) = sum_{q ~ Q} sum*_psi max_{M <= X} |sum_{m <= M} a_nu(m d) psi(m)|,
-    the max taken over every integer M.
-
-    The dyadic band (Q/2, Q] excludes q = 1 by convention, so Q = 1 gives 0.
+    the max taken over every integer M, for all psi of the band at once.
     """
     if not 1 <= Q <= 16:
         raise ValueError(f"Q = {Q} outside desk scale [1, 16]")
@@ -556,10 +558,5 @@ def s_qxd_bruteforce(Q: int, X: int, d: int, nu: int, spec: MollifierSpec,
     if a_table.limit < X * d:
         raise ValueError(f"a table limit {a_table.limit} < X*d = {X * d}")
     m = np.arange(1, X + 1)
-    a_vals = a_table.values[m * d]
-    total = 0.0
-    for q in range(max(2, Q // 2 + 1), Q + 1):
-        table = character_table(q)
-        series = a_vals * table.values(table.primitive)[:, m % q]
-        total += float(np.abs(np.cumsum(series, axis=1)).max(axis=1).sum())
-    return total
+    series = a_table.values[m * d] * _band_values(Q, m)
+    return float(np.abs(np.cumsum(series, axis=1)).max(axis=1).sum())

@@ -150,6 +150,23 @@ def test_gauss_sums():
     assert worst < 1e-9
 
 
+def _gauss_sum_oracle(chi):
+    """tau(chi) by the per-character route: the roots of unity and e(a/q)
+    built on every call, then sum_a chi(a) e(a/q) over the q residues."""
+    q, e = chi.modulus, chi.exponent
+    C = np.zeros(q, dtype=np.complex128)
+    C[chi.table.group.units] = np.exp(2j * np.pi * np.arange(e) / e)[chi.table.expo[chi.index]]
+    return complex((C * np.exp(2j * np.pi * np.arange(q) / q)).sum(-1))
+
+
+def test_gauss_sums_match_the_per_character_route():
+    """The table's Gauss sums, taken for all rows at once, keep the bits of
+    the per-character sum for every character mod q <= 60."""
+    for q in range(1, 61):
+        for chi in ch.enumerate_characters(q):
+            assert ch.gauss_sum(chi).value == _gauss_sum_oracle(chi)
+
+
 def test_gauss_twist_identity(rng):
     for q in (3, 4, 5, 8, 9, 16, 21, 40, 60):
         for chi in ch.primitive_characters(q):
@@ -172,6 +189,31 @@ def test_delta_term():
         ch.delta_term(3, 6, 1)  # gcd(k, q) != 1
     with pytest.raises(ValueError):
         ch.delta_term(3, 4, 3)  # d does not divide k
+
+
+def _delta_term_oracle(q, k, d):
+    """delta_term with its roots of unity built on every call."""
+    table = ch.character_table(q)
+    roots = np.exp(2j * np.pi * np.arange(table.group.exponent) / table.group.exponent)
+    col = dict(zip(table.group.units.tolist(), range(q)))
+    prim, conj = table.primitive, table.conjugates[table.primitive]
+    total = np.zeros(len(prim), dtype=np.complex128)
+    for l in divisors(math.gcd(d, k)):
+        mu_dl, mu_kl = mobius_int(d // l), mobius_int(k // l)
+        if mu_dl and mu_kl:
+            total += (mu_dl / totient(k * q // l) * roots[table.expo[conj, col[-(k // l) % q]]]
+                      * roots[table.expo[prim, col[d // l % q]]] * mu_kl)
+    return total
+
+
+def test_delta_term_matches_the_per_call_roots():
+    """Bit for bit on every (q, k, d) that criterion 6's cells reach:
+    kq <= y <= 19.9, gcd(k, q) = 1 and d | k."""
+    for q in range(1, 20):
+        for k in range(1, 19 // q + 1):
+            if math.gcd(k, q) == 1:
+                for d in divisors(k):
+                    assert np.array_equal(ch.delta_term(q, k, d), _delta_term_oracle(q, k, d))
 
 
 def test_delta_bound(rng):

@@ -148,6 +148,13 @@ def test_term_pick_by_index_matches_the_list():
     assert next(itertools.islice(dec.terms(), total, None), None) is None
 
 
+def test_terms_of_a_decomposition_with_an_empty_slot():
+    """At n_cap = 1 the log slots have no block: no terms, as count_terms says."""
+    dec = va.decompose_a2(small_spec(2.0), VaughanConfig(3, 1.0), n_cap=1)
+    assert dec.slot_blocks[1][0] == ()
+    assert list(dec.terms()) == [] and dec.count_terms()["total"] == 0
+
+
 def oracle_terms(dec):
     """(j, weight, ranges, blocks) of every term by a plain pruned recursion."""
     out = []
@@ -334,15 +341,58 @@ def sieve_lhs_oracle(Q, V, H, h):
 
 
 def test_sieve_monitor_matches_per_character_oracle(rng):
-    for Q, V, H in [(2, 1.0, 5), (12, 7.5, 64), (30, 20.0, 200), (17, 0.3, 131)]:
+    """The rank-2 form against the H x H kernel, one character at a time,
+    including the corners of the monitor's range: H = 500, V = 50 and V near
+    0, where sin(V log m) nearly cancels in s_m c_n - c_m s_n."""
+    for Q, V, H in [(2, 1.0, 5), (12, 7.5, 64), (30, 20.0, 200), (17, 0.3, 131),
+                    (30, 50.0, 500), (30, 1e-3, 500), (20, 1e-6, 300), (5, 50.0, 500)]:
         h = rng.standard_normal(H) + 1j * rng.standard_normal(H)
         want = sieve_lhs_oracle(Q, V, H, h)
         assert va.hybrid_large_sieve_monitor(Q, V, H, h).lhs == pytest.approx(want, rel=1e-12)
 
 
+def test_sieve_monitor_lhs_keeps_its_bits_when_the_kernel_grows(rng, monkeypatch):
+    """D is kept once per process and read through prefix views: lhs at
+    H = 50 is the same before and after a call at H = 500 rebuilds D."""
+    monkeypatch.setattr(va, "_log_difference_cache", {})
+    h = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    before = va.hybrid_large_sieve_monitor(13, 7.0, 50, h).lhs
+    assert va._log_difference_cache["D"].shape == (50, 50)
+    va.hybrid_large_sieve_monitor(30, 3.0, 500, rng.standard_normal(500))
+    assert va._log_difference_cache["D"].shape == (500, 500)
+    assert va.hybrid_large_sieve_monitor(13, 7.0, 50, h).lhs == before
+
+
+def test_sieve_monitor_makes_no_h_squared_transcendentals(rng, monkeypatch):
+    """Each sine and cosine the monitor takes covers at most H points, not
+    the H x H grid of log(m/n)."""
+    sizes = []
+
+    def counted(fn):
+        def call(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return fn(x, *args, **kwargs)
+        return staticmethod(call)
+
+    class NumpyView:
+        sin, cos = counted(np.sin), counted(np.cos)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(va, "np", NumpyView())
+    for Q, V, H in [(30, 50.0, 500), (12, 7.5, 64), (5, 0.0, 1)]:
+        sizes.clear()
+        va.hybrid_large_sieve_monitor(Q, V, H, rng.standard_normal(H))
+        assert sizes and max(sizes) <= H
+
+
 def test_sieve_monitor_rejections():
     with pytest.raises(ValueError):
         va.hybrid_large_sieve_monitor(10, 5.0, 4, np.zeros(4))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            va.hybrid_large_sieve_monitor(10, 5.0, 4, [1.0, bad, 0.0, 0.0])
     with pytest.raises(ValueError):
         va.hybrid_large_sieve_monitor(40, 5.0, 4, np.ones(4))
     with pytest.raises(ValueError):
