@@ -79,7 +79,8 @@ class CharacterTable:
     row i of E = (logs * strides) @ logs.T mod e.  The conductor is the
     smallest f | q with chi trivial on the units a = 1 (mod f), tested for
     every row at once; the conjugate of row i is the row with tuple -logs[i].
-    ``roots[k]`` = e(k / exponent); ``gauss_sums`` is computed on first use.
+    ``roots[k]`` = e(k / exponent); ``unit_columns[a]`` is the column j with
+    units[j] = a (-1 off the units); ``gauss_sums`` is computed on first use.
     """
 
     group: UnitGroup
@@ -88,6 +89,7 @@ class CharacterTable:
     conjugates: np.ndarray
     primitive: np.ndarray
     roots: np.ndarray
+    unit_columns: np.ndarray
 
     def values(self, rows) -> np.ndarray:
         """The (len(rows), q) complex matrix of chi(a), a = 0..q-1, for the given rows."""
@@ -118,9 +120,11 @@ def character_table(q: int) -> CharacterTable:
     conjugates = np.reshape(np.ravel_multi_index((-grp.logs % orders).T, grp.orders), len(expo))
     primitive = np.flatnonzero(conductors == q)
     roots = np.exp(2j * np.pi * np.arange(e) / e)
-    for a in (expo, conductors, conjugates, primitive, roots):
+    unit_columns = np.full(q, -1)
+    unit_columns[grp.units] = np.arange(len(grp.units))
+    for a in (expo, conductors, conjugates, primitive, roots, unit_columns):
         a.flags.writeable = False
-    return CharacterTable(grp, expo, conductors, conjugates, primitive, roots)
+    return CharacterTable(grp, expo, conductors, conjugates, primitive, roots, unit_columns)
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,7 @@ def delta_term(q: int, k: int, d: int) -> np.ndarray:
     if k % d != 0:
         raise ValueError(f"d={d} does not divide k={k}")
     table = character_table(q)
-    col = dict(zip(table.group.units.tolist(), range(q)))  # -k/l and d/l are units mod q
+    col = table.unit_columns  # -k/l and d/l are units mod q
     roots, prim, conj = table.roots, table.primitive, table.conjugates[table.primitive]
     total = np.zeros(len(prim), dtype=np.complex128)
     for l in divisors(math.gcd(d, k)):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arith
-from .arith import ArithFnTable, convolve_values, dirichlet_convolve
+from .arith import ArithFnTable, convolve_values
 from .characters import character_table
 from .intfun import divisors, factorize, radical
 from .mollifier import MollifierSpec, b_table
@@ -68,17 +68,22 @@ def vaughan_rhs_coefficients(config: VaughanConfig, limit: int) -> ArithFnTable:
         raise ValueError("limit must be >= 1")
     if limit > arith.DEFAULT_LIMIT_CAP:
         raise ValueError(f"limit {limit} exceeds the desk-scale cap")
-    one = arith.sieve_standard("one", limit)
-    mu_x = mu_truncated(config.X, limit)
-    total = np.zeros(limit + 1)
-    neg_log = ArithFnTable("neglog", limit, -arith.sieve_standard("log", limit).values)
-    term = dirichlet_convolve(neg_log, mu_x, limit)  # j = 1
-    for j in range(1, config.r + 1):
-        if j > 1:
-            term = dirichlet_convolve(dirichlet_convolve(term, mu_x, limit), one, limit)
-        sign = 1.0 if j % 2 == 1 else -1.0
-        total += sign * comb(config.r, j) * term.values
+    groups = _vaughan_groups(-arith.sieve_standard("log", limit).values,
+                             mu_truncated(config.X, limit).values,
+                             arith.sieve_standard("one", limit).values, config.r, limit)
+    total = sum(weight * group for weight, group in groups)
     return ArithFnTable(f"vaughan_rhs(r={config.r},X={config.X:g})", limit, total)
+
+
+def _vaughan_groups(head, mu_x, one, r: int, n: int):
+    """The r groups of the generalised Vaughan identity on [0..n], as pairs
+    ((-1)^(j-1) C(r, j), head * mu_x^{*j} * one^{*(j-1)}), j = 1..r: each group
+    takes one mu_x and one ``one`` convolution beyond the one before."""
+    group = convolve_values(head, mu_x, n)
+    for j in range(1, r + 1):
+        if j > 1:
+            group = convolve_values(convolve_values(group, mu_x, n), one, n)
+        yield (-1) ** (j - 1) * comb(r, j), group
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,13 @@ def verify_vaughan(config: VaughanConfig, limit: int) -> IdentityReport:
 
 LOG, B_COEF, ONE, MU, IDENTITY = "log", "b", "one", "mobius", "identity"
 
+# a2 = sum_j (-1)^j C(3,j) [1^{*(j-1)} * log^{*3} * b * mu_X^{*j}] below X^3: the Vaughan
+# groups of -Lambda, each convolved with log^{*2} * b
 _SLOT_ROLES = {
     1: (LOG, LOG, LOG, B_COEF, IDENTITY, IDENTITY, MU, IDENTITY, IDENTITY),
     2: (LOG, LOG, LOG, B_COEF, ONE, IDENTITY, MU, MU, IDENTITY),
     3: (LOG, LOG, LOG, B_COEF, ONE, ONE, MU, MU, MU),
 }
-# a2 = sum_j (-1)^j C(3,j) [1^{*(j-1)} * log^{*3} * b * mu_X^{*j}] below X^3
-_GROUP_WEIGHTS = {1: -3.0, 2: 3.0, 3: -1.0}
 
 
 class DecompositionTerm(NamedTuple):
@@ -140,11 +145,6 @@ class DecompositionTerm(NamedTuple):
     blocks: tuple[tuple[float, float], ...]
 
     @property
-    def weight(self) -> float:
-        """Signed binomial factor of the Vaughan term the block choice came from."""
-        return _GROUP_WEIGHTS[self.j]
-
-    @property
     def ranges(self) -> tuple[float, ...]:
         """Block labels N_1..N_9: the upper edges (1 for absent slots)."""
         return tuple(hi for _, hi in self.blocks)
@@ -152,10 +152,6 @@ class DecompositionTerm(NamedTuple):
     @property
     def roles(self) -> tuple[str, ...]:
         return _SLOT_ROLES[self.j]
-
-    @property
-    def support_min(self) -> int:
-        return math.prod(int(lo) + 1 for lo, _ in self.blocks)
 
 
 def _dyadic_blocks(cap: float, include_unit: bool, upper: float | None = None):
@@ -238,33 +234,30 @@ class A2Decomposition:
         return counts
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of weight * (f_1 * ... * f_9) over all emitted terms, on [0..n_cap].
+        """Sum of (-1)^j C(3, j) (f_1 * ... * f_9) over all emitted terms, on [0..n_cap].
 
-        Terms sharing all but one slot are pooled per slot before convolving
-        (an exact regrouping: the block lists tile each slot's support, and
-        dropped block combinations start beyond n_cap).  The tiling is
-        asserted here; per-term evaluation is available via
-        :func:`term_convolution`.
+        The terms are pooled per role before convolving (an exact regrouping:
+        every slot of a role holds the same block list, the blocks tile the
+        role's support, and dropped block combinations start beyond n_cap),
+        and the pooled tables go through :func:`_vaughan_groups` with head
+        -(log * log * log * b).  Both premises are asserted here; per-term
+        evaluation is available via :func:`term_convolution`.
         """
         n = self.n_cap
+        blocks = {}
+        for j, slots in self.slot_blocks.items():
+            for role, slot in zip(_SLOT_ROLES[j], slots):
+                if blocks.setdefault(role, slot) != slot:
+                    raise AssertionError(f"slots of role {role} hold different blocks")
         tables = _role_tables(self.spec, self.config, n)
-        total = np.zeros(n + 1)
-        for j in (1, 2, 3):
-            acc = tables[IDENTITY].copy()
-            for role, blocks in zip(_SLOT_ROLES[j], self.slot_blocks[j]):
-                if role == IDENTITY:
-                    continue
-                pooled = _pooled_slot(tables[role], blocks, n, role, self.config, self.spec)
-                acc = convolve_values(acc, pooled, n)
-            total += _GROUP_WEIGHTS[j] * acc
-        return total
-
-    def growth_monitor(self) -> arith.GrowthReport:
-        """tau_9 envelope report for the reconstructed coefficients."""
-        table = ArithFnTable("a2-reconstruction", self.n_cap, self.reconstruct())
-        return arith.coefficient_growth_report(
-            table, self.spec.log_scale, self.spec.P.sup_norm_01()
-        )
+        caps = {LOG: n, B_COEF: min(n, int(self.spec.y)), ONE: n, MU: min(n, int(self.config.X))}
+        pooled = {role: _pooled_slot(tables[role], blocks[role], n, cap, 2 if role == LOG else 1)
+                  for role, cap in caps.items()}
+        head = pooled[B_COEF]
+        for _ in range(3):
+            head = convolve_values(head, pooled[LOG], n)
+        groups = _vaughan_groups(-head, pooled[MU], pooled[ONE], self.config.r, n)
+        return sum(weight * group for weight, group in groups)
 
 
 _TERM_ROWS = 256
@@ -297,7 +290,9 @@ def _restrict(values: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
     return out
 
 
-def _pooled_slot(values, blocks, n, role, config, spec) -> np.ndarray:
+def _pooled_slot(values, blocks, n, cap, start) -> np.ndarray:
+    """``values`` summed over ``blocks`` on [0..n], asserting that the blocks
+    cover each of start..cap exactly once."""
     pooled = np.zeros(n + 1)
     cover = np.zeros(n + 1)
     for lo, hi in blocks:
@@ -306,15 +301,9 @@ def _pooled_slot(values, blocks, n, role, config, spec) -> np.ndarray:
         if a <= b:
             pooled[a : b + 1] += values[a : b + 1]
             cover[a : b + 1] += 1.0
-    cap = n
-    if role == MU:
-        cap = min(cap, int(config.X))
-    elif role == B_COEF:
-        cap = min(cap, int(spec.y))
-    start = 2 if role == LOG else 1
     if not np.all(cover[start : cap + 1] == 1.0):
         bad = int(np.nonzero(cover[start : cap + 1] != 1.0)[0][0]) + start
-        raise AssertionError(f"dyadic blocks do not tile slot role {role} at n={bad}")
+        raise AssertionError(f"dyadic blocks do not tile [{start}..{cap}] at n={bad}")
     return pooled
 
 
@@ -364,7 +353,7 @@ def _term_product(term: DecompositionTerm, tables: dict, n: int) -> np.ndarray:
 
 def term_convolution(term: DecompositionTerm, decomposition: A2Decomposition,
                      n_cap: int | None = None) -> np.ndarray:
-    """(f_1 * ... * f_9) for a single term, on [0..n_cap], without the weight."""
+    """(f_1 * ... * f_9) for a single term, on [0..n_cap], without the sign (-1)^j C(3, j)."""
     n = n_cap if n_cap is not None else decomposition.n_cap
     return _term_product(term, _role_tables(decomposition.spec, decomposition.config, n), n)
 
@@ -455,7 +444,6 @@ class SieveMonitorReport:
     Q: int
     V: float
     H: int
-    seed: int | None = None
 
 
 _log_difference_cache: dict[str, np.ndarray] = {}
@@ -482,8 +470,7 @@ def _band_values(Q: int, m: np.ndarray) -> np.ndarray:
                           [t.values(t.primitive)[:, m % t.group.modulus] for t in tables])
 
 
-def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients,
-                               seed: int | None = None) -> SieveMonitorReport:
+def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients) -> SieveMonitorReport:
     """LHS = sum_{q ~ Q} sum*_psi int_{-V}^{V} |sum_{m<=H} h_m psi(m) m^{-it}|^2 dt
     against RHS = (Q^2 V + H) sum |h_m|^2.
 
@@ -516,7 +503,7 @@ def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients,
     lhs = (4.0 * float(((x * np.sin(V * logs)) @ D * (x * np.cos(V * logs))).sum())
            + 2.0 * V * float((x * x).sum()))
     rhs = (Q * Q * V + H) * norm2
-    return SieveMonitorReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, Q=Q, V=V, H=H, seed=seed)
+    return SieveMonitorReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, Q=Q, V=V, H=H)
 
 
 def run_sieve_trials(trials: int = 200, seed: int = 20250811, q_max: int = 20,
@@ -529,7 +516,7 @@ def run_sieve_trials(trials: int = 200, seed: int = 20250811, q_max: int = 20,
         H = int(rng.integers(1, h_max + 1))
         V = float(rng.uniform(0.0, v_max))
         h = rng.standard_normal(H) + 1j * rng.standard_normal(H)
-        reports.append(hybrid_large_sieve_monitor(Q, V, H, h, seed=seed))
+        reports.append(hybrid_large_sieve_monitor(Q, V, H, h))
     return reports
 
 

@@ -322,12 +322,12 @@ def _hardy_z_rs(t: np.ndarray, theta: np.ndarray, dtheta: np.ndarray, order: int
     return out
 
 
-def _z_rows(t: np.ndarray, order: int = 1, em_cutoff: float = EM_CUTOFF) -> np.ndarray:
+def _z_rows(t: np.ndarray, order: int = 1) -> np.ndarray:
     """Rows theta, theta', Z, then those of ``_hardy_z_rs`` that ``order`` asks for (the
     model's coefficients are 0 on the Euler-Maclaurin branch), at at most ``BLOCK`` points."""
     out = np.zeros((3 + order, len(t)))
     out[:2] = _theta_block(t)
-    lo = t < em_cutoff
+    lo = t < EM_CUTOFF
     if lo.any():
         out[2 : 3 + min(order, 1), lo] = _hardy_z_em(t[lo], *out[:2, lo])[: order + 1].real
     if (~lo).any():
@@ -335,7 +335,7 @@ def _z_rows(t: np.ndarray, order: int = 1, em_cutoff: float = EM_CUTOFF) -> np.n
     return out
 
 
-def hardy_z(t, em_cutoff: float = EM_CUTOFF, derivative: bool = False):
+def hardy_z(t, derivative: bool = False):
     """Hardy's Z(t): real by the functional equation, so zeros of zeta on the
     critical line are its sign changes.  Scalar or array.  With
     ``derivative``, the pair (Z, Z') from the same phases."""
@@ -344,7 +344,7 @@ def hardy_z(t, em_cutoff: float = EM_CUTOFF, derivative: bool = False):
         raise ValueError("hardy_z requires t >= 0")
     out = np.empty((1 + derivative, arr.size))
     for i in range(0, arr.size, BLOCK):
-        out[:, i : i + BLOCK] = _z_rows(arr[i : i + BLOCK], int(derivative), em_cutoff)[2:]
+        out[:, i : i + BLOCK] = _z_rows(arr[i : i + BLOCK], int(derivative))[2:]
     vals = [v if np.ndim(t) else float(v[0]) for v in out]
     return tuple(vals) if derivative else vals[0]
 

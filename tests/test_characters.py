@@ -216,6 +216,15 @@ def test_delta_term_matches_the_per_call_roots():
                     assert np.array_equal(ch.delta_term(q, k, d), _delta_term_oracle(q, k, d))
 
 
+def test_unit_columns_invert_the_units():
+    for q in range(1, 61):
+        table = ch.character_table(q)
+        want = np.full(q, -1)
+        want[table.group.units] = np.arange(len(table.group.units))
+        assert np.array_equal(table.unit_columns, want)
+        assert not table.unit_columns.flags.writeable
+
+
 def test_delta_bound(rng):
     for _ in range(60):
         q = int(rng.integers(2, 30))

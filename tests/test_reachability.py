@@ -21,10 +21,11 @@ ALLOWED = {
     "eval_B": "second route for the B(rho) of compute_moments",
     "s_qxd_bruteforce": "brute-force S(Q, X, d)",
     "term_convolution": "per-term route for A2Decomposition.reconstruct",
-    # perfbench's gauss job
+    # perfbench's gauss and growth jobs
     "enumerate_characters": "perfbench gauss job",
     "primitive_characters": "perfbench gauss job",
     "gauss_sum": "perfbench gauss job",
+    "coefficient_growth_report": "perfbench growth job",
     # closed-form main terms that normalise M_1 and M_2 (ROADMAP directions 1, 4)
     "m11_factor": "main-term factor of M_1",
     "m21_factor": "main-term factor of M_2",

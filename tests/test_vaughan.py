@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import math
@@ -30,6 +31,23 @@ def test_rhs_coefficient_examples():
     rhs3 = va.vaughan_rhs_coefficients(VaughanConfig(3, 10.0), 1000)
     lam = arith.sieve_standard("vonmangoldt", 1000)
     assert np.max(np.abs(rhs3.values[1:] + lam.values[1:])) < 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+@pytest.mark.parametrize("X", [5.0, 10.0, 17.3])
+def test_rhs_coefficients_match_the_group_chain_bit_for_bit(r, X):
+    """The groups of -Lambda built one table convolution at a time, each
+    weighted with its own (-1)^(j-1) C(r, j)."""
+    limit = 5000
+    one, mu_x = arith.sieve_standard("one", limit), va.mu_truncated(X, limit)
+    neg_log = arith.ArithFnTable("neglog", limit, -arith.sieve_standard("log", limit).values)
+    term = arith.dirichlet_convolve(neg_log, mu_x, limit)
+    total = np.zeros(limit + 1)
+    for j in range(1, r + 1):
+        if j > 1:
+            term = arith.dirichlet_convolve(arith.dirichlet_convolve(term, mu_x, limit), one, limit)
+        total += (1.0 if j % 2 == 1 else -1.0) * math.comb(r, j) * term.values
+    assert va.vaughan_rhs_coefficients(VaughanConfig(r, X), limit).values.tobytes() == total.tobytes()
 
 
 def test_verify_vaughan_grid():
@@ -74,7 +92,7 @@ def test_decompose_per_term_route_matches_pooled():
     total = np.zeros(257)
     seen = 0
     for term in dec.terms():
-        total += term.weight * va.term_convolution(term, dec)
+        total += (-1) ** term.j * math.comb(3, term.j) * va.term_convolution(term, dec)
         seen += 1
     assert seen == counts["total"]
     pooled = dec.reconstruct()
@@ -89,10 +107,41 @@ def test_decomposition_term_invariants():
         assert n4 <= spec.y + 1e-9
         for i in (6, 7, 8):
             assert term.ranges[i] <= 10.0 + 1e-9  # mu slots bounded by X
-        assert term.support_min <= 256
+        assert math.prod(int(lo) + 1 for lo, _ in term.blocks) <= 256
         roles_seen.add(term.roles)
-        assert term.weight in (-3.0, 3.0, -1.0)
     assert len(roles_seen) == 3
+
+
+def test_reconstruct_makes_eight_convolutions(monkeypatch):
+    """log^{*3} * b once, then one mu and one 1 convolution per later group."""
+    dec, _ = decomposition_fixture()
+    calls = []
+    convolve = va.convolve_values
+    monkeypatch.setattr(va, "convolve_values", lambda *args: calls.append(1) or convolve(*args))
+    dec.reconstruct()
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("role", [va.LOG, va.B_COEF, va.ONE, va.MU])
+def test_reconstruct_rejects_blocks_that_do_not_tile(role):
+    """The middle block of ``role`` dropped from every slot of that role."""
+    dec, _ = decomposition_fixture()
+    blocks = dict(zip(va._SLOT_ROLES[3], dec.slot_blocks[3]))[role]
+    k = len(blocks) // 2
+    kept = blocks[:k] + blocks[k + 1:]
+    slot_blocks = {j: tuple(kept if r == role else b for r, b in zip(va._SLOT_ROLES[j], slots))
+                   for j, slots in dec.slot_blocks.items()}
+    with pytest.raises(AssertionError, match=rf"do not tile .* at n={int(blocks[k][0]) + 1}$"):
+        dataclasses.replace(dec, slot_blocks=slot_blocks).reconstruct()
+
+
+def test_reconstruct_rejects_slots_of_one_role_that_differ():
+    """A log block dropped from the first slot of group 1 only."""
+    dec, _ = decomposition_fixture()
+    first, *rest = dec.slot_blocks[1]
+    broken = dataclasses.replace(dec, slot_blocks={**dec.slot_blocks, 1: (first[1:], *rest)})
+    with pytest.raises(AssertionError, match="slots of role log hold different blocks"):
+        broken.reconstruct()
 
 
 def test_term_count_monitor():
@@ -156,7 +205,7 @@ def test_terms_of_a_decomposition_with_an_empty_slot():
 
 
 def oracle_terms(dec):
-    """(j, weight, ranges, blocks) of every term by a plain pruned recursion."""
+    """(j, ranges, blocks) of every term by a plain pruned recursion."""
     out = []
     for j in (1, 2, 3):
         slots = dec.slot_blocks[j]
@@ -168,7 +217,7 @@ def oracle_terms(dec):
         def rec(i, prod, chosen):
             if i == 9:
                 blocks = tuple(chosen)
-                out.append((j, va._GROUP_WEIGHTS[j], tuple(hi for _, hi in blocks), blocks))
+                out.append((j, tuple(hi for _, hi in blocks), blocks))
                 return
             for blk, mn in zip(slots[i], mins[i]):
                 p = prod * mn
@@ -262,7 +311,7 @@ def oracle_split(term, dec, d, m_limit, tolerance=1e-10):
 def test_decomposition_and_splitting_match_oracles(y, X, n_cap, d, m_limit, data):
     dec = va.decompose_a2(small_spec(y), VaughanConfig(3, X), n_cap=n_cap)
     terms = list(dec.terms())
-    assert [(t.j, t.weight, t.ranges, t.blocks) for t in terms] == oracle_terms(dec)
+    assert [(t.j, t.ranges, t.blocks) for t in terms] == oracle_terms(dec)
     counts = dec.count_terms()
     assert [counts[j] for j in (1, 2, 3)] == [sum(t.j == j for t in terms) for j in (1, 2, 3)]
     assert counts["total"] == len(terms)
@@ -270,12 +319,6 @@ def test_decomposition_and_splitting_match_oracles(y, X, n_cap, d, m_limit, data
     report = va.split_by_divisor(term, dec, d, m_limit)
     assert report == oracle_split(term, dec, d, m_limit)
     assert report.passed, (term.ranges, d, report.deviation)
-
-
-def test_growth_monitor_runs():
-    dec, _ = decomposition_fixture(n_cap=256)
-    report = dec.growth_monitor()
-    assert report.max_ratio >= 0.0
 
 
 def test_split_single_and_prime():

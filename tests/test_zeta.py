@@ -57,8 +57,11 @@ def test_hardy_z_reality_residue():
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.floats(399.5, 400.5))
 def test_em_rs_seam_agreement(t):
-    """Both branches of hardy_z agree across the EM/RS switch at t = 400."""
-    assert abs(ze.hardy_z(t, em_cutoff=1e9) - ze.hardy_z(t, em_cutoff=0.0)) <= 5e-9
+    """Both branches of hardy_z agree across the EM/RS switch at t = 400, at the same theta."""
+    arr = np.array([t])
+    theta = ze.rs_theta(arr, derivative=True)
+    em, rs = ze._hardy_z_em(arr, *theta)[0].real, ze._hardy_z_rs(arr, *theta, 0)[0]
+    assert abs(em[0] - rs[0]) <= 5e-9
 
 
 @pytest.mark.parametrize("lo, hi, tol, examples", [
