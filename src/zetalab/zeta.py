@@ -12,8 +12,8 @@ correction terms above it.  The corrections are Chebyshev fits, generated at
 
 with Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) on p in [0, 1].
 Observed accuracy of the Riemann-Siegel branch is ~1e-8 absolute at t = 400
-improving to ~3e-10 by t = 5000; the Euler-Maclaurin branch is ~1e-13.
-Every n^{-it} of the Riemann-Siegel sums and of B(1/2 + i gamma) comes from one
+improving to ~3e-10 by t = 5000; the Euler-Maclaurin branch is ~1e-14.
+Every n^{-it} of the sums of both branches and of B(1/2 + i gamma) comes from one
 kernel, ``_phases``: cos and sin are taken at the primes only, of t log p reduced
 to within pi/4 in double-double (Dekker's exact product of t with the high word
 of log p / (pi/2), plus t times its low word), and a composite row is a product
@@ -141,28 +141,25 @@ def rs_theta_asymptotic(t):
     return val if val.ndim else float(val)
 
 
-def zeta_euler_maclaurin(s, derivative: bool = False):
-    """zeta(s) for complex s (array ok) by Euler-Maclaurin, float64; with
-    ``derivative``, (zeta(s), zeta'(s)), zeta' from the log-weighted sums.
+def zeta_euler_maclaurin(s):
+    """zeta(s) for complex s (array ok) by Euler-Maclaurin, float64, each n^{-s} exponentiated
+    on its own: the test oracle for ``_zeta_at_height`` and ``_hardy_z_em``.
 
     Cutoff N grows linearly with |Im s|; with 12 Bernoulli terms the result
     is accurate to ~1e-13 for |Im s| <= 500 and Re s >= 0.4.
     """
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    out = np.empty((2, s.size), dtype=np.complex128)
+    out = np.empty(s.size, dtype=np.complex128)
     n_cut = _em_terms(np.abs(s.imag))
     for n_val in _distinct(n_cut):
         idx = np.nonzero(n_cut == n_val)[0]
         sv = s[idx]
         log_n = np.log(np.arange(1, n_val))
-        total = np.empty((2, len(idx)), dtype=np.complex128)
-        for i in range(0, len(idx), 8):
-            # blocks of 8 rows bound the (rows x n_cut) temporaries
-            terms = np.exp(-np.outer(sv[i : i + 8], log_n))
-            total[:, i : i + 8] = terms.sum(axis=1), -(terms * log_n).sum(axis=1)
-        out[:, idx] = _add_em_tail(total, sv, n_val)
-    vals = [v if v.shape != (1,) else complex(v[0]) for v in out]
-    return tuple(vals) if derivative else vals[0]
+        total = np.zeros((2, len(idx)), dtype=np.complex128)
+        for i in range(0, len(idx), 8):  # blocks of 8 rows bound the (rows x n_cut) temporaries
+            total[0, i : i + 8] = np.exp(-np.outer(sv[i : i + 8], log_n)).sum(axis=1)
+        out[idx] = _add_em_tail(total, sv, n_val)[0]
+    return out if out.shape != (1,) else complex(out[0])
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -172,14 +169,14 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 
 def _em_terms(t_abs):
-    """The Euler-Maclaurin cutoff at height |Im s|, in multiples of 32: few row groups."""
+    """The Euler-Maclaurin cutoff N at height |Im s|: 0.7 (|Im s| + 25), up to a multiple of 32."""
     return 32 * np.ceil(0.7 * (t_abs + 25) / 32).astype(int)
 
 
-def _add_em_tail(total: np.ndarray, s: np.ndarray, n_val: int) -> np.ndarray:
-    """Add to rows (zeta, zeta') of ``total``, the sums over n < n_val, the
-    terms at n_val, the integral from it and the Bernoulli corrections."""
-    nf, log_nf = float(n_val), math.log(n_val)
+def _add_em_tail(total: np.ndarray, s: np.ndarray, n_val) -> np.ndarray:
+    """Add to rows (zeta, zeta') of ``total``, the sums over n < n_val (one cutoff, or one
+    per point), the terms at n_val, the integral from it and the Bernoulli corrections."""
+    nf, log_nf = 1.0 * n_val, np.log(n_val)
     head, tail = 0.5 * nf ** (-s), nf ** (1.0 - s) / (s - 1.0)
     total += head + tail, -log_nf * (head + tail) - tail / (s - 1.0)
     poch, harm = s.copy(), 1.0 / s  # s (s+1) ... rising, and its log-derivative
@@ -211,8 +208,12 @@ def _zeta_at_height(sigmas: np.ndarray, T: float) -> np.ndarray:
 
 
 def _hardy_z_em(t: np.ndarray, theta: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-    """Rows e^{i theta} zeta(1/2 + it) and its t-derivative e^{i theta} i (theta' zeta + zeta')."""
-    zeta, dzeta = np.atleast_1d(*zeta_euler_maclaurin(0.5 + 1j * t, derivative=True))
+    """Rows e^{i theta} zeta(1/2 + it) and its t-derivative e^{i theta} i (theta' zeta + zeta'),
+    the sums of n^{-1/2} (1, -log n) n^{-it} over n < N(t) from ``_sums``."""
+    n_cut = _em_terms(t)
+    log_n = np.log(np.arange(1, n_cut.max(), dtype=np.float64))
+    sums = _sums(t, n_cut - 1, np.exp(-0.5 * log_n) * [np.ones_like(log_n), -log_n])
+    zeta, dzeta = _add_em_tail(sums, 0.5 + 1j * t, n_cut)
     return np.exp(1j * theta) * np.array([zeta, 1j * (dtheta * zeta + dzeta)])
 
 
@@ -340,8 +341,8 @@ def hardy_z(t, derivative: bool = False):
     critical line are its sign changes.  Scalar or array.  With
     ``derivative``, the pair (Z, Z') from the same phases."""
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if np.any(arr < 0):
-        raise ValueError("hardy_z requires t >= 0")
+    if not ((arr >= 0) & (arr < math.inf)).all():  # false at nan
+        raise ValueError("hardy_z requires finite t >= 0")
     out = np.empty((1 + derivative, arr.size))
     for i in range(0, arr.size, BLOCK):
         out[:, i : i + BLOCK] = _z_rows(arr[i : i + BLOCK], int(derivative))[2:]
@@ -567,12 +568,11 @@ def atomic_open(path, mode: str = "w"):
 
 def write_zeros(zeros: ZeroList, path) -> None:
     """Write the ordinate table, under a header declaring max_height and count, atomically."""
-    ords = np.fromiter(zeros.ordinates, dtype=np.float64)
     with atomic_open(path) as fh:
         fh.write(f"# zero ordinates, source={zeros.source}, "
-                 f"max_height={float(zeros.max_height)!r}, count={len(ords)}\n")
-        for i in range(0, len(ords), BLOCK):
-            fh.writelines(f"{g!r}\n" for g in ords[i : i + BLOCK].tolist())
+                 f"max_height={float(zeros.max_height)!r}, count={len(zeros.ordinates)}\n")
+        for i in range(0, len(zeros.ordinates), BLOCK):
+            fh.writelines(f"{g!r}\n" for g in zeros.ordinates[i : i + BLOCK].tolist())
 
 
 def table_header(path) -> dict[str, str]:

@@ -17,6 +17,7 @@ ALLOWED = {
     # cross-check routes that the tests use as oracles (ROADMAP aim 2)
     "rs_theta_asymptotic": "second route for rs_theta",
     "zeta_prime_line_route": "second route for zeta'(rho)",
+    "zeta_euler_maclaurin": "second route for _zeta_at_height and the Euler-Maclaurin branch",
     "quadrature_01": "second route for the closed-form polynomial moments",
     "eval_B": "second route for the B(rho) of compute_moments",
     "s_qxd_bruteforce": "brute-force S(Q, X, d)",

@@ -64,12 +64,12 @@ def test_em_rs_seam_agreement(t):
     assert abs(em[0] - rs[0]) <= 5e-9
 
 
-@pytest.mark.parametrize("lo, hi, tol, examples", [
-    (0.0, 399.5, 1e-11, 40),     # Euler-Maclaurin branch
-    (399.5, 400.5, 2e-9, 25),    # the seam, either branch
-    (400.5, 5000.0, 2e-9, 20),   # Riemann-Siegel branch
+@pytest.mark.parametrize("lo, hi, tol, ztol, examples", [
+    (0.0, 399.5, 1e-13, 5e-14, 40),  # Euler-Maclaurin branch: Z and Z'
+    (399.5, 400.5, 2e-9, None, 25),  # the seam, either branch
+    (400.5, 5000.0, 2e-9, None, 20),  # Riemann-Siegel branch
 ])
-def test_hardy_z_derivative_against_oracle(lo, hi, tol, examples):
+def test_hardy_z_derivative_against_oracle(lo, hi, tol, ztol, examples):
     @settings(derandomize=True, database=None, deadline=None, max_examples=examples)
     @given(st.floats(lo, hi))
     def check(t):
@@ -77,8 +77,45 @@ def test_hardy_z_derivative_against_oracle(lo, hi, tol, examples):
         assert z == ze.hardy_z(t)
         want = float(mp.siegelz(t, derivative=1))
         assert abs(zp - want) <= tol * max(1.0, abs(want))
+        if ztol is not None:
+            assert abs(z - float(mp.siegelz(t))) <= ztol
 
     check()
+
+
+def test_hardy_z_em_takes_its_sums_from_the_phase_kernel(monkeypatch):
+    """Z and Z' below 400 come from ``_sums``, not from the Euler-Maclaurin oracle."""
+    def oracle(*args, **kwargs):
+        raise AssertionError("zeta_euler_maclaurin called")
+
+    monkeypatch.setattr(ze, "zeta_euler_maclaurin", oracle)
+    z, zp = ze.hardy_z(np.linspace(10.0, 399.0, 50), derivative=True)
+    assert np.isfinite(z).all() and np.isfinite(zp).all()
+
+
+def test_hardy_z_em_mixed_cutoffs_equal_the_points_alone(monkeypatch):
+    """One ``_sums`` call and one tail over points of four cutoffs, bit for bit as each alone."""
+    t = np.array([3.0, 100.0, 250.0, 399.4])
+    assert len(set(ze._em_terms(t).tolist())) == 4
+    theta, dtheta = ze.rs_theta(t, derivative=True)
+    calls = []
+    for name in ("_sums", "_add_em_tail"):
+        def counted(*args, _name=name, _fn=getattr(ze, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(ze, name, counted)
+    together = ze._hardy_z_em(t, theta, dtheta)
+    assert calls == ["_sums", "_add_em_tail"]
+    monkeypatch.undo()
+    for i in range(len(t)):
+        alone = ze._hardy_z_em(t[i : i + 1], theta[i : i + 1], dtheta[i : i + 1])
+        assert np.array_equal(together[:, i : i + 1], alone)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [1.0, math.nan]])
+def test_hardy_z_rejects_negative_and_non_finite_t(t):
+    with pytest.raises(ValueError, match=r"finite t >= 0"):
+        ze.hardy_z(t)
 
 
 def test_hardy_z_first_zero_bracket():
@@ -222,18 +259,30 @@ def test_ingest_roundtrip(tmp_path, zeros_1000):
     assert np.array_equal(back.ordinates, zeros_1000.ordinates)
 
 
-def test_write_zeros_is_atomic(tmp_path, zeros_300):
-    def failing_midway():
-        yield from zeros_300.ordinates[:5]
-        raise RuntimeError("disk full")
+def test_write_zeros_is_atomic(tmp_path, monkeypatch, zeros_300):
+    """A write that fails after its first block leaves no temporary file behind, and
+    ``path`` absent or as it was."""
+    monkeypatch.setattr(ze, "BLOCK", 8)
+    open_temps = []
+
+    class FailingOrdinates:  # the ordinates of zeros_300, whose second block fails
+        def __len__(self):
+            return len(zeros_300.ordinates)
+
+        def __getitem__(self, block):
+            if block.start >= ze.BLOCK:
+                open_temps.extend(p.name for p in tmp_path.glob("*.tmp"))
+                raise RuntimeError("disk full")
+            return zeros_300.ordinates[block]
 
     fresh, old = tmp_path / "fresh.txt", tmp_path / "old.txt"
     ze.write_zeros(zeros_300, old)
     before = old.read_bytes()
     for path in (fresh, old):
-        broken = SimpleNamespace(source="computed", max_height=300.0, ordinates=failing_midway())
+        broken = SimpleNamespace(source="computed", max_height=300.0, ordinates=FailingOrdinates())
         with pytest.raises(RuntimeError, match="disk full"):
             ze.write_zeros(broken, path)
+    assert [name.split(".")[0] for name in open_temps] == ["fresh", "old"]
     assert not fresh.exists()
     assert old.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
