@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import arith
 from .arith import ArithFnTable
 from .intfun import divisors, factorize, mobius_int, multiplicative_order, totient
 from .mollifier import MollifierSpec, b_table
@@ -227,6 +228,13 @@ def delta_term(q: int, k: int, d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the two forms of the moment sum M_nu
+
+
+def a_table(nu: int, spec: MollifierSpec, limit: int) -> ArithFnTable:
+    """a_nu on [1..limit]: a_1 from ``compute_a1``, a_2 from ``compute_a2`` with spec's b."""
+    if nu not in (1, 2):
+        raise ValueError(f"nu must be 1 or 2, got {nu}")
+    return arith.compute_a1(limit) if nu == 1 else arith.compute_a2(limit, b_table(spec, limit))
 
 
 def _a_values(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> np.ndarray:

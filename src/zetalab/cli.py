@@ -21,6 +21,8 @@ import json
 import math
 import sys
 
+from . import mollifier as mo
+
 
 def _checked(convert, ok, expected: str):
     """An argparse type: ``convert`` the text, then require ``ok(value)``."""
@@ -51,10 +53,8 @@ _nu = _checked(lambda text: (int(text),), lambda nus: nus in [(1,), (2,)], "1 or
 
 def _polynomial(text: str):
     """``--poly c1,...,cd``: the mollifier polynomial sum_j c_j x^j."""
-    from .mollifier import MollifierPolynomial
-
     try:
-        return MollifierPolynomial(tuple(_finite(c) for c in text.split(",")))
+        return mo.MollifierPolynomial(tuple(_finite(c) for c in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -78,20 +78,15 @@ def _emit(args, payload: dict | list[dict]) -> None:
 
 
 def cmd_report_kappa(args) -> int:
-    from . import mollifier as mo
-
-    mult = args.multiplicity_constant
-    if mult is None:
-        mult = mo.KAPPA_MULTIPLICITY_CONSTANT
     poly, kappa_star = mo.optimize_P(args.theta, args.degree)
-    kappa_d = mo.kappa_d_lower(kappa_star, mult)
+    kappa_d = mo.kappa_d_lower(kappa_star, args.multiplicity_constant)
     print(f"kappa_star = {kappa_star!r}")
     print(f"kappa_d = {kappa_d!r}")
     if args.output:
         _emit(args, {
             "check": "report-kappa",
             "parameters": {"theta": args.theta, "degree": args.degree,
-                           "multiplicity_constant": mult},
+                           "multiplicity_constant": args.multiplicity_constant},
             "polynomial": list(poly.coefficients),
             "s1_factor": mo.s1_factor(poly, args.theta),
             "s2_factor": mo.s2_factor(poly, args.theta),
@@ -101,8 +96,6 @@ def cmd_report_kappa(args) -> int:
 
 
 def cmd_optimize_poly(args) -> int:
-    from . import mollifier as mo
-
     poly, value = mo.optimize_P(args.theta, args.degree)
     _emit(args, {
         "check": "optimize-poly",
@@ -129,17 +122,14 @@ def cmd_verify_vaughan(args) -> int:
 
 
 def cmd_verify_rearrangement(args) -> int:
-    from . import arith, characters as ch, mollifier as mo
+    from . import characters as ch
 
     spec = mo.MollifierSpec.with_y(args.T, args.y, args.poly)
     need = max(1, int(args.y * args.T / (2 * math.pi)))
     worst = 0.0
     results = []
     for nu in args.nu:
-        if nu == 1:
-            a = arith.compute_a1(need)
-        else:
-            a = arith.compute_a2(need, mo.b_table(spec, need))
+        a = ch.a_table(nu, spec, need)
         direct = ch.m_nu_direct(nu, spec, a)
         rearranged = ch.m_nu_rearranged(nu, spec, a)
         dev = abs(direct - rearranged) / max(1.0, abs(direct))
@@ -153,7 +143,7 @@ def cmd_verify_rearrangement(args) -> int:
 def cmd_verify_split(args) -> int:
     import numpy as np
 
-    from . import mollifier as mo, vaughan as va
+    from . import vaughan as va
 
     spec = mo.MollifierSpec.with_y(1e4, 20.0)
     dec = va.decompose_a2(spec, va.VaughanConfig(3, 16.0), n_cap=1000)
@@ -164,7 +154,7 @@ def cmd_verify_split(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    from . import cache, mollifier as mo, zeta as ze
+    from . import cache, zeta as ze
 
     T = args.T
     if args.y is not None:
@@ -235,7 +225,7 @@ def cmd_monitor_sieve(args) -> int:
 # The parameter table.  A row is (flag, type, default[, help]); the type is a
 # converter, a tuple of choices, or bool for an on/off flag.  A tuple of rows
 # is a mutually exclusive group.  default=None means the handler derives the
-# value (--N, --multiplicity-constant, --y) or treats the flag as absent.
+# value (--N, --y) or treats the flag as absent.
 
 _OUTPUT = ("--output", str, None, "write the report or zero table to this file")
 _JSON = ("--format", ("json", "csv"), "json")
@@ -244,7 +234,7 @@ _CACHE = (("--cache-dir", str, None), ("--no-cache", bool, False))
 COMMANDS = {
     "report-kappa": ("closed-form kappa constants", cmd_report_kappa, [
         ("--theta", _finite, 0.5), ("--degree", _positive_int, 2),
-        ("--multiplicity-constant", _finite, None,
+        ("--multiplicity-constant", _finite, mo.KAPPA_MULTIPLICITY_CONSTANT,
          "default mollifier.KAPPA_MULTIPLICITY_CONSTANT"), _OUTPUT, _JSON]),
     "optimize-poly": ("maximize the kappa quotient", cmd_optimize_poly, [
         ("--theta", _finite, 0.5), ("--degree", _positive_int, 2), _OUTPUT, _JSON]),

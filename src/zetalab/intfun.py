@@ -57,14 +57,6 @@ def mobius_int(n: int) -> int:
     return mu
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n (1 for n = 1)."""
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/nZ)*; a must be a unit mod n."""
     if math.gcd(a, n) != 1:

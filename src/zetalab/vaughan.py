@@ -25,10 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import arith
+from . import arith, characters
 from .arith import ArithFnTable, convolve_values
 from .characters import character_table
-from .intfun import divisors, factorize, radical
+from .intfun import divisors, factorize
 from .mollifier import MollifierSpec, b_table
 
 VAUGHAN_TOLERANCE = 1e-9
@@ -189,21 +189,25 @@ _IDENTITY_BLOCKS = ((0.5, 1.0),)
 class A2Decomposition:
     """Emitted dyadic terms for a2, grouped by Vaughan index j.
 
-    Terms are the cross products of the per-slot block lists, filtered by the
-    support rule prod_i (floor(lo_i) + 1) <= n_cap: anything larger cannot
-    touch [1..n_cap].
+    Terms are the cross products of the block lists of ``slots(j)``, one per
+    role, filtered by the support rule prod_i (floor(lo_i) + 1) <= n_cap:
+    anything larger cannot touch [1..n_cap].
     """
 
     spec: MollifierSpec
     config: VaughanConfig
     n_cap: int
-    slot_blocks: dict  # j -> tuple of 9 block tuples
+    role_blocks: dict  # role -> tuple of blocks
+
+    def slots(self, j: int) -> tuple:
+        """The nine block lists of group j, one per slot."""
+        return tuple(self.role_blocks[role] for role in _SLOT_ROLES[j])
 
     def terms(self):
         """Emitted terms, group by group, blocks in lexicographic order: the index
         rows of :func:`_completions`, made terms by one zip over object columns."""
         for j in (1, 2, 3):
-            slots = self.slot_blocks[j]
+            slots = self.slots(j)
             mins = [np.array([int(lo) + 1 for lo, _ in blocks], dtype=np.int32) for blocks in slots]
             low = [int(min(m, default=1)) for m in mins]  # an empty slot emits no rows
             caps = [self.n_cap // math.prod(low[i + 1:]) for i in range(9)]
@@ -221,7 +225,7 @@ class A2Decomposition:
         counts = {}
         for j in (1, 2, 3):
             reach = Counter({1: 1})
-            for blocks in self.slot_blocks[j]:
+            for blocks in self.slots(j):
                 step = Counter()
                 for prod, ways in reach.items():
                     for lo, _ in blocks:
@@ -237,21 +241,17 @@ class A2Decomposition:
         """Sum of (-1)^j C(3, j) (f_1 * ... * f_9) over all emitted terms, on [0..n_cap].
 
         The terms are pooled per role before convolving (an exact regrouping:
-        every slot of a role holds the same block list, the blocks tile the
-        role's support, and dropped block combinations start beyond n_cap),
+        every slot of a role holds the role's one block list, the blocks tile
+        the role's support, and dropped block combinations start beyond n_cap),
         and the pooled tables go through :func:`_vaughan_groups` with head
-        -(log * log * log * b).  Both premises are asserted here; per-term
+        -(log * log * log * b).  The tiling is asserted here; per-term
         evaluation is available via :func:`term_convolution`.
         """
         n = self.n_cap
-        blocks = {}
-        for j, slots in self.slot_blocks.items():
-            for role, slot in zip(_SLOT_ROLES[j], slots):
-                if blocks.setdefault(role, slot) != slot:
-                    raise AssertionError(f"slots of role {role} hold different blocks")
         tables = _role_tables(self.spec, self.config, n)
         caps = {LOG: n, B_COEF: min(n, int(self.spec.y)), ONE: n, MU: min(n, int(self.config.X))}
-        pooled = {role: _pooled_slot(tables[role], blocks[role], n, cap, 2 if role == LOG else 1)
+        pooled = {role: _pooled_slot(tables[role], self.role_blocks[role], n, cap,
+                                     2 if role == LOG else 1)
                   for role, cap in caps.items()}
         head = pooled[B_COEF]
         for _ in range(3):
@@ -296,11 +296,8 @@ def _pooled_slot(values, blocks, n, cap, start) -> np.ndarray:
     pooled = np.zeros(n + 1)
     cover = np.zeros(n + 1)
     for lo, hi in blocks:
-        a = int(lo) + 1
-        b = min(int(hi), n)
-        if a <= b:
-            pooled[a : b + 1] += values[a : b + 1]
-            cover[a : b + 1] += 1.0
+        pooled += _restrict(values, lo, hi, n)
+        cover += _restrict(np.ones(n + 1), lo, hi, n)
     if not np.all(cover[start : cap + 1] == 1.0):
         bad = int(np.nonzero(cover[start : cap + 1] != 1.0)[0][0]) + start
         raise AssertionError(f"dyadic blocks do not tile [{start}..{cap}] at n={bad}")
@@ -319,12 +316,11 @@ def decompose_a2(spec: MollifierSpec, config: VaughanConfig, n_cap: int = 10**4)
     if n_cap < 1 or n_cap > arith.DEFAULT_LIMIT_CAP:
         raise ValueError(f"n_cap {n_cap} outside [1, {arith.DEFAULT_LIMIT_CAP}]")
     X = config.X
-    per_role = {LOG: _dyadic_blocks(n_cap, include_unit=False),
-                ONE: _dyadic_blocks(n_cap, include_unit=True),
-                MU: _dyadic_blocks(min(X, n_cap), include_unit=True, upper=X),
-                B_COEF: _b_blocks(min(spec.y, n_cap)), IDENTITY: _IDENTITY_BLOCKS}
-    slot_blocks = {j: tuple(per_role[role] for role in roles) for j, roles in _SLOT_ROLES.items()}
-    return A2Decomposition(spec=spec, config=config, n_cap=n_cap, slot_blocks=slot_blocks)
+    role_blocks = {LOG: _dyadic_blocks(n_cap, include_unit=False),
+                   ONE: _dyadic_blocks(n_cap, include_unit=True),
+                   MU: _dyadic_blocks(min(X, n_cap), include_unit=True, upper=X),
+                   B_COEF: _b_blocks(min(spec.y, n_cap)), IDENTITY: _IDENTITY_BLOCKS}
+    return A2Decomposition(spec=spec, config=config, n_cap=n_cap, role_blocks=role_blocks)
 
 
 def _role_tables(spec: MollifierSpec, config: VaughanConfig, n: int) -> dict:
@@ -373,9 +369,9 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
 
     g_i(m) = f_i(m d_i) if gcd(m, d_1...d_{i-1}) = 1, else 0.  The ordered
     factorisations are evaluated with partial convolutions merged across
-    factorisations sharing (radical of d_1...d_{i-1}, remaining divisor) -
-    an exact regrouping by linearity, since g_i depends on the earlier d's
-    only through the radical.
+    factorisations sharing the remaining divisor rem - an exact regrouping by
+    linearity: the divisors used so far multiply to d // rem, so g_i depends
+    on the earlier d's only through rem, as gcd(m, d // rem) = 1.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -384,49 +380,40 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
 
     n = m_limit * d
     tables = _role_tables(decomposition.spec, decomposition.config, n)
-    lhs = np.zeros(m_limit + 1)
-    vals = _term_product(term, tables, n)[d::d][:m_limit]  # F(d), F(2d), ..., F(m_limit d)
-    lhs[1 : 1 + len(vals)] = vals
+    lhs = _term_product(term, tables, n)[::d]  # F(0) = 0, F(d), ..., F(m_limit d)
 
     m = np.arange(m_limit + 1)
     divs = divisors(d)
     arg = np.outer(divs, m)  # m d_i for every d_i | d, all <= n
-    coprime = {rad: np.gcd(m, rad) == 1 for rad in {radical(d_i) for d_i in divs}}
-    ident = np.zeros(m_limit + 1)
-    ident[1] = 1.0
-    # states: (radical of divisors used so far, remaining divisor) -> table
-    states = {(1, d): ident}
+    coprime = {used: np.gcd(m, used) == 1 for used in divs}
+    states = {d: tables[IDENTITY][: m_limit + 1]}  # remaining divisor -> table
     for role, (lo, hi) in zip(term.roles, term.blocks):
         if role == IDENTITY:
             continue  # an identity slot forces d_i = 1: a convolution no-op
         f_md = dict(zip(divs, np.where((arg > lo) & (arg <= hi), tables[role][arg], 0.0)))
         new_states: dict = {}
-        for (rad, rem), table in states.items():
+        for rem, table in states.items():
             for d_i in divisors(rem):
-                g = np.where(coprime[rad], f_md[d_i], 0.0)
+                g = np.where(coprime[d // rem], f_md[d_i], 0.0)
                 if not g.any():
                     continue
                 nxt = convolve_values(table, g, m_limit)
-                key = (radical(rad * d_i), rem // d_i)
+                key = rem // d_i
                 new_states[key] = new_states[key] + nxt if key in new_states else nxt
         states = new_states
         if not states:
             break
 
-    rhs = np.zeros(m_limit + 1)
-    for (rad, rem), table in states.items():
-        if rem == 1:
-            rhs += table
+    rhs = states.get(1, np.zeros(m_limit + 1))
     # ordered 9-factorisation count of d: prod over p^a || d of C(a+8, 8)
     count = math.prod(comb(a + 8, 8) for _, a in factorize(d))
 
     dev = np.abs(lhs[1:] - rhs[1:])
-    worst = int(dev.argmax()) + 1 if len(dev) else 0
     return SplitReport(
         check="divisor-splitting",
         parameters={"d": d, "m_limit": m_limit, "term_ranges": term.ranges, "j": term.j},
-        worst_index=worst,
-        deviation=float(dev.max()) if len(dev) else 0.0,
+        worst_index=int(dev.argmax()) + 1,
+        deviation=float(dev.max()),
         tolerance=tolerance,
         factorization_count=count,
     )
@@ -536,12 +523,7 @@ def s_qxd_bruteforce(Q: int, X: int, d: int, nu: int, spec: MollifierSpec,
     if not 1 <= d <= 8:
         raise ValueError(f"d = {d} outside desk scale [1, 8]")
     if a_table is None:
-        if nu == 1:
-            a_table = arith.compute_a1(X * d)
-        elif nu == 2:
-            a_table = arith.compute_a2(X * d, b_table(spec, X * d))
-        else:
-            raise ValueError(f"nu must be 1 or 2, got {nu}")
+        a_table = characters.a_table(nu, spec, X * d)
     if a_table.limit < X * d:
         raise ValueError(f"a table limit {a_table.limit} < X*d = {X * d}")
     m = np.arange(1, X + 1)

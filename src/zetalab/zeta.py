@@ -46,6 +46,8 @@ EM_CUTOFF = 400.0
 FIRST_ZERO = 14.134725141734693
 HALVINGS = 12  # passes of interval halving the zero scan may make
 BLOCK = 2048  # points per pass over the zeros: bounds every per-point temporary
+HEIGHT_CAP = 1e8  # largest t for Z: there a quarter block's phase table is 3989 x 512, 33 MB
+SCAN_CAP = 1e5  # largest T for the zero scan and the census: desk scale
 
 # C0, C1 / x, C2 and C3 / x as Chebyshev series in y = 2x^2 - 1: the fits in x less the
 # coefficients of the other parity (noise below 3e-16), by T_2k(x) = T_k(y), T_2k+1 + T_2k-1 = 2x T_k
@@ -325,7 +327,10 @@ def _hardy_z_rs(t: np.ndarray, theta: np.ndarray, dtheta: np.ndarray, order: int
 
 def _z_rows(t: np.ndarray, order: int = 1) -> np.ndarray:
     """Rows theta, theta', Z, then those of ``_hardy_z_rs`` that ``order`` asks for (the
-    model's coefficients are 0 on the Euler-Maclaurin branch), at at most ``BLOCK`` points."""
+    model's coefficients are 0 on the Euler-Maclaurin branch), at at most ``BLOCK`` points.
+    Every Z passes here: t non-finite, negative or above ``HEIGHT_CAP`` is a ValueError."""
+    if not ((t >= 0) & (t <= HEIGHT_CAP)).all():  # false at nan
+        raise ValueError(f"Z needs finite t >= 0, at most {HEIGHT_CAP:g}")
     out = np.zeros((3 + order, len(t)))
     out[:2] = _theta_block(t)
     lo = t < EM_CUTOFF
@@ -341,8 +346,6 @@ def hardy_z(t, derivative: bool = False):
     critical line are its sign changes.  Scalar or array.  With
     ``derivative``, the pair (Z, Z') from the same phases."""
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if not ((arr >= 0) & (arr < math.inf)).all():  # false at nan
-        raise ValueError("hardy_z requires finite t >= 0")
     out = np.empty((1 + derivative, arr.size))
     for i in range(0, arr.size, BLOCK):
         out[:, i : i + BLOCK] = _z_rows(arr[i : i + BLOCK], int(derivative))[2:]
@@ -456,8 +459,8 @@ class NCount:
 
 def count_N(T: float, zeros: ZeroList) -> NCount:
     """N(T) by the census of ``zeros`` and by the counting formula; raises if they differ by 2+."""
-    if T > 1e5:
-        raise ValueError("desk scale tops out at T = 1e5")
+    if T > SCAN_CAP:
+        raise ValueError(f"desk scale tops out at T = {SCAN_CAP:g}")
     census = int(len(zeros.up_to(T)))
     formula = int(round(count_formula(T))) if T > 14.5 else 0
     if abs(census - formula) >= 2:
@@ -473,8 +476,8 @@ def find_zeros(T: float) -> ZeroList:
     round(count_formula(T)).  The intervals of segments short of sign changes
     are halved, at most ``HALVINGS`` times; a segment still off its count
     raises ZeroScanError.  ``_refine`` then closes every bracket."""
-    if T > 1e5:
-        raise ValueError("desk scale tops out at T = 1e5")
+    if T > SCAN_CAP:
+        raise ValueError(f"desk scale tops out at T = {SCAN_CAP:g}")
     if T < FIRST_ZERO:
         return ZeroList(np.zeros(0), "computed", T)
     return ZeroList(_refine(*_brackets(T)), "computed", T)

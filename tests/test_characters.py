@@ -300,6 +300,16 @@ def test_m_nu_table_too_short():
         ch.m_nu_direct(3, spec, arith.compute_a1(200))
 
 
+def test_a_table_is_both_routes_bit_for_bit():
+    spec = mo.MollifierSpec.with_y(200.0, 12.0)
+    assert ch.a_table(1, spec, 381).values.tobytes() == arith.compute_a1(381).values.tobytes()
+    want = arith.compute_a2(381, mo.b_table(spec, 381)).values
+    assert ch.a_table(2, spec, 381).values.tobytes() == want.tobytes()
+    for nu in (0, 3):
+        with pytest.raises(ValueError, match=f"nu must be 1 or 2, got {nu}"):
+            ch.a_table(nu, spec, 381)
+
+
 def test_rearrangement_equals_direct():
     for y, T in [(1.5, 60.0), (6.0, 60.0), (9.9, 100.0), (12.5, 400.0)]:
         spec = mo.MollifierSpec.with_y(T, y)

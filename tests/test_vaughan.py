@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from zetalab import arith, vaughan as va
 from zetalab import mollifier as mo
 from zetalab.characters import primitive_characters
-from zetalab.intfun import divisors, factorize, radical
+from zetalab.intfun import divisors, factorize
 from zetalab.vaughan import VaughanConfig
 
 
@@ -126,22 +126,11 @@ def test_reconstruct_makes_eight_convolutions(monkeypatch):
 def test_reconstruct_rejects_blocks_that_do_not_tile(role):
     """The middle block of ``role`` dropped from every slot of that role."""
     dec, _ = decomposition_fixture()
-    blocks = dict(zip(va._SLOT_ROLES[3], dec.slot_blocks[3]))[role]
+    blocks = dec.role_blocks[role]
     k = len(blocks) // 2
-    kept = blocks[:k] + blocks[k + 1:]
-    slot_blocks = {j: tuple(kept if r == role else b for r, b in zip(va._SLOT_ROLES[j], slots))
-                   for j, slots in dec.slot_blocks.items()}
+    role_blocks = {**dec.role_blocks, role: blocks[:k] + blocks[k + 1:]}
     with pytest.raises(AssertionError, match=rf"do not tile .* at n={int(blocks[k][0]) + 1}$"):
-        dataclasses.replace(dec, slot_blocks=slot_blocks).reconstruct()
-
-
-def test_reconstruct_rejects_slots_of_one_role_that_differ():
-    """A log block dropped from the first slot of group 1 only."""
-    dec, _ = decomposition_fixture()
-    first, *rest = dec.slot_blocks[1]
-    broken = dataclasses.replace(dec, slot_blocks={**dec.slot_blocks, 1: (first[1:], *rest)})
-    with pytest.raises(AssertionError, match="slots of role log hold different blocks"):
-        broken.reconstruct()
+        dataclasses.replace(dec, role_blocks=role_blocks).reconstruct()
 
 
 def test_term_count_monitor():
@@ -160,7 +149,7 @@ def recursive_terms(dec):
     """(j, blocks) of every term from the earlier nested-generator walk."""
     n_cap = dec.n_cap
     for j in (1, 2, 3):
-        slots = dec.slot_blocks[j]
+        slots = dec.slots(j)
         mins = [[int(lo) + 1 for lo, _ in blocks] for blocks in slots]
         suffix_min = [math.prod(min(m) for m in mins[i:]) for i in range(9)]
 
@@ -200,7 +189,7 @@ def test_term_pick_by_index_matches_the_list():
 def test_terms_of_a_decomposition_with_an_empty_slot():
     """At n_cap = 1 the log slots have no block: no terms, as count_terms says."""
     dec = va.decompose_a2(small_spec(2.0), VaughanConfig(3, 1.0), n_cap=1)
-    assert dec.slot_blocks[1][0] == ()
+    assert dec.slots(1)[0] == dec.role_blocks[va.LOG] == ()
     assert list(dec.terms()) == [] and dec.count_terms()["total"] == 0
 
 
@@ -208,7 +197,7 @@ def oracle_terms(dec):
     """(j, ranges, blocks) of every term by a plain pruned recursion."""
     out = []
     for j in (1, 2, 3):
-        slots = dec.slot_blocks[j]
+        slots = dec.slots(j)
         mins = [tuple(int(lo) + 1 for lo, _ in blocks) for blocks in slots]
         suffix_min = [1] * 10
         for i in range(8, -1, -1):
@@ -251,8 +240,14 @@ def oracle_product(term, tables, n):
     return big
 
 
+def radical(n):
+    """Product of the distinct primes dividing n (1 for n = 1)."""
+    return math.prod(p for p, _ in factorize(n))
+
+
 def oracle_split(term, dec, d, m_limit, tolerance=1e-10):
-    """The splitting lemma state by state, each g_i gathered on its own."""
+    """The splitting lemma state by state, each g_i gathered on its own, its
+    states keyed by (radical of the divisors used so far, remaining divisor)."""
     n = m_limit * d
     tables = oracle_tables(dec, n)
     big = oracle_product(term, tables, n)
@@ -319,6 +314,32 @@ def test_decomposition_and_splitting_match_oracles(y, X, n_cap, d, m_limit, data
     report = va.split_by_divisor(term, dec, d, m_limit)
     assert report == oracle_split(term, dec, d, m_limit)
     assert report.passed, (term.ranges, d, report.deviation)
+
+
+def test_split_makes_as_many_convolutions_as_the_radical_keyed_oracle(monkeypatch):
+    """Keyed by the remaining divisor alone, the states are those of the
+    (radical, remaining divisor) keys: the same convolutions either way, one
+    per factor of the term's product and one per nonzero g_i, for terms of
+    criterion 5's setting and its m_limit."""
+    dec, _ = decomposition_fixture(n_cap=1000)
+    terms = list(dec.terms())
+    picks = np.random.default_rng(20250811).choice(len(terms), 4, replace=False)
+    calls = {"split": 0, "oracle": 0}
+
+    def counted(side, fn):
+        def call(*args):
+            calls[side] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(va, "convolve_values", counted("split", arith.convolve_values))
+    monkeypatch.setattr(arith, "convolve_values", counted("oracle", arith.convolve_values))
+    for idx in picks:
+        for d in (12, 24, 30):
+            calls.update(split=0, oracle=0)
+            report = va.split_by_divisor(terms[int(idx)], dec, d, 1000)
+            assert report == oracle_split(terms[int(idx)], dec, d, 1000)
+            assert calls["split"] == calls["oracle"] > 0, (idx, d, calls)
 
 
 def test_split_single_and_prime():

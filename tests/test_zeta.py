@@ -118,6 +118,30 @@ def test_hardy_z_rejects_negative_and_non_finite_t(t):
         ze.hardy_z(t)
 
 
+@pytest.mark.parametrize("t", [-5.0, math.nan, math.inf, 1e20, 1e300,
+                               np.nextafter(ze.HEIGHT_CAP, math.inf)])
+def test_hardy_z_and_zeta_prime_share_one_height_guard(t):
+    """Every Z goes through one check: t above HEIGHT_CAP would ask for a phase
+    table of gigabytes, or overflow to nan, and zeta_prime_many took any t."""
+    with pytest.raises(ValueError, match=r"finite t >= 0, at most 1e\+08$"):
+        ze.hardy_z(t)
+    with pytest.raises(ValueError, match=r"finite t >= 0, at most 1e\+08$"):
+        ze.zeta_prime_many(np.array([20.0, t]))
+
+
+def test_hardy_z_at_the_height_cap():
+    assert ze.hardy_z(ze.HEIGHT_CAP) == pytest.approx(float(mp.siegelz(ze.HEIGHT_CAP)), abs=1e-5)
+
+
+@pytest.mark.parametrize("T", [1e5 + 1, 2e5])
+def test_zero_scan_and_census_stop_at_the_scan_cap(T, zeros_300):
+    assert ze.SCAN_CAP == 1e5
+    with pytest.raises(ValueError, match="desk scale tops out"):
+        ze.find_zeros(T)
+    with pytest.raises(ValueError, match="desk scale tops out"):
+        ze.count_N(T, zeros_300)
+
+
 def test_hardy_z_first_zero_bracket():
     assert abs(ze.hardy_z(14.134725)) < 1e-5
     assert np.sign(ze.hardy_z(14.0)) != np.sign(ze.hardy_z(15.0))
