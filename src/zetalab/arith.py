@@ -1,12 +1,12 @@
 """Sieve-built arithmetic function tables and exact Dirichlet convolution.
 
 Tables are the universal currency of the coefficient work: 1-indexed
-float64 arrays wrapped with a name and a limit.  Mobius, von Mangoldt and
-the divisor functions tau_k come from one pass over the prime powers
-p^j <= N; Mobius and tau_k are exact integers stored in floats.  Every
-Dirichlet convolution in the package runs through :func:`convolve_values`,
-which accumulates with error-free TwoSum compensation so that identity
-checks hold to ~1e-12 relative at desk scale (N <= 1e6).
+float64 arrays wrapped with a name and a limit.  One prime sieve,
+:func:`smallest_prime_factors`, gives Mobius, von Mangoldt, tau_k (exact
+integers in floats, by n = spf(n) m: Gries & Misra, CACM 21, 1978) and the
+phase kernel's primes in :mod:`zetalab.zeta`.  Every Dirichlet convolution
+runs through :func:`convolve_values`, with error-free TwoSum compensation so
+that identity checks hold to ~1e-12 relative at desk scale (N <= 1e6).
 """
 
 from __future__ import annotations
@@ -50,52 +50,48 @@ class ArithFnTable:
         return float(self.values[n])
 
 
-def _prime_mask(n: int) -> np.ndarray:
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
+def smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[m], the least prime factor of m, on [0..n] as int32 (spf[0] = 0, spf[1] = 1): the
+    one prime sieve.  Each prime p <= isqrt(n), read off the table to isqrt(n), writes p at its
+    multiples from p^2 on, the largest first so the least writes last; m > 1 still 0 is prime."""
+    spf = np.zeros(n + 1, dtype=np.uint16)  # holds p <= isqrt(n) for int32's n < 2^31
+    small = smallest_prime_factors(math.isqrt(n)) if n > 3 else []
+    for p in range(len(small) - 1, 1, -1):
+        if small[p] == p:
+            spf[p * p :: p] = p
+    return np.where(spf == 0, np.arange(n + 1, dtype=np.int32), spf)
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """Primes <= n as an int64 array (Eratosthenes)."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    return np.nonzero(_prime_mask(n))[0].astype(np.int64)
+def _spf_sieve(name: str, n: int) -> np.ndarray:
+    """mobius, vonmangoldt or tau_k on [0..n] from :func:`smallest_prime_factors`.
 
-
-def _prime_power_sieve(name: str, n: int) -> np.ndarray:
-    """mobius, vonmangoldt or tau_k on [0..n] from one pass over the prime powers.
-
-    vonmangoldt is log p at every p^j.  mobius and tau_k are multiplicative
-    and built exactly in int64: each multiple of p^j has its p-part
-    f(p^(j-1)) replaced by f(p^j), where mu(p) = -1, mu(p^j) = 0 for j >= 2
-    and tau_k(p^j) = tau_k(p^(j-1)) (j+k-1)/j.
-    """
-    k = int(name[4:]) if name.startswith("tau_") else 0
+    vonmangoldt is math.log(p) at each prime p and its powers.  mobius and tau_k are
+    multiplicative: n = p m with p = spf(n) and m <= n / 2, so steps within [a, 2a) read
+    finished entries; p's exponent e(n) is e(m) + 1 if spf(m) = p, else 1; and f(n) is
+    f(m) f(p^e) / f(p^(e-1)), that is -f(m) at e = 1 and 0 beyond for mu, f(m) (e + k - 1) / e
+    for tau_k."""
+    spf = smallest_prime_factors(n)
     if name == "vonmangoldt":
-        values = np.zeros(n + 1)
-    else:
-        values = np.ones(n + 1, dtype=np.int64)
-        values[0] = 0
-    for p in primes_up_to(n).tolist():
-        q, j, prev = p, 1, 1
-        while q <= n:
-            if name == "vonmangoldt":
-                values[q] = math.log(p)
-            elif name == "mobius":
-                values[q::q] *= -1 if j == 1 else 0
-            else:
-                cur = prev * (j + k - 1) // j
-                block = values[q::q]
-                block //= prev
-                block *= cur
-                prev = cur
-            q *= p
-            j += 1
-    return values.astype(np.float64)
+        p = np.flatnonzero(spf == np.arange(n + 1, dtype=np.int32))[2:]
+        logs = np.fromiter(map(math.log, p.tolist()), float, len(p))  # np.log rounds some apart
+        values = np.zeros(n + 1)  # after the logs' temporaries: a lower peak
+        for j in range(1, n.bit_length()):
+            p, logs = p[p**j <= n], logs[p**j <= n]
+            values[p**j] = logs
+        return values
+    k = int(name[4:]) if name.startswith("tau_") else 0
+    values, exps = np.zeros(n + 1), np.zeros(n + 1, dtype=np.int8)
+    values[1] = 1.0
+    a = 2
+    while a <= n:
+        b = min(2 * a, a + (1 << 15), n + 1)  # 32k-point steps bound the temporaries
+        p = spf[a:b]
+        m = np.arange(a, b) // p
+        e = exps[a:b] = np.where(spf[m] == p, exps[m] + 1, 1)
+        num, den = (e + k - 1, e) if k else (np.where(e == 1, -1.0, 0.0), 1)
+        values[a:b] = values[m] * num / den + 0.0  # exact below 2^53; + 0.0 turns -0.0 to 0.0
+        a = b
+    return values
 
 
 # at most one table per name; smaller limits get read-only prefix views
@@ -105,8 +101,8 @@ _table_cache: dict[str, ArithFnTable] = {}
 def sieve_standard(name: str, limit: int) -> ArithFnTable:
     """Build one of the standard tables: mobius, vonmangoldt, log, one, tau_k.
 
-    mobius, vonmangoldt and tau_k (2 <= k <= 9) come from one sieve over the
-    prime powers <= limit.  Tables are memoised by name: a limit at or below
+    mobius, vonmangoldt and tau_k (2 <= k <= 9) come from the smallest prime
+    factors <= limit.  Tables are memoised by name: a limit at or below
     the memoised one gets a prefix view (values at n do not depend on the
     limit), a larger one rebuilds and replaces the memoised table.
     """
@@ -125,7 +121,7 @@ def sieve_standard(name: str, limit: int) -> ArithFnTable:
             values = np.ones(limit + 1)
             values[0] = 0.0
         else:
-            values = _prime_power_sieve(name, limit)
+            values = _spf_sieve(name, limit)
         cached = _table_cache[name] = ArithFnTable(name, limit, values)
     if cached.limit == limit:
         return cached

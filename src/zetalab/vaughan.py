@@ -351,6 +351,8 @@ def term_convolution(term: DecompositionTerm, decomposition: A2Decomposition,
                      n_cap: int | None = None) -> np.ndarray:
     """(f_1 * ... * f_9) for a single term, on [0..n_cap], without the sign (-1)^j C(3, j)."""
     n = n_cap if n_cap is not None else decomposition.n_cap
+    if n < 1:
+        raise ValueError(f"n_cap must be >= 1, got {n}")
     return _term_product(term, _role_tables(decomposition.spec, decomposition.config, n), n)
 
 
@@ -375,6 +377,8 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if m_limit < 1:
+        raise ValueError(f"m_limit must be >= 1, got {m_limit}")
     if m_limit * d > arith.DEFAULT_LIMIT_CAP:
         raise ValueError(f"m_limit*d = {m_limit * d} exceeds the table budget")
 

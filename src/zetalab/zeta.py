@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import smallest_prime_factors
 from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
 
 EM_CUTOFF = 400.0
@@ -245,9 +246,7 @@ def _log_turns(p: int) -> tuple[float, float]:
 def _phase_plan(n_max: int) -> tuple[np.ndarray, np.ndarray, list]:
     """The primes up to n_max, log p / (pi/2) of each as rows (hi, lo), and each composite
     n as (n - 1, p - 1, n / p - 1), rows of ``_phases``' table, p its smallest prime."""
-    spf = np.zeros(n_max + 1, dtype=int)
-    for p in range(n_max, 1, -1):  # the smallest divisor of each n writes last
-        spf[p::p] = p
+    spf = smallest_prime_factors(n_max)
     n = np.arange(2, n_max + 1)
     primes, comp = n[spf[2:] == n], n[spf[2:] != n]
     turns = np.array([_log_turns(int(p)) for p in primes]).reshape(-1, 2).T
@@ -640,17 +639,17 @@ def ingest_zeros(path) -> ZeroList:
 # zeta'(rho) and the moments
 
 
-def zeta_prime_many(gammas: np.ndarray) -> np.ndarray:
-    """zeta'(1/2 + i gamma) = e^{-i theta} (-i Z' - theta' Z) at each gamma
+def zeta_prime_many(gammas):
+    """zeta'(1/2 + i gamma) = e^{-i theta} (-i Z' - theta' Z) at each gamma, scalar or array
     (differentiate zeta = e^{-i theta} Z); at a zero only -i Z' e^{-i theta} is left."""
-    gammas = np.asarray(gammas, dtype=np.float64)
-    out = np.empty(gammas.shape, dtype=np.complex128)
-    for i in range(0, len(gammas), BLOCK):
-        g = gammas[i : i + BLOCK]
+    arr = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
+    out = np.empty(arr.shape, dtype=np.complex128)
+    for i in range(0, len(arr), BLOCK):
+        g = arr[i : i + BLOCK]
         theta, dtheta, z, zp = _z_rows(g)
         warn_if_multiple(g, zp)
         out[i : i + BLOCK] = (-1j * zp - dtheta * z) * np.exp(-1j * theta)
-    return out
+    return out if np.ndim(gammas) else complex(out[0])
 
 
 def warn_if_multiple(gammas: np.ndarray, derivative: np.ndarray) -> None:

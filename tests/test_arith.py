@@ -46,6 +46,86 @@ def random_table(rng, name, limit):
     return ArithFnTable(name, limit, values)
 
 
+SIEVED = ("mobius", "vonmangoldt") + tuple(f"tau_{k}" for k in range(2, 10))
+
+
+def prime_power_sieve(name, n):
+    """The sieved tables as built before the smallest-prime-factor table: Eratosthenes
+    for the primes, then one pass over the prime powers p^j <= n, replacing the p-part
+    f(p^(j-1)) of each multiple of p^j by f(p^j), exactly in int64.  Bitwise oracle."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    k = int(name[4:]) if name.startswith("tau_") else 0
+    if name == "vonmangoldt":
+        values = np.zeros(n + 1)
+    else:
+        values = np.ones(n + 1, dtype=np.int64)
+        values[0] = 0
+    for p in np.flatnonzero(mask).tolist():
+        q, j, prev = p, 1, 1
+        while q <= n:
+            if name == "vonmangoldt":
+                values[q] = math.log(p)
+            elif name == "mobius":
+                values[q::q] *= -1 if j == 1 else 0
+            else:
+                cur = prev * (j + k - 1) // j
+                block = values[q::q]
+                block //= prev
+                block *= cur
+                prev = cur
+            q *= p
+            j += 1
+    return values.astype(np.float64)
+
+
+def per_integer(name, n, fac):
+    """f(n) from n's factorisation fac: mobius_int, log p at n = p^j, prod C(a + k - 1, k - 1)."""
+    if name == "mobius":
+        return mobius_int(n)
+    if name == "vonmangoldt":
+        return math.log(fac[0][0]) if len(fac) == 1 else 0.0
+    k = int(name[4:])
+    return math.prod(math.comb(a + k - 1, k - 1) for _, a in fac)
+
+
+def test_smallest_prime_factors():
+    for n, want in enumerate([[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 2]]):
+        spf = arith.smallest_prime_factors(n)
+        assert spf.dtype == np.int32 and spf.tolist() == want
+    spf = arith.smallest_prime_factors(5000)
+    assert all(spf[n] == factorize(n)[0][0] for n in range(2, 5001))
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 10**5])
+def test_sieve_matches_the_prime_power_loop(monkeypatch, limit):
+    monkeypatch.setattr(arith, "_table_cache", {})
+    for name in SIEVED:
+        values = sieve_standard(name, limit).values
+        assert values.tobytes() == prime_power_sieve(name, limit).tobytes(), name
+        if name == "mobius":
+            assert not (np.signbit(values) & (values == 0.0)).any()  # no -0.0
+
+
+def test_sieve_against_per_integer_routes(monkeypatch):
+    """Every n <= 5000, 2000 seeded n <= 1e6 and the primes p <= 1e6 at which numpy's
+    vectorised log (AVX-512) rounds apart from math.log, against factorize and mobius_int."""
+    monkeypatch.setattr(arith, "_table_cache", {})
+    seeded = np.random.default_rng(20261019).integers(1, 10**6, 2000, endpoint=True)
+    log_apart = [285343, 287549, 351497, 504631, 664679, 757811, 857953]
+    assert all(factorize(p) == ((p, 1),) for p in log_apart)
+    ns = list(range(1, 5001)) + seeded.tolist() + log_apart
+    facs = [factorize(n) for n in ns]
+    for name in SIEVED:
+        values = sieve_standard(name, 10**6).values
+        got = [float(values[n]) for n in ns]
+        assert got == [per_integer(name, n, fac) for n, fac in zip(ns, facs)], name
+        arith._table_cache.clear()  # one 8 MB table at a time
+
+
 def test_sieve_spot_values():
     mu = sieve_standard("mobius", 30)
     assert mu[1] == 1 and mu[2] == -1 and mu[4] == 0

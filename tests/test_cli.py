@@ -230,20 +230,24 @@ def test_every_command_runs_without_scipy(tmp_path):
 
 
 def test_cold_start_import_set(tmp_path):
-    """The polynomial commands load no numpy; the zero commands load no arith."""
+    """The polynomial commands load no numpy; the zero commands load exactly the zetalab
+    modules they use: zeta, its prime sieve in arith, mollifier, and cache for find."""
     table = tmp_path / "z.txt"
-    runs = [(["optimize-poly", "--theta", "0.3", "--degree", "4"], "numpy"),
-            (["report-kappa", "--degree", "3", "--output", str(tmp_path / "k.json")], "numpy"),
+    zero_modules = ["zetalab", "zetalab.arith", "zetalab.cli", "zetalab.mollifier", "zetalab.zeta"]
+    runs = [(["optimize-poly", "--theta", "0.3", "--degree", "4"], "False"),
+            (["report-kappa", "--degree", "3", "--output", str(tmp_path / "k.json")], "False"),
             (["zeros", "find", "--T", "60", "--no-cache", "--output", str(table)],
-             "zetalab.arith"),
-            (["zeros", "ingest", str(table)], "zetalab.arith")]
+             str(sorted(zero_modules + ["zetalab.cache"]))),
+            (["zeros", "ingest", str(table)], str(zero_modules))]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    for argv, module in runs:
+    for argv, want in runs:
+        loaded = ("'numpy' in sys.modules" if argv[0] != "zeros"
+                  else "sorted(m for m in sys.modules if m.split('.')[0] == 'zetalab')")
         code = ("import sys; from zetalab import cli; "
-                f"rc = cli.main({argv!r}); print(rc, {module!r} in sys.modules, file=sys.stderr)")
+                f"rc = cli.main({argv!r}); print(rc, {loaded}, file=sys.stderr)")
         err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stderr
-        assert err.splitlines()[-1] == "0 False", (argv, err)
+        assert err.splitlines()[-1] == f"0 {want}", (argv, err)
 
 
 @pytest.mark.parametrize("argv", [

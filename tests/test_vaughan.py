@@ -370,6 +370,16 @@ def test_split_budget_rejection():
         va.split_by_divisor(term, dec, 8, 10**6)
 
 
+@pytest.mark.parametrize("bad", [0, -3])
+def test_split_and_term_convolution_reject_empty_ranges(bad):
+    dec, _ = decomposition_fixture(n_cap=256)
+    term = next(dec.terms())
+    with pytest.raises(ValueError, match=f"m_limit must be >= 1, got {bad}"):
+        va.split_by_divisor(term, dec, 6, bad)
+    with pytest.raises(ValueError, match=f"n_cap must be >= 1, got {bad}"):
+        va.term_convolution(term, dec, bad)
+
+
 def test_sieve_monitor_degenerate_and_exact():
     rep = va.hybrid_large_sieve_monitor(10, 0.0, 50, np.ones(50))
     assert rep.lhs == 0.0 and rep.ratio == 0.0

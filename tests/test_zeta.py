@@ -449,6 +449,13 @@ def test_zeta_prime_dual_routes(zeros_300):
     assert rel.max() < 1e-6
 
 
+def test_zeta_prime_of_a_scalar_is_a_complex():
+    got = ze.zeta_prime_many(FIRST_ZEROS[0])
+    want = ze.zeta_prime_many(np.array([FIRST_ZEROS[0]]))[0]
+    assert type(got) is complex
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
 def test_zeta_prime_against_oracle():
     for k in (1, 2, 5, 10):
         gamma = float(mp.zetazero(k).imag)
@@ -600,6 +607,27 @@ def test_log_turns_against_mpmath():
             exact = mp.log(p) / (mp.pi / 2)
             hi, lo = ze._log_turns(p)
             assert hi == float(exact) and lo == float(exact - mp.mpf(hi))
+
+
+def descending_phase_plan(n_max):
+    """The plan as built before the shared sieve: every p from n_max down to 2 writes
+    itself at its multiples, so the smallest divisor of each n writes last."""
+    spf = np.zeros(n_max + 1, dtype=int)
+    for p in range(n_max, 1, -1):
+        spf[p::p] = p
+    n = np.arange(2, n_max + 1)
+    primes, comp = n[spf[2:] == n], n[spf[2:] != n]
+    turns = np.array([ze._log_turns(int(p)) for p in primes]).reshape(-1, 2).T
+    return primes, turns, np.stack([comp - 1, spf[comp] - 1, comp // spf[comp] - 1], 1).tolist()
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 39, 56, 69, 126, 319])
+def test_phase_plan_matches_the_descending_loop(n_max):
+    primes, turns, steps = ze._phase_plan(n_max)
+    want_primes, want_turns, want_steps = descending_phase_plan(n_max)
+    assert primes.dtype == want_primes.dtype and np.array_equal(primes, want_primes)
+    assert turns.shape == want_turns.shape and turns.tobytes() == want_turns.tobytes()
+    assert steps == want_steps
 
 
 def test_phases_against_mpmath():
