@@ -165,8 +165,8 @@ def cmd_moments(args) -> int:
         zeros = ze.ingest_zeros(args.zero_source)
     else:
         zeros = cache.load_or_find_zeros(T, args.cache_dir, enabled=not args.no_cache)
-    result = ze.compute_moments(T, spec, zeros)
-    s1_scale, s2_scale = ze.predicted_moment_scales(T, spec)
+    result = ze.compute_moments(spec, zeros)
+    s1_scale, s2_scale = ze.predicted_moment_scales(spec)
     row = {
         "T": T,
         "theta": spec.theta,

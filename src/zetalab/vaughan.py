@@ -32,6 +32,7 @@ from .intfun import divisors, factorize
 from .mollifier import MollifierSpec, b_table
 
 VAUGHAN_TOLERANCE = 1e-9
+SPLIT_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,7 @@ class SplitReport(IdentityReport):
 
 
 def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
-                     d: int, m_limit: int, tolerance: float = 1e-10) -> SplitReport:
+                     d: int, m_limit: int) -> SplitReport:
     """Verify the splitting lemma for one term and one divisor d.
 
     g_i(m) = f_i(m d_i) if gcd(m, d_1...d_{i-1}) = 1, else 0.  The ordered
@@ -418,7 +419,7 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
         parameters={"d": d, "m_limit": m_limit, "term_ranges": term.ranges, "j": term.j},
         worst_index=int(dev.argmax()) + 1,
         deviation=float(dev.max()),
-        tolerance=tolerance,
+        tolerance=SPLIT_TOLERANCE,
         factorization_count=count,
     )
 

@@ -24,18 +24,19 @@ theta and theta' come from Stirling's series, so the module needs numpy only.
 Zeros are scanned on Gram points by Rosser's rule (Brent, Math. Comp. 1979;
 Edwards, Riemann's Zeta Function, ch. 8) and refined by Newton steps on (Z, Z'),
 the first one from a degree-7 local model of Z.
-Every pass over the zeros works on blocks of at most ``BLOCK`` points, so its
-temporaries do not grow with T, and no value depends on the block it is in.
+Every pass that computes over the zeros works on blocks of at most ``BLOCK`` points,
+so its temporaries do not grow with T, and no value depends on the block it is in.
+A zero table is read in one pass, line by line, with O(1) temporaries beside its ordinates.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import os
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -577,41 +578,30 @@ def write_zeros(zeros: ZeroList, path) -> None:
             fh.writelines(f"{g!r}\n" for g in zeros.ordinates[i : i + BLOCK].tolist())
 
 
-def table_header(path) -> dict[str, str]:
-    """The ``key=value`` fields of a zero table's first line when that is a
-    '#' comment, as ``write_zeros`` puts them (source, max_height, count)."""
-    with open(path) as fh:
-        first = fh.readline()
-    if not first.startswith("#"):
-        return {}
-    return dict(field.strip().split("=", 1) for field in first[1:].split(",") if "=" in field)
-
-
 def ingest_zeros(path) -> ZeroList:
     """Read one decimal ordinate per line ('#' comments allowed), validate monotonicity
     and the header's count and max_height (default the top ordinate) when it declares
-    them, and cross-check the overlap with computed zeros to 1e-6."""
-    header = table_header(path)
-    parts, last = [], []  # last: the ordinate before the current block, once there is one
+    them, and cross-check the overlap with computed zeros to 1e-6.  The header is line 1
+    when it starts with '#': its ``key=value`` fields, as ``write_zeros`` puts them."""
+    header, ordinates = {}, array("d")
+    previous = math.nan  # no value is <= nan, so the first one is not compared
     with open(path) as fh:
-        lines = enumerate(map(str.strip, fh), start=1)
-        while block := list(itertools.islice(lines, BLOCK)):
-            body = [(n, line) for n, line in block if line and line[0] != "#"]
-            values = last.copy()
-            with contextlib.suppress(ValueError):  # extend keeps the values before a bad line
-                values.extend(map(float, [line for _, line in body]))
-            arr = np.array(values)
-            down = np.flatnonzero(arr[1:] <= arr[:-1])
-            if down.size:  # every value here precedes the first bad line, so it is reported first
-                i = int(down[0]) + 1
-                raise ValueError(f"{path}:{body[i - len(last)][0]}: ordinate {values[i]} not above "
-                                 f"previous {values[i - 1]}")
-            if len(values) - len(last) < len(body):
-                n, line = body[len(values) - len(last)]
-                raise ValueError(f"{path}:{n}: not a decimal ordinate: {line!r}")
-            parts.append(arr[len(last):])
-            last = values[-1:]
-    values = np.concatenate(parts) if parts else np.zeros(0)
+        for n, raw in enumerate(fh, start=1):
+            try:
+                value = float(raw)  # float drops the whitespace around a decimal, as strip would
+            except ValueError:
+                line = raw.strip()
+                if line and line[0] != "#":
+                    raise ValueError(f"{path}:{n}: not a decimal ordinate: {line!r}") from None
+                if n == 1 and raw.startswith("#"):  # the header
+                    fields = (part.strip() for part in raw[1:].split(","))
+                    header = dict(part.split("=", 1) for part in fields if "=" in part)
+                continue
+            if value <= previous:
+                raise ValueError(f"{path}:{n}: ordinate {value} not above previous {previous}")
+            ordinates.append(value)
+            previous = value
+    values = np.frombuffer(ordinates)  # a view: ZeroList makes the one copy
     if header.get("count", str(len(values))) != str(len(values)):
         raise ValueError(f"{path}: header declares count={header['count']}, "
                          f"file has {len(values)} ordinates")
@@ -670,7 +660,7 @@ def zeta_prime_line_route(gamma: float) -> complex:
 @dataclass(frozen=True)
 class MomentResult:
     """Empirical S1 = sum B zeta'(rho), S2 = sum |B zeta'(rho)|^2 over
-    0 < gamma <= T, with the zero count and the resulting kappa bound."""
+    0 < gamma <= T = spec.T, with the zero count and the resulting kappa bound."""
 
     T: float
     spec: MollifierSpec
@@ -680,7 +670,8 @@ class MomentResult:
     kappa_bound: float
 
 
-def compute_moments(T: float, spec: MollifierSpec, zeros: ZeroList) -> MomentResult:
+def compute_moments(spec: MollifierSpec, zeros: ZeroList) -> MomentResult:
+    T = spec.T
     if zeros.max_height < T:
         raise ValueError(f"zero list reaches {zeros.max_height}, below T = {T}")
     gammas = zeros.up_to(T)
@@ -702,9 +693,9 @@ def compute_moments(T: float, spec: MollifierSpec, zeros: ZeroList) -> MomentRes
     return MomentResult(T=T, spec=spec, S1=s1, S2=s2, N_T=n_t, kappa_bound=kappa)
 
 
-def predicted_moment_scales(T: float, spec: MollifierSpec) -> tuple[float, float]:
-    """The asymptotic scales (T L^2 / 2pi) s1_factor and (T L^3 / 2pi) s2_factor."""
+def predicted_moment_scales(spec: MollifierSpec) -> tuple[float, float]:
+    """The asymptotic scales (T L^2 / 2pi) s1_factor and (T L^3 / 2pi) s2_factor at T = spec.T."""
     L = spec.log_scale
-    base = T / (2 * math.pi)
+    base = spec.T / (2 * math.pi)
     return (base * L**2 * s1_factor(spec.P, spec.theta),
             base * L**3 * s2_factor(spec.P, spec.theta))

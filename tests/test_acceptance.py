@@ -172,8 +172,8 @@ def test_criterion_09_moments_at_desk_scale(zeros_5000):
     ok = True
     for theta in (0.2, 0.3, 0.4):
         spec = mo.MollifierSpec.from_T_theta(5000.0, theta)
-        res = ze.compute_moments(5000.0, spec, zeros_5000)
-        s1_scale, s2_scale = ze.predicted_moment_scales(5000.0, spec)
+        res = ze.compute_moments(spec, zeros_5000)
+        s1_scale, s2_scale = ze.predicted_moment_scales(spec)
         r1 = res.S1.real / s1_scale
         r2 = res.S2 / s2_scale
         kappa = res.kappa_bound

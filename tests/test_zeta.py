@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import io
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -315,7 +318,8 @@ def test_write_zeros_is_atomic(tmp_path, monkeypatch, zeros_300):
 def test_truncated_table_is_rejected(tmp_path, zeros_300):
     path = tmp_path / "zeros.txt"
     ze.write_zeros(zeros_300, path)
-    assert ze.table_header(path)["count"] == str(len(zeros_300))
+    first = path.read_text().splitlines()[0]
+    assert first.startswith("#") and first.endswith(f", count={len(zeros_300)}")
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-6]))
     with pytest.raises(ValueError, match=f"count={len(zeros_300)}"):
         ze.ingest_zeros(path)
@@ -471,7 +475,7 @@ def test_zeros_all_simple(zeros_1000):
 
 def test_moments_degenerate_mollifier(zeros_300):
     spec = mo.MollifierSpec.with_y(300.0, 1.5)  # B identically 1
-    res = ze.compute_moments(300.0, spec, zeros_300)
+    res = ze.compute_moments(spec, zeros_300)
     zp = ze.zeta_prime_many(zeros_300.ordinates)
     assert res.S1 == pytest.approx(complex(zp.sum()), rel=1e-10)
     assert res.S2 == pytest.approx(float((np.abs(zp) ** 2).sum()), rel=1e-10)
@@ -480,26 +484,26 @@ def test_moments_degenerate_mollifier(zeros_300):
 
 def test_moments_determinism(zeros_300):
     spec = mo.MollifierSpec.from_T_theta(300.0, 0.3)
-    a = ze.compute_moments(300.0, spec, zeros_300)
-    b = ze.compute_moments(300.0, spec, zeros_300)
+    a = ze.compute_moments(spec, zeros_300)
+    b = ze.compute_moments(spec, zeros_300)
     assert a.S1 == b.S1 and a.S2 == b.S2 and a.kappa_bound == b.kappa_bound
 
 
 def test_moments_rejections(zeros_300):
     spec = mo.MollifierSpec.from_T_theta(1000.0, 0.3)
     with pytest.raises(ValueError):
-        ze.compute_moments(1000.0, spec, zeros_300)
+        ze.compute_moments(spec, zeros_300)
 
 
 def test_empirical_kappa_bound(zeros_1000):
     spec = mo.MollifierSpec.from_T_theta(1000.0, 0.3)
-    res = ze.compute_moments(1000.0, spec, zeros_1000)
+    res = ze.compute_moments(spec, zeros_1000)
     bound = res.kappa_bound
     assert 0.0 < bound <= 1.01
     assert bound == abs(res.S1) ** 2 / (res.S2 * res.N_T)
     for T in (200.0, 500.0, 1000.0):
         spec_t = mo.MollifierSpec.from_T_theta(T, 0.3)
-        b = ze.compute_moments(T, spec_t, zeros_1000).kappa_bound
+        b = ze.compute_moments(spec_t, zeros_1000).kappa_bound
         assert 0.5 <= b <= 1.01
 
 
@@ -537,7 +541,7 @@ def test_zero_pipeline_is_block_size_invariant(monkeypatch):
         monkeypatch.setattr(ze, "BLOCK", block)
         zeros = ze.find_zeros(5000.0)
         runs.append((zeros.ordinates, ze.zeta_prime_many(zeros.ordinates),
-                     ze.gram_points(5000.0), ze.compute_moments(5000.0, spec, zeros)))
+                     ze.gram_points(5000.0), ze.compute_moments(spec, zeros)))
     (o1, p1, g1, m1), (o2, p2, g2, m2) = runs
     assert len(o1) == 4520
     assert np.array_equal(o1, o2) and np.array_equal(p1, p2) and np.array_equal(g1, g2)
@@ -585,6 +589,143 @@ def test_ingest_messages_at_block_edges(tmp_path, monkeypatch, block, lines, mes
     with pytest.raises(ValueError) as err:
         ze.ingest_zeros(path)
     assert str(err.value) == f"{path}:{message}"
+
+
+def block_ingest(path, block) -> ze.ZeroList:
+    """The block reader that ``ingest_zeros`` replaced, kept as its oracle: the header
+    from a second open of the file, then ``block`` lines at a time, the last value
+    carried across blocks."""
+    with open(path) as fh:
+        first = fh.readline()
+    header = {}
+    if first.startswith("#"):
+        header = dict(f.strip().split("=", 1) for f in first[1:].split(",") if "=" in f)
+    parts, last = [], []  # last: the ordinate before the current block, once there is one
+    with open(path) as fh:
+        lines = enumerate(map(str.strip, fh), start=1)
+        while chunk := list(itertools.islice(lines, block)):
+            body = [(n, line) for n, line in chunk if line and line[0] != "#"]
+            values = last.copy()
+            with contextlib.suppress(ValueError):  # extend keeps the values before a bad line
+                values.extend(map(float, [line for _, line in body]))
+            arr = np.array(values)
+            down = np.flatnonzero(arr[1:] <= arr[:-1])
+            if down.size:
+                i = int(down[0]) + 1
+                raise ValueError(f"{path}:{body[i - len(last)][0]}: ordinate {values[i]} not above "
+                                 f"previous {values[i - 1]}")
+            if len(values) - len(last) < len(body):
+                n, line = body[len(values) - len(last)]
+                raise ValueError(f"{path}:{n}: not a decimal ordinate: {line!r}")
+            parts.append(arr[len(last):])
+            last = values[-1:]
+    values = np.concatenate(parts) if parts else np.zeros(0)
+    if header.get("count", str(len(values))) != str(len(values)):
+        raise ValueError(f"{path}: header declares count={header['count']}, "
+                         f"file has {len(values)} ordinates")
+    try:
+        max_height = float(header.get("max_height", values[-1] if len(values) else 0.0))
+    except ValueError:
+        raise ValueError(f"{path}: header max_height={header['max_height']!r} is not a number")
+    zeros = ze.ZeroList(values, "ingested", max_height)
+    if len(values):
+        top = min(200.0, float(values[-1]))
+        mine = ze.find_zeros(top + 1.0).ordinates
+        theirs = zeros.up_to(top)
+        if len(mine) < len(theirs):
+            raise ValueError(f"overlap [0, {top}]: file has {len(theirs)} zeros, "
+                             f"computed {len(mine)}")
+        dev = np.abs(mine[: len(theirs)] - theirs).max() if len(theirs) else 0.0
+        if dev > 1e-6:
+            raise ValueError(f"overlap mismatch: max deviation {dev:.2e} exceeds 1e-6")
+    return zeros
+
+
+def random_table(rng, zeros) -> list[str]:
+    """A zero table as its lines: a prefix of ``zeros`` under one of the headers, with up
+    to three faults or harmless oddities (duplicates, descents, junk, comments, blanks,
+    nan, -inf, padding, stray ``#key=value`` lines), sometimes past 2048 lines."""
+    n = int(rng.integers(0, 13) if rng.random() < 0.4 else rng.integers(0, len(zeros) + 1))
+    lines = [repr(float(g)) for g in zeros[:n]]
+    for _ in range(int(rng.choice(4, p=[0.3, 0.4, 0.2, 0.1]))):
+        at = 0 if rng.random() < 0.1 else int(rng.integers(0, len(lines) + 1))
+        prev = lines[at - 1] if at else "14.5"
+        near = float(zeros[min(at, n) - 1]) if at and n else 14.5  # about the value before
+        kind = rng.integers(0, 11)
+        new = [
+            prev,  # a duplicate, or a repeat of the line before
+            repr(near - rng.uniform(0.0, 5.0)),  # a descent
+            str(rng.choice(["x25", "1.2.3", "abc", "14,13", "0x1p4"])),
+            str(rng.choice(["# note", "#", "  # indented note"])),
+            str(rng.choice(["", "   ", "\t"])),
+            "nan",
+            "-inf",
+            f"  {prev}\t",  # padded
+            str(rng.choice(["#count=3", "# max_height=1e9, count=7", "#a=b"])),
+            repr(near + 1e-3),  # a value between two zeros
+            repr(near + 1e-3),  # the value before, off its zero by 1e-3
+        ][kind]
+        if kind in (7, 10) and at:  # padding and the shifted value replace the line before
+            lines[at - 1] = new
+        else:
+            lines.insert(at, new)
+    if rng.random() < 0.05:  # past 2048 lines, so that BLOCK = 2048 has an edge
+        for at in sorted(rng.integers(0, len(lines) + 1, 2100), reverse=True):
+            lines.insert(int(at), "#" if at % 2 else "")
+    top = repr(float(zeros[n - 1])) if n else "0.0"
+    header = [
+        None,
+        f"# zero ordinates, source=computed, max_height={top}, count={n}",
+        f"# zero ordinates, source=computed, max_height={top}, count={n - 1}",
+        f"# count={n}",
+        f"# max_height={float(top) + rng.uniform(0.0, 40.0)!r}",
+        "# max_height=abc",
+        f"# count=x, max_height={top}",
+        f" # count={n + 5}",  # padded: a comment, not the header
+        "#source=tables",
+    ][int(rng.integers(0, 9))]
+    return lines if header is None else [header, *lines]
+
+
+def outcome(read, path):
+    """Ordinate bytes, max_height and source of a read table, or its exception."""
+    try:
+        zeros = read(path)
+    except ValueError as err:
+        return type(err), str(err)
+    return zeros.ordinates.tobytes(), zeros.max_height, zeros.source
+
+
+FAULTS = ("not a decimal", "not above previous", "declares count", "is not a number", "finite",
+          "at or below 14", "census", "overlap [", "overlap mismatch")
+
+
+def test_ingest_matches_the_block_reader(tmp_path, monkeypatch, zeros_1000):
+    """600 seeded tables give the same outcome from ``ingest_zeros`` as from the block
+    reader at every block size: equal ordinate bytes, max_height and source, or the
+    same exception type and message."""
+    monkeypatch.setattr(ze, "find_zeros", functools.lru_cache(ze.find_zeros))
+    rng = np.random.default_rng(20251019)
+    kinds = set()
+    for k in range(600):
+        path = tmp_path / f"t{k}.txt"
+        path.write_text("\n".join(random_table(rng, zeros_1000.ordinates)) + "\n")
+        got = outcome(ze.ingest_zeros, path)
+        for block in (1, 2, 3, 7, 2048):
+            assert outcome(functools.partial(block_ingest, block=block), path) == got, path
+        kinds.add("read" if isinstance(got[0], bytes) else
+                  next((f for f in FAULTS if f in got[1]), got[1]))
+    assert kinds >= {"read", *FAULTS}, kinds
+
+
+def test_key_value_lines_after_the_first_are_comments(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("14.134725141734693\n# count=5, max_height=1e9\n21.022039638771555\n")
+    zeros = ze.ingest_zeros(path)
+    assert len(zeros) == 2 and zeros.max_height == 21.022039638771555
+    header = "# zero ordinates, source=computed, max_height=22.0, count=1\n"
+    path.write_text(header + "14.134725141734693\n#count=2\n")
+    assert ze.ingest_zeros(path).max_height == 22.0
 
 
 def test_sigma_path_against_euler_maclaurin():
