@@ -1,11 +1,11 @@
-"""Dirichlet characters: enumeration, Gauss sums, the delta factor, and the
+"""Dirichlet characters: Gauss sums, the delta factor, and the
 additive-to-multiplicative rearrangement of the moment sums.
 
 The characters mod q are one table per modulus: an integer matrix of
 root-of-unity exponents over the unit-group exponent e, chi(a) = e(k / e) on
 units and 0 elsewhere.  Conjugates and conductors are integer arithmetic
 mod e, so character algebra never drifts; the complex matrix of any rows is
-built on demand, and a ``DirichletCharacter`` is a view of one row.
+built on demand.
 """
 
 from __future__ import annotations
@@ -130,55 +130,10 @@ def character_table(q: int) -> CharacterTable:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Row ``index`` of ``table``.  ``exponents[a]`` is the integer k with
-    chi(a) = e(k / exponent) for units a, and -1 on non-units.  For q = 1 the
-    single residue carries chi = 1.
-    """
+    """Row ``index`` of ``table``: the item of :func:`primitive_characters`."""
 
     table: CharacterTable = field(repr=False)
     index: int
-
-    @property
-    def modulus(self) -> int:
-        return self.table.group.modulus
-
-    @property
-    def exponent(self) -> int:
-        return self.table.group.exponent
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        row = np.full(self.modulus, -1, dtype=np.int64)
-        row[self.table.group.units] = self.table.expo[self.index]
-        return tuple(row.tolist())
-
-    @property
-    def conductor(self) -> int:
-        return int(self.table.conductors[self.index])
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self.table.values([self.index])[0]
-
-    def value(self, a: int) -> complex:
-        return complex(self.values[a % self.modulus])
-
-    @property
-    def is_principal(self) -> bool:
-        return not self.table.expo[self.index].any()
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
-
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.table, int(self.table.conjugates[self.index]))
-
-
-def enumerate_characters(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, as rows of :func:`character_table`."""
-    table = character_table(q)
-    return [DirichletCharacter(table, i) for i in range(len(table.expo))]
 
 
 def primitive_characters(q: int) -> tuple[DirichletCharacter, ...]:
@@ -188,7 +143,6 @@ def primitive_characters(q: int) -> tuple[DirichletCharacter, ...]:
 
 @dataclass(frozen=True)
 class GaussSumResult:
-    character: DirichletCharacter
     value: complex
     modulus_sqrt_check: float
 
@@ -196,7 +150,7 @@ class GaussSumResult:
 def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
     """tau(chi) = sum_a chi(a) e(a/q) with e(x) = exp(2 pi i x), read from its table."""
     value = complex(chi.table.gauss_sums[chi.index])
-    return GaussSumResult(chi, value, abs(abs(value) - math.sqrt(chi.modulus)))
+    return GaussSumResult(value, abs(abs(value) - math.sqrt(chi.table.group.modulus)))
 
 
 def delta_term(q: int, k: int, d: int) -> np.ndarray:

@@ -452,10 +452,6 @@ class NCount:
     census: int
     formula: int
 
-    @property
-    def agree(self) -> bool:
-        return self.census == self.formula
-
 
 def count_N(T: float, zeros: ZeroList) -> NCount:
     """N(T) by the census of ``zeros`` and by the counting formula; raises if they differ by 2+."""
@@ -579,7 +575,7 @@ def write_zeros(zeros: ZeroList, path) -> None:
 
 
 def ingest_zeros(path) -> ZeroList:
-    """Read one decimal ordinate per line ('#' comments allowed), validate monotonicity
+    """Read one ASCII decimal ordinate per line ('#' comments allowed), validate monotonicity
     and the header's count and max_height (default the top ordinate) when it declares
     them, and cross-check the overlap with computed zeros to 1e-6.  The header is line 1
     when it starts with '#': its ``key=value`` fields, as ``write_zeros`` puts them."""
@@ -589,6 +585,8 @@ def ingest_zeros(path) -> ZeroList:
         for n, raw in enumerate(fh, start=1):
             try:
                 value = float(raw)  # float drops the whitespace around a decimal, as strip would
+                if "_" in raw or not raw.isascii():  # float also reads 2_1.5 and non-ASCII digits
+                    raise ValueError
             except ValueError:
                 line = raw.strip()
                 if line and line[0] != "#":

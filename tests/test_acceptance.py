@@ -135,9 +135,10 @@ def test_criterion_07_gauss_sum_law():
     worst = 0.0
     count = 0
     for q in range(1, 101):
-        for psi in ch.primitive_characters(q):
-            worst = max(worst, ch.gauss_sum(psi).modulus_sqrt_check)
-            count += 1
+        table = ch.character_table(q)
+        tau = table.gauss_sums[table.primitive].tolist()
+        worst = max([worst, *(abs(abs(t) - math.sqrt(q)) for t in tau)])
+        count += len(tau)
     elapsed = time.perf_counter() - t0
     report(7, worst < 1e-9, elapsed, 5.0,
            f"|tau(psi)| = sqrt(q) over {count} primitive characters, "
@@ -155,7 +156,7 @@ def test_criterion_08_zeros_and_counting():
         abs(first - 14.134725) < 1e-6
         and n100.census == 29
         and n100.formula == 29
-        and n5000.agree
+        and n5000.census == n5000.formula
     )
     report(8, ok, elapsed, 120.0,
            f"first zero {first:.9f}; N(100)={n100.census}/{n100.formula}; "

@@ -14,30 +14,41 @@ from zetalab import mollifier as mo
 from zetalab.intfun import divisors, mobius_int, totient
 
 
+def _all_values(q):
+    """The table mod q and the (phi(q), q) matrix of chi(a) of all its rows."""
+    table = ch.character_table(q)
+    return table, table.values(range(len(table.expo)))
+
+
+def _nonprincipal(q):
+    """The table mod q and its first row with a nonzero exponent."""
+    table = ch.character_table(q)
+    return table, int(np.flatnonzero(table.expo.any(axis=1))[0])
+
+
 def test_q1_character():
-    chars = ch.enumerate_characters(1)
-    assert len(chars) == 1
-    chi = chars[0]
-    assert chi.is_primitive and chi.conductor == 1
+    table, V = _all_values(1)
+    assert len(V) == 1
+    assert table.primitive.tolist() == [0] and table.conductors[0] == 1
     for a in (0, 1, 5, 17):
-        assert chi.value(a) == 1.0
+        assert V[0, a % 1] == 1.0
 
 
 def test_q3_characters():
-    chars = ch.enumerate_characters(3)
-    assert len(chars) == 2
-    nontrivial = [c for c in chars if not c.is_principal]
+    table, V = _all_values(3)
+    assert len(V) == 2
+    nontrivial = np.flatnonzero(table.expo.any(axis=1))
     assert len(nontrivial) == 1
-    assert nontrivial[0].value(2) == pytest.approx(-1.0, abs=1e-14)
+    assert V[nontrivial[0], 2] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_group_size_and_orthogonality():
     for q in range(1, 101):
-        chars = ch.enumerate_characters(q)
-        assert len(chars) == totient(q)
-        for chi in chars:
-            total = chi.values.sum()
-            if chi.is_principal:
+        table, V = _all_values(q)
+        assert len(V) == totient(q)
+        for row, principal in zip(V, ~table.expo.any(axis=1)):
+            total = row.sum()
+            if principal:
                 assert total == pytest.approx(totient(q), abs=1e-9)
             else:
                 assert abs(total) < 1e-9
@@ -45,23 +56,23 @@ def test_group_size_and_orthogonality():
 
 def test_multiplicativity_and_unit_modulus(rng):
     for q in (5, 8, 12, 24, 45, 60):
-        for chi in ch.enumerate_characters(q):
-            assert chi.value(1) == 1.0
+        for row in _all_values(q)[1]:
+            assert row[1 % q] == 1.0
             units = [a for a in range(q) if math.gcd(a, q) == 1]
             for _ in range(10):
                 a, b = rng.choice(units, 2)
-                assert chi.value(int(a) * int(b)) == pytest.approx(
-                    chi.value(int(a)) * chi.value(int(b)), abs=1e-12
+                assert row[int(a) * int(b) % q] == pytest.approx(
+                    row[int(a)] * row[int(b)], abs=1e-12
                 )
             for a in range(q):
-                mag = abs(chi.value(a))
+                mag = abs(row[a])
                 assert mag == pytest.approx(1.0, abs=1e-12) if math.gcd(a, q) == 1 \
                     else mag == 0.0
 
 
 def test_product_closure():
     for q in (6, 8, 15, 36, 60):
-        tables = np.array([c.values for c in ch.enumerate_characters(q)])
+        tables = _all_values(q)[1]
         for a, b in itertools.product(tables, repeat=2):
             assert np.abs(tables - a * b).max(axis=1).min() < 1e-12
 
@@ -107,84 +118,103 @@ def _primitive_count_oracle(q):
 
 def test_exponent_matrix_matches_per_residue_oracle():
     for q in [*range(1, 201), 256, 360, 420, 480]:
-        got = [(c.modulus, c.exponent, c.exponents, c.conductor, c.index)
-               for c in ch.enumerate_characters(q)]
+        table = ch.character_table(q)
+        exponents = np.full((len(table.expo), q), -1)
+        exponents[:, table.group.units] = table.expo
+        got = [(table.group.modulus, table.group.exponent, tuple(row), int(f), i)
+               for i, (row, f) in enumerate(zip(exponents.tolist(), table.conductors))]
         assert got == _oracle_characters(q)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.integers(1, 500), st.data())
 def test_character_group_properties(q, data):
-    chars = ch.enumerate_characters(q)
+    table, V = _all_values(q)
     phi = totient(q)
-    assert len(chars) == phi
-    V = np.array([c.values for c in chars])
+    assert len(V) == phi
     assert np.abs(V @ V.conj().T - phi * np.eye(phi)).max() < 1e-9
     units = [a for a in range(q) if math.gcd(a, q) == 1]
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(units), st.sampled_from(units)),
                                min_size=1, max_size=8))
     for a, b in pairs:
         assert np.abs(V[:, a * b % q] - V[:, a] * V[:, b]).max() < 1e-12
-    assert all(q % c.conductor == 0 for c in chars)
-    assert len(ch.primitive_characters(q)) == _primitive_count_oracle(q)
+    assert all(q % f == 0 for f in table.conductors.tolist())
+    assert len(table.primitive) == _primitive_count_oracle(q)
 
 
 def test_primitivity():
-    assert ch.enumerate_characters(1)[0].is_primitive
-    c4 = [c for c in ch.enumerate_characters(4) if not c.is_principal][0]
-    assert c4.is_primitive and c4.conductor == 4
-    c6 = [c for c in ch.enumerate_characters(6) if not c.is_principal][0]
-    assert not c6.is_primitive and c6.conductor == 3
+    assert ch.character_table(1).primitive.tolist() == [0]
+    table, i = _nonprincipal(4)
+    assert i in table.primitive and table.conductors[i] == 4
+    table, i = _nonprincipal(6)
+    assert i not in table.primitive and table.conductors[i] == 3
     for q in range(1, 201):
-        assert len(ch.primitive_characters(q)) == _primitive_count_oracle(q)
+        assert len(ch.character_table(q).primitive) == _primitive_count_oracle(q)
 
 
 def test_gauss_sums():
-    assert ch.gauss_sum(ch.enumerate_characters(1)[0]).value == 1.0
-    c3 = [c for c in ch.enumerate_characters(3) if not c.is_principal][0]
-    assert ch.gauss_sum(c3).value == pytest.approx(1j * math.sqrt(3), abs=1e-12)
+    assert ch.character_table(1).gauss_sums[0] == 1.0
+    table, i = _nonprincipal(3)
+    assert table.gauss_sums[i] == pytest.approx(1j * math.sqrt(3), abs=1e-12)
     worst = 0.0
     for q in range(1, 101):
-        for chi in ch.primitive_characters(q):
-            worst = max(worst, ch.gauss_sum(chi).modulus_sqrt_check)
+        table = ch.character_table(q)
+        tau = table.gauss_sums[table.primitive].tolist()
+        worst = max([worst, *(abs(abs(t) - math.sqrt(q)) for t in tau)])
     assert worst < 1e-9
 
 
-def _gauss_sum_oracle(chi):
-    """tau(chi) by the per-character route: the roots of unity and e(a/q)
+def _gauss_sum_oracle(table, i):
+    """tau(chi_i) by the per-character route: the roots of unity and e(a/q)
     built on every call, then sum_a chi(a) e(a/q) over the q residues."""
-    q, e = chi.modulus, chi.exponent
+    q, e = table.group.modulus, table.group.exponent
     C = np.zeros(q, dtype=np.complex128)
-    C[chi.table.group.units] = np.exp(2j * np.pi * np.arange(e) / e)[chi.table.expo[chi.index]]
+    C[table.group.units] = np.exp(2j * np.pi * np.arange(e) / e)[table.expo[i]]
     return complex((C * np.exp(2j * np.pi * np.arange(q) / q)).sum(-1))
 
 
 def test_gauss_sums_match_the_per_character_route():
     """The table's Gauss sums, taken for all rows at once, keep the bits of
-    the per-character sum for every character mod q <= 60."""
+    the per-character sum for every character mod q <= 60.  For q <= 300,
+    ``gauss_sum`` over ``primitive_characters`` (perfbench's gauss job)
+    reads the bits of ``gauss_sums[primitive]`` and |tau| - sqrt(q) from them."""
     for q in range(1, 61):
-        for chi in ch.enumerate_characters(q):
-            assert ch.gauss_sum(chi).value == _gauss_sum_oracle(chi)
+        table = ch.character_table(q)
+        for i in range(len(table.expo)):
+            assert table.gauss_sums[i] == _gauss_sum_oracle(table, i)
+    for q in range(1, 301):
+        table = ch.character_table(q)
+        prims = ch.primitive_characters(q)
+        assert len(prims) == len(table.primitive)
+        results = [ch.gauss_sum(psi) for psi in prims]
+        tau = table.gauss_sums[table.primitive]
+        assert np.array([r.value for r in results], dtype=complex).tobytes() == tau.tobytes()
+        assert [r.modulus_sqrt_check for r in results] == [
+            abs(abs(t) - math.sqrt(q)) for t in tau.tolist()]
 
 
 def test_gauss_twist_identity(rng):
     for q in (3, 4, 5, 8, 9, 16, 21, 40, 60):
-        for chi in ch.primitive_characters(q):
-            tau = ch.gauss_sum(chi).value
+        table = ch.character_table(q)
+        for i in table.primitive:
+            tau = table.gauss_sums[i]
+            row, conj = table.values([i, table.conjugates[i]])
             units = [n for n in range(1, q + 1) if math.gcd(n, q) == 1]
             for n in rng.choice(units, min(4, len(units)), replace=False):
                 n = int(n)
                 a = np.arange(q)
-                twisted = np.sum(chi.values * np.exp(2j * np.pi * a * n / q))
-                assert twisted == pytest.approx(chi.conjugate().value(n) * tau, abs=1e-9)
+                twisted = np.sum(row * np.exp(2j * np.pi * a * n / q))
+                assert twisted == pytest.approx(conj[n % q] * tau, abs=1e-9)
 
 
 def test_delta_term():
     for q in (3, 5, 7, 11):
+        table = ch.character_table(q)
         delta = ch.delta_term(q, 1, 1)
-        assert delta.shape == (len(ch.primitive_characters(q)),)
-        for psi, d in zip(ch.primitive_characters(q), delta):
-            assert d == pytest.approx(psi.conjugate().value(q - 1) / totient(q), abs=1e-12)
+        assert delta.shape == (len(table.primitive),)
+        conj = table.values(table.conjugates[table.primitive])
+        for c, d in zip(conj, delta):
+            assert d == pytest.approx(c[q - 1] / totient(q), abs=1e-12)
     with pytest.raises(ValueError):
         ch.delta_term(3, 6, 1)  # gcd(k, q) != 1
     with pytest.raises(ValueError):
@@ -228,8 +258,8 @@ def test_unit_columns_invert_the_units():
 def test_delta_bound(rng):
     for _ in range(60):
         q = int(rng.integers(2, 30))
-        prims = ch.primitive_characters(q)
-        if not prims:
+        prims = ch.character_table(q).primitive
+        if not len(prims):
             continue
         k = int(rng.integers(1, max(2, 200 // q)))
         if math.gcd(k, q) != 1:
@@ -241,9 +271,10 @@ def test_delta_bound(rng):
 
 
 def test_character_off_units_zero():
-    psi = ch.primitive_characters(9)[0]
+    table = ch.character_table(9)
+    psi = table.values(table.primitive[:1])[0]
     for a in (0, 3, 6):
-        assert psi.value(a) == 0.0
+        assert psi[a] == 0.0
 
 
 def m_nu_oracle(nu, spec, a_table):
@@ -329,14 +360,15 @@ def test_rearrangement_coprimality_is_forced_by_b():
                 assert b[k * q] == 0.0
 
 
-def delta_oracle(q, k, d, psi):
-    """delta(q, kq, d, psi) for one character, a scalar sum over l | gcd(d, k)."""
+def delta_oracle(q, k, d, psi, psi_bar):
+    """delta(q, kq, d, psi) for one character, given the values of psi and
+    its conjugate, a scalar sum over l | gcd(d, k)."""
     total = 0j
     for l in divisors(math.gcd(d, k)):
         mu_dl, mu_kl = mobius_int(d // l), mobius_int(k // l)
         if mu_dl and mu_kl:
-            total += (mu_dl / totient(k * q // l) * psi.conjugate().value(-(k // l) % q)
-                      * psi.value(d // l) * mu_kl)
+            total += (mu_dl / totient(k * q // l) * complex(psi_bar[-(k // l) % q])
+                      * complex(psi[d // l % q]) * mu_kl)
     return total
 
 
@@ -347,21 +379,23 @@ def m_nu_rearranged_oracle(nu, spec, a_table):
     b = mo.b_table(spec, int(spec.y))
     terms = []
     for q in range(1, int(spec.y) + 1):
-        for psi in ch.primitive_characters(q):
+        table = ch.character_table(q)
+        for i in table.primitive:
+            psi, psi_bar = table.values([i, table.conjugates[i]])
             inner = 0j
             for k in range(1, int(spec.y / q) + 1):
                 bkq = b[k * q]
                 if bkq == 0.0:
                     continue
                 for d in divisors(k):
-                    delta = delta_oracle(q, k, d, psi)
+                    delta = delta_oracle(q, k, d, psi, psi_bar)
                     m_max = int(k * q * spec.T / (2 * math.pi * d))
                     if delta == 0.0 or m_max < 1:
                         continue
                     idx = np.arange(1, m_max + 1)
-                    s = complex(np.dot(av[idx * d], psi.values[idx % q]))
+                    s = complex(np.dot(av[idx * d], psi[idx % q]))
                     inner += (bkq / (k * q)) * delta * s
-            terms.append(ch.gauss_sum(psi.conjugate()).value * inner)
+            terms.append(complex(table.gauss_sums[table.conjugates[i]]) * inner)
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return value, math.fsum(abs(t) for t in terms)
 
@@ -398,18 +432,20 @@ def test_gauss_sweep_memory_is_bounded():
 
 
 def _polya_vinogradov_max(chi, Y, coprime_to=1):
-    """max_{Y' <= Y} |sum_{h <= Y', gcd(h, coprime_to) = 1} chi(h)|."""
+    """max_{Y' <= Y} |sum_{h <= Y', gcd(h, coprime_to) = 1} chi(h)|, chi the
+    values chi(0), ..., chi(q - 1)."""
     h = np.arange(1, Y + 1)
-    vals = np.where(np.gcd(h, coprime_to) == 1, chi.values[h % chi.modulus], 0.0)
+    vals = np.where(np.gcd(h, coprime_to) == 1, chi[h % len(chi)], 0.0)
     return float(np.abs(np.cumsum(vals)).max())
 
 
 def test_polya_vinogradov():
-    c3 = [c for c in ch.enumerate_characters(3) if not c.is_principal][0]
-    assert _polya_vinogradov_max(c3, 1000) == pytest.approx(1.0, abs=1e-12)
+    table, i = _nonprincipal(3)
+    assert _polya_vinogradov_max(table.values([i])[0], 1000) == pytest.approx(1.0, abs=1e-12)
     for q in range(3, 60):
-        for chi in ch.enumerate_characters(q):
-            if chi.is_principal:
+        table, V = _all_values(q)
+        for chi, principal in zip(V, ~table.expo.any(axis=1)):
+            if principal:
                 continue
             bound = math.sqrt(q) * math.log(q)
             assert _polya_vinogradov_max(chi, 2000) <= bound + 1e-9
@@ -419,7 +455,8 @@ def test_polya_vinogradov_coprime_variant():
     from zetalab.intfun import divisors as divs
 
     for q in (5, 7, 11, 13):
-        for chi in ch.primitive_characters(q):
+        table = ch.character_table(q)
+        for chi in table.values(table.primitive):
             for D in (6, 12, 30):
                 tau_d = len(divs(D))
                 bound = tau_d * math.sqrt(q) * math.log(q)

@@ -1,6 +1,6 @@
-"""Structure guards on ``src/zetalab``: every function or class has a caller
-in ``src/``, the package imports nothing but the standard library and numpy,
-and the README names every module."""
+"""Structure guards on ``src/zetalab``: every function, class and public
+class member has a caller in ``src/``, the package imports nothing but the
+standard library and numpy, and the README names every module."""
 
 import ast
 import re
@@ -12,7 +12,9 @@ import zetalab
 SRC = Path(zetalab.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
-# Public code that no src/ code reaches, each entry with its reason.
+# Public code that no src/ code reaches, each entry with its reason; a class
+# member is named ``Class.member``.  A reason that cites perfbench names the job
+# as "perfbench <kind> job".
 ALLOWED = {
     # cross-check routes that the tests use as oracles (ROADMAP aim 2)
     "rs_theta_asymptotic": "second route for rs_theta",
@@ -22,12 +24,14 @@ ALLOWED = {
     "eval_B": "second route for the B(rho) of compute_moments",
     "s_qxd_bruteforce": "brute-force S(Q, X, d)",
     "term_convolution": "per-term route for A2Decomposition.reconstruct",
-    # reached by the tests only (perfbench's tracer names it but no job calls it)
-    "enumerate_characters": "every character mod q, for the tests of the character laws",
-    # perfbench's gauss and growth jobs
+    "MollifierPolynomial.derivative_at":
+        "integrand of the quadrature route for integral_deriv_square",
+    # read by perfbench jobs
     "primitive_characters": "perfbench gauss job",
     "gauss_sum": "perfbench gauss job",
     "coefficient_growth_report": "perfbench growth job",
+    "MollifierPolynomial.sup_norm_01": "perfbench growth job",
+    "A2Decomposition.reconstruct": "perfbench recon job and criterion 4",
     # closed-form main terms that normalise M_1 and M_2 (ROADMAP directions 1, 4)
     "m11_factor": "main-term factor of M_1",
     "m21_factor": "main-term factor of M_2",
@@ -40,27 +44,39 @@ def _names(node) -> set[str]:
 
 
 def _unreached(sources: dict[str, str], roots) -> list[str]:
-    """``module.name`` of each top-level function or class in ``sources``
+    """``module.name`` of each top-level function or class, and
+    ``module.Class.member`` of each public method or property, in ``sources``
     (module name -> text) that no reached code references.
 
     A reference (an AST Name or Attribute, not text) counts only from code
     that is itself reached: module-level statements such as the CLI's command
-    table, the names in ``roots``, and every top-level definition they reach
-    in turn. So code called only by other unreached code is unreached too."""
-    uses, defined, live = {}, {}, set()
+    table, the names in ``roots`` (``Class.member`` for a member), and every
+    definition they reach in turn. So code called only by other unreached code
+    is unreached too.  A class reaches its fields and private members; a public
+    member is reached on its own, by any reached reference to its name."""
+    uses, defined, live = {}, [], set()
+
+    def define(name, qualified, names):
+        uses[name] = uses.get(name, set()) | names
+        defined.append((name, qualified))
+
     for module, text in sources.items():
         for stmt in ast.parse(text).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                uses[stmt.name] = uses.get(stmt.name, set()) | _names(stmt)
-                defined[stmt.name] = f"{module}.{stmt.name}"
-            else:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 live |= _names(stmt)
-    todo = list(live | set(roots))
+                continue
+            members = [m for m in stmt.body if isinstance(stmt, ast.ClassDef)
+                       and isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            for m in members:
+                define(m.name, f"{module}.{stmt.name}.{m.name}", _names(m))
+            rest = [n for n in ast.iter_child_nodes(stmt) if n not in members]
+            define(stmt.name, f"{module}.{stmt.name}", set().union(*map(_names, rest)))
+    todo = list(live | {root.split(".")[-1] for root in roots})
     while todo:
         name = todo.pop()
         live.add(name)
         todo += uses.pop(name, ())
-    return sorted(defined[n] for n in defined if n not in live)
+    return sorted(qualified for name, qualified in defined if name not in live)
 
 
 def _sources() -> dict[str, str]:
@@ -71,13 +87,29 @@ def _private(qualified: str) -> bool:
     return qualified.split(".")[1].startswith("_")
 
 
+def _member(qualified: str) -> bool:
+    return qualified.count(".") == 2
+
+
 def test_every_public_symbol_has_a_caller():
     sources = _sources()
-    defined = {stmt.name for text in sources.values() for stmt in ast.parse(text).body
-               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    defined = set()
+    for text in sources.values():
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
+                defined |= {f"{stmt.name}.{m.name}" for m in stmt.body
+                            if isinstance(m, ast.FunctionDef)}
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
-    unreached = [q for q in _unreached(sources, ALLOWED) if not _private(q)]
+    unreached = [q for q in _unreached(sources, ALLOWED) if not _private(q) and not _member(q)]
     assert not unreached, f"public code that no src/ code reaches: {unreached}"
+
+
+def test_every_public_member_has_a_caller():
+    """A public method or property of a class is reached when reached src/
+    code names it; test-only accessors need an allowlist entry."""
+    unreached = [q for q in _unreached(_sources(), ALLOWED) if _member(q)]
+    assert not unreached, f"class members that no src/ code reaches: {unreached}"
 
 
 def test_private_helpers_have_a_caller():
@@ -103,13 +135,39 @@ def test_guard_names_code_reached_only_from_unreached_code():
              "def helper():\n    return 1\n"
              "def orphan():\n    return chain()\n"
              "def _orphan_private():\n    return 0\n",
-        "b": "class Handler:\n    pass\n"
-             "def handler():\n    return helper() + Handler()\n"
+        "b": "class Handler:\n"
+             "    def run(self):\n        return self._hook()\n"
+             "    def idle(self):\n        return oracle()\n"
+             "    def _hook(self):\n        return 0\n"
+             "def handler():\n    return helper() + Handler().run()\n"
              "def chain():\n    return 2\n"
              "def oracle():\n    return 3\n",
     }
-    assert _unreached(sources, ()) == ["a._orphan_private", "a.orphan", "b.chain", "b.oracle"]
-    assert _unreached(sources, {"oracle", "orphan"}) == ["a._orphan_private"]
+    assert _unreached(sources, ()) == ["a._orphan_private", "a.orphan", "b.Handler.idle",
+                                       "b.chain", "b.oracle"]
+    assert _unreached(sources, {"oracle", "orphan"}) == ["a._orphan_private", "b.Handler.idle"]
+    assert _unreached(sources, {"Handler.idle", "orphan"}) == ["a._orphan_private"]
+
+
+def test_allowlist_reasons_name_the_perfbench_job_that_calls_them():
+    """A reason that cites perfbench names a kind of ``perfbench/jobs.py``'s
+    KINDS, and that kind's function calls the allowlisted name."""
+    tree = ast.parse((ROOT / "perfbench" / "jobs.py").read_text())
+    functions = {s.name: s for s in tree.body if isinstance(s, ast.FunctionDef)}
+    kinds_value = next(s.value for s in tree.body if isinstance(s, ast.Assign)
+                       and any(getattr(t, "id", None) == "KINDS" for t in s.targets))
+    kinds = {n.id for n in ast.walk(kinds_value) if isinstance(n, ast.Name)} & set(functions)
+    for name, reason in ALLOWED.items():
+        if "perfbench" not in reason:
+            continue
+        cited = re.findall(r"perfbench (\w+) job", reason)
+        assert cited, f"{name}: reason {reason!r} names no perfbench job"
+        for kind in cited:
+            assert kind in kinds, f"{name}: perfbench has no {kind!r} job"
+            called = {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                      for n in ast.walk(functions[kind]) if isinstance(n, ast.Call)
+                      and isinstance(n.func, (ast.Name, ast.Attribute))}
+            assert name.split(".")[-1] in called, f"{name}: perfbench {kind} job does not call it"
 
 
 def test_imports_only_the_standard_library_and_numpy():

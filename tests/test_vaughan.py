@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab import arith, vaughan as va
 from zetalab import mollifier as mo
-from zetalab.characters import primitive_characters
+from zetalab.characters import character_table
 from zetalab.intfun import divisors, factorize
 from zetalab.vaughan import VaughanConfig
 
@@ -384,7 +384,7 @@ def test_sieve_monitor_degenerate_and_exact():
     rep = va.hybrid_large_sieve_monitor(10, 0.0, 50, np.ones(50))
     assert rep.lhs == 0.0 and rep.ratio == 0.0
     rep1 = va.hybrid_large_sieve_monitor(10, 5.0, 1, [1.0])
-    n_prim = sum(len(primitive_characters(q)) for q in range(6, 11))
+    n_prim = sum(len(character_table(q).primitive) for q in range(6, 11))
     assert rep1.lhs == pytest.approx(2 * 5.0 * n_prim, rel=1e-12)
     assert rep1.ratio <= 2.0
     for Q in (2, 9, 17, 30):
@@ -408,8 +408,9 @@ def sieve_lhs_oracle(Q, V, H, h):
     np.fill_diagonal(kernel, 2.0 * V)
     lhs = 0.0
     for q in range(max(2, Q // 2 + 1), Q + 1):
-        for psi in primitive_characters(q):
-            v = h * psi.values[np.arange(1, H + 1) % q]
+        table = character_table(q)
+        for psi in table.values(table.primitive):
+            v = h * psi[np.arange(1, H + 1) % q]
             lhs += float(np.real(np.conj(v) @ kernel @ v))
     return lhs
 
@@ -487,10 +488,11 @@ def s_qxd_oracle(Q, X, d, a_table):
     for q in range(Q // 2 + 1, Q + 1):
         if q < 2:
             continue
-        for psi in primitive_characters(q):
+        table = character_table(q)
+        for psi in table.values(table.primitive):
             best = 0.0
             for M in range(1, X + 1):
-                s = sum(a_table[m * d] * psi.value(m) for m in range(1, M + 1))
+                s = sum(a_table[m * d] * complex(psi[m % q]) for m in range(1, M + 1))
                 best = max(best, abs(s))
             total += best
     return total
@@ -502,7 +504,7 @@ def test_s_qxd():
     # indicator coefficients: each primitive character contributes |psi(1)| = 1
     ind = arith.ArithFnTable("ind", 100, np.concatenate([[0.0, 1.0], np.zeros(99)]))
     got = va.s_qxd_bruteforce(8, 100, 1, 1, spec, a_table=ind)
-    n_prim = sum(len(primitive_characters(q)) for q in range(5, 9))
+    n_prim = sum(len(character_table(q).primitive) for q in range(5, 9))
     assert got == pytest.approx(float(n_prim), abs=1e-12)
     a1 = arith.compute_a1(500)
     fast = va.s_qxd_bruteforce(8, 500, 1, 1, spec, a_table=a1)

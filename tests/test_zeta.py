@@ -266,7 +266,7 @@ def test_zero_list_zeta_prime_is_validated_and_copied():
 
 def test_count_N(zeros_1000):
     n100 = ze.count_N(100.0, zeros_1000)
-    assert n100.census == 29 and n100.formula == 29 and n100.agree
+    assert n100.census == 29 and n100.formula == 29 and n100.census == n100.formula
     assert ze.count_N(14.0, ze.find_zeros(14.0)).census == 0
     counts = [ze.count_N(T, zeros_1000).census for T in (100.0, 250.0, 500.0, 1000.0)]
     assert counts == sorted(counts)
@@ -577,6 +577,11 @@ INGEST_EDGES = [
      "3: not a decimal ordinate: 'x21'"),
     (["14.134725141734693", "21.022039638771555", "25.01", "30.4", "29.0", "?"],
      "5: ordinate 29.0 not above previous 30.4"),
+    # float reads an underscore and non-ASCII digits as a number; a zero table does not
+    (["14.134725141734693", "21.022039638771555", "25.01", "3_0.4"],
+     "4: not a decimal ordinate: '3_0.4'"),
+    (["14.134725141734693", "21.022039638771555", "２５.01"],
+     "3: not a decimal ordinate: '２５.01'"),
 ]
 
 
