@@ -1,10 +1,10 @@
 """Sieve-built arithmetic function tables and exact Dirichlet convolution.
 
-Tables are the universal currency of the coefficient work: 1-indexed
-float64 arrays wrapped with a name and a limit.  One prime sieve,
-:func:`smallest_prime_factors`, gives Mobius, von Mangoldt, tau_k (exact
-integers in floats, by n = spf(n) m: Gries & Misra, CACM 21, 1978) and the
-phase kernel's primes in :mod:`zetalab.zeta`.  Every Dirichlet convolution
+Tables are the universal currency of the coefficient work: read-only,
+1-indexed float64 value arrays whose limit is their length minus one.  One
+prime sieve, :func:`smallest_prime_factors`, gives Mobius, von Mangoldt, tau_k
+(exact integers in floats, by n = spf(n) m: Gries & Misra, CACM 21, 1978) and
+the phase kernel's primes in :mod:`zetalab.zeta`.  Every Dirichlet convolution
 runs through :func:`convolve_values`, with error-free TwoSum compensation so
 that identity checks hold to ~1e-12 relative at desk scale (N <= 1e6).
 """
@@ -12,7 +12,7 @@ that identity checks hold to ~1e-12 relative at desk scale (N <= 1e6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +24,22 @@ STANDARD_NAMES = ("mobius", "vonmangoldt", "log", "one") + _TAU_NAMES
 
 @dataclass(frozen=True)
 class ArithFnTable:
-    """Values of an arithmetic function on [1..limit].
+    """Values of an arithmetic function on [1..limit], limit = len(values) - 1.
 
-    ``values`` has length limit + 1; index 0 is unused and kept at 0 so that
-    values[n] is f(n).  Instances are immutable after construction and safe
-    for concurrent reads.
+    values[n] is f(n); index 0 is unused and kept at 0.  The array is made
+    read-only on construction, so instances are safe for concurrent reads.
     """
 
-    name: str
-    limit: int
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError(f"table limit must be >= 1, got {self.limit}")
-        if self.values.shape != (self.limit + 1,):
-            raise ValueError(
-                f"values length {self.values.shape} inconsistent with limit {self.limit}"
-            )
+        if self.values.ndim != 1 or len(self.values) < 2:
+            raise ValueError(f"values must be 1-D of length >= 2, got shape {self.values.shape}")
         self.values.setflags(write=False)
+
+    @property
+    def limit(self) -> int:
+        return len(self.values) - 1
 
     def __getitem__(self, n: int) -> float:
         if not 1 <= n <= self.limit:
@@ -122,10 +119,10 @@ def sieve_standard(name: str, limit: int) -> ArithFnTable:
             values[0] = 0.0
         else:
             values = _spf_sieve(name, limit)
-        cached = _table_cache[name] = ArithFnTable(name, limit, values)
+        cached = _table_cache[name] = ArithFnTable(values)
     if cached.limit == limit:
         return cached
-    return ArithFnTable(name, limit, cached.values[: limit + 1])
+    return ArithFnTable(cached.values[: limit + 1])
 
 
 def _accumulate(out: np.ndarray, comp: np.ndarray, d: int, c: float,
@@ -173,8 +170,7 @@ def convolve_values(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def dirichlet_convolve(f: ArithFnTable, g: ArithFnTable, limit: int | None = None,
-                       name: str | None = None) -> ArithFnTable:
+def dirichlet_convolve(f: ArithFnTable, g: ArithFnTable, limit: int | None = None) -> ArithFnTable:
     """Exact Dirichlet convolution (f*g)(n) = sum_{de=n} f(d) g(e) on [1..limit].
 
     Table front end of :func:`convolve_values`.
@@ -182,18 +178,15 @@ def dirichlet_convolve(f: ArithFnTable, g: ArithFnTable, limit: int | None = Non
     if limit is None:
         limit = min(f.limit, g.limit)
     if f.limit < limit or g.limit < limit:
-        raise ValueError(
-            f"convolution limit {limit} exceeds input limits ({f.limit}, {g.limit})"
-        )
-    label = name if name is not None else f"({f.name}*{g.name})"
-    return ArithFnTable(label, limit, convolve_values(f.values, g.values, limit))
+        raise ValueError(f"convolution limit {limit} exceeds input limits ({f.limit}, {g.limit})")
+    return ArithFnTable(convolve_values(f.values, g.values, limit))
 
 
 def compute_a1(limit: int) -> ArithFnTable:
     """First moment coefficients a1 = vonmangoldt * log."""
     lam = sieve_standard("vonmangoldt", limit)
     logt = sieve_standard("log", limit)
-    return dirichlet_convolve(lam, logt, limit, name="a1")
+    return dirichlet_convolve(lam, logt, limit)
 
 
 def compute_a2(limit: int, b: ArithFnTable) -> ArithFnTable:
@@ -207,7 +200,7 @@ def compute_a2(limit: int, b: ArithFnTable) -> ArithFnTable:
     t = compute_a1(limit)
     t = dirichlet_convolve(t, logt, limit)
     t = dirichlet_convolve(t, b, limit)
-    return ArithFnTable("a2", limit, -t.values)
+    return ArithFnTable(-t.values)
 
 
 @dataclass(frozen=True)
@@ -218,7 +211,6 @@ class GrowthReport:
     pointwise bound: violations are listed, never raised.
     """
 
-    limit: int
     envelope_scale: float
     max_ratio: float
     argmax: int
@@ -241,4 +233,4 @@ def coefficient_growth_report(table: ArithFnTable, log_scale: float,
     max_ratio = float(ratios.max())
     argmax = int(ratios.argmax()) + 1
     violations = tuple(int(i) + 1 for i in np.nonzero(ratios > 1.0)[0])
-    return GrowthReport(table.limit, scale, max_ratio, argmax, violations)
+    return GrowthReport(scale, max_ratio, argmax, violations)

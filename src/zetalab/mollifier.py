@@ -101,7 +101,7 @@ def paper_quadratic(theta: float) -> MollifierPolynomial:
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Run parameters: theta in (0, 1/2), T > 2*pi, y = T^theta, polynomial P."""
+    """Run parameters: theta in (0, 1/2), finite T > 2*pi, y = T^theta, polynomial P."""
 
     theta: float
     T: float
@@ -109,6 +109,8 @@ class MollifierSpec:
     P: MollifierPolynomial
 
     def __post_init__(self):
+        if not (math.isfinite(self.T) and math.isfinite(self.y)):
+            raise ValueError(f"T = {self.T} and y = {self.y} must be finite")
         if not 0.0 < self.theta < 0.5:
             raise ValueError(f"theta = {self.theta} outside (0, 1/2)")
         if self.T <= 2 * math.pi:
@@ -260,7 +262,7 @@ def b_table(spec: MollifierSpec, limit: int) -> ArithFnTable:
     for k in range(1, min(limit, int(spec.y)) + 1):
         if mu[k]:
             values[k] = mu[k] * spec.P(math.log(spec.y / k) / log_y)
-    return arith.ArithFnTable("b", limit, values)
+    return arith.ArithFnTable(values)
 
 
 def eval_B(s: complex, spec: MollifierSpec) -> complex:

@@ -37,7 +37,7 @@ SPLIT_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class VaughanConfig:
-    """r >= 1 terms, M(s) truncated at X >= 1."""
+    """r >= 1 terms, M(s) truncated at a finite X >= 1."""
 
     r: int
     X: float
@@ -45,8 +45,10 @@ class VaughanConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.X < 1:
+        if not self.X >= 1:  # nan too
             raise ValueError(f"X must be >= 1, got {self.X}")
+        if math.isinf(self.X):
+            raise ValueError(f"X must be finite, got {self.X}")
 
 
 def mu_truncated(X: float, limit: int) -> ArithFnTable:
@@ -55,7 +57,7 @@ def mu_truncated(X: float, limit: int) -> ArithFnTable:
     values = np.zeros(limit + 1)
     if cut >= 1:
         values[: cut + 1] = arith.sieve_standard("mobius", cut).values
-    return ArithFnTable(f"mu<={X:g}", limit, values)
+    return ArithFnTable(values)
 
 
 def vaughan_rhs_coefficients(config: VaughanConfig, limit: int) -> ArithFnTable:
@@ -73,7 +75,7 @@ def vaughan_rhs_coefficients(config: VaughanConfig, limit: int) -> ArithFnTable:
                              mu_truncated(config.X, limit).values,
                              arith.sieve_standard("one", limit).values, config.r, limit)
     total = sum(weight * group for weight, group in groups)
-    return ArithFnTable(f"vaughan_rhs(r={config.r},X={config.X:g})", limit, total)
+    return ArithFnTable(total)
 
 
 def _vaughan_groups(head, mu_x, one, r: int, n: int):
@@ -498,8 +500,8 @@ def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients) -> SieveM
     return SieveMonitorReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, Q=Q, V=V, H=H)
 
 
-def run_sieve_trials(trials: int = 200, seed: int = 20250811, q_max: int = 20,
-                     h_max: int = 200, v_max: float = 20.0) -> list[SieveMonitorReport]:
+def run_sieve_trials(trials: int, seed: int, q_max: int, h_max: int,
+                     v_max: float) -> list[SieveMonitorReport]:
     """Random coefficient sweep; the observed max ratio is the monitor output."""
     rng = np.random.default_rng(seed)
     reports = []

@@ -448,7 +448,6 @@ def count_formula(T: float) -> float:
 class NCount:
     """Zero count by census and by the counting formula."""
 
-    T: float
     census: int
     formula: int
 
@@ -461,7 +460,7 @@ def count_N(T: float, zeros: ZeroList) -> NCount:
     formula = int(round(count_formula(T))) if T > 14.5 else 0
     if abs(census - formula) >= 2:
         raise ZeroScanError(f"zero census {census} vs formula {formula} at T={T}: missing zeros")
-    return NCount(T=T, census=census, formula=formula)
+    return NCount(census, formula)
 
 
 def find_zeros(T: float) -> ZeroList:
@@ -474,6 +473,8 @@ def find_zeros(T: float) -> ZeroList:
     raises ZeroScanError.  ``_refine`` then closes every bracket."""
     if T > SCAN_CAP:
         raise ValueError(f"desk scale tops out at T = {SCAN_CAP:g}")
+    if not T >= 0:  # nan too
+        raise ValueError(f"height T = {T} must be >= 0")
     if T < FIRST_ZERO:
         return ZeroList(np.zeros(0), "computed", T)
     return ZeroList(_refine(*_brackets(T)), "computed", T)
@@ -660,8 +661,6 @@ class MomentResult:
     """Empirical S1 = sum B zeta'(rho), S2 = sum |B zeta'(rho)|^2 over
     0 < gamma <= T = spec.T, with the zero count and the resulting kappa bound."""
 
-    T: float
-    spec: MollifierSpec
     S1: complex
     S2: float
     N_T: int
@@ -688,7 +687,7 @@ def compute_moments(spec: MollifierSpec, zeros: ZeroList) -> MomentResult:
     s2 = math.fsum((np.abs(prod) ** 2).tolist())
     n_t = len(gammas)
     kappa = abs(s1) ** 2 / (s2 * n_t)
-    return MomentResult(T=T, spec=spec, S1=s1, S2=s2, N_T=n_t, kappa_bound=kappa)
+    return MomentResult(s1, s2, n_t, kappa)
 
 
 def predicted_moment_scales(spec: MollifierSpec) -> tuple[float, float]:

@@ -40,10 +40,10 @@ def random_values(rng, n, nonzeros=None):
     return values
 
 
-def random_table(rng, name, limit):
+def random_table(rng, limit):
     values = np.zeros(limit + 1)
     values[1:] = rng.uniform(-1, 1, limit)
-    return ArithFnTable(name, limit, values)
+    return ArithFnTable(values)
 
 
 SIEVED = ("mobius", "vonmangoldt") + tuple(f"tau_{k}" for k in range(2, 10))
@@ -242,9 +242,9 @@ def test_chebyshev_identity_relative():
 
 def test_convolution_algebra(rng):
     n = 1000
-    f = random_table(rng, "f", n)
-    g = random_table(rng, "g", n)
-    h = random_table(rng, "h", n)
+    f = random_table(rng, n)
+    g = random_table(rng, n)
+    h = random_table(rng, n)
     fg = dirichlet_convolve(f, g, n)
     gf = dirichlet_convolve(g, f, n)
     assert np.max(np.abs(fg.values - gf.values)) < 1e-10
@@ -254,11 +254,11 @@ def test_convolution_algebra(rng):
     assert np.max(np.abs(left.values - right.values)) / scale < 1e-10
 
 
-def sparse_table(rng, name, n, density):
+def sparse_table(rng, n, density):
     values = np.zeros(n + 1)
     support = np.flatnonzero(rng.random(n) < density) + 1
     values[support] = rng.uniform(-1, 1, len(support))
-    return ArithFnTable(name, n, values)
+    return ArithFnTable(values)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -269,7 +269,7 @@ def test_convolution_algebra_on_sparse_tables(n, densities, seed):
     on random sparse tables (one drawn support density each), every side held
     to the Kahan divisor-loop oracle."""
     rng = np.random.default_rng(seed)
-    f, g, h = (sparse_table(rng, name, n, p) for name, p in zip("fgh", densities))
+    f, g, h = (sparse_table(rng, n, p) for p in densities)
     af, ag, ah = (np.abs(t.values) for t in (f, g, h))
     fg, gf = dirichlet_convolve(f, g), dirichlet_convolve(g, f)
     scale = kahan_convolve(af, ag, n)
@@ -323,7 +323,7 @@ def brute_a2(n, b):
 
 def test_a2_examples():
     n = 64
-    b = ArithFnTable("b", n, np.concatenate([[0.0, 1.0], np.zeros(n - 1)]))  # y < 2
+    b = ArithFnTable(np.concatenate([[0.0, 1.0], np.zeros(n - 1)]))  # y < 2
     a2 = arith.compute_a2(n, b)
     assert a2[1] == 0.0
     assert a2[2] == 0.0
@@ -333,21 +333,21 @@ def test_a2_examples():
 
 
 def test_a2_short_b_rejection():
-    b = ArithFnTable("b", 10, np.zeros(11))
+    b = ArithFnTable(np.zeros(11))
     with pytest.raises(ValueError):
         arith.compute_a2(20, b)
 
 
 def test_growth_monitor_reports_not_raises():
     n = 2000
-    b = ArithFnTable("b", n, np.concatenate([[0.0, 1.0], np.zeros(n - 1)]))
+    b = ArithFnTable(np.concatenate([[0.0, 1.0], np.zeros(n - 1)]))
     a2 = arith.compute_a2(n, b)
     report = arith.coefficient_growth_report(a2, log_scale=math.log(1000 / (2 * math.pi)),
                                              p_sup=1.0)
     assert report.max_ratio >= 0.0
     assert report.ok == (len(report.violations) == 0)
     # a deliberately inflated table must be flagged, not raised
-    big = ArithFnTable("big", 50, np.full(51, 1e9))
+    big = ArithFnTable(np.full(51, 1e9))
     flagged = arith.coefficient_growth_report(big, log_scale=2.0, p_sup=1.0)
     assert not flagged.ok and 1 in flagged.violations
 
@@ -370,3 +370,13 @@ def test_tables_are_readonly():
     t = sieve_standard("mobius", 10)
     with pytest.raises(ValueError):
         t.values[3] = 7.0
+
+
+def test_table_limit_is_its_length_minus_one():
+    t = ArithFnTable(np.arange(6.0))
+    assert t.limit == 5 and t[5] == 5.0 and not t.values.flags.writeable
+    with pytest.raises(IndexError):
+        t[6]
+    for bad in (np.zeros(1), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="1-D of length >= 2"):
+            ArithFnTable(bad)

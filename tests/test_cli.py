@@ -132,6 +132,13 @@ def test_non_finite_zero_table_exits_1(tmp_path, capsys, damage):
     assert "finite" in err and "ingested" not in err
 
 
+def test_negative_height_exits_1_and_writes_no_cache(tmp_path, capsys):
+    cache = tmp_path / "d"
+    assert run(["zeros", "find", "--T", "-5", "--cache-dir", str(cache)]) == 1
+    assert "T = -5.0" in capsys.readouterr().err
+    assert not list(cache.glob("*.npy"))
+
+
 def test_non_finite_cache_entry_is_a_miss(tmp_path):
     cache = tmp_path / "cache"
     out = tmp_path / "m.csv"

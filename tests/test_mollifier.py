@@ -37,6 +37,16 @@ def test_spec_invariants():
         MollifierSpec.from_T_theta(1000.0, 1e-18)  # y = T^theta rounds to 1.0
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [lambda T: MollifierSpec.from_T_theta(T, 0.3),
+                                   lambda T: MollifierSpec.with_y(T, 12.0)],
+                         ids=["from_T_theta", "with_y"])
+def test_spec_rejects_a_non_finite_height(build, T):
+    """A nan T gets past every comparison and an inf T past T > 2 pi; the error names T."""
+    with pytest.raises(ValueError, match=f"T = {T} .*must be finite"):
+        build(T)
+
+
 def test_b_table_examples():
     spec = MollifierSpec.with_y(1000.0, 12.0)
     b = mo.b_table(spec, 13)

@@ -1,11 +1,17 @@
 """Structure guards on ``src/zetalab``: every function, class and public
 class member has a caller in ``src/``, the package imports nothing but the
-standard library and numpy, and the README names every module."""
+standard library and numpy, the README names every module, and every
+library job of ``perfbench/jobs.py`` still runs against the package."""
 
 import ast
+import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import zetalab
 
@@ -193,3 +199,43 @@ def test_readme_layout_names_every_module():
     listed = set(re.findall(r"^\| `zetalab\.(\w+)` \|", (ROOT / "README.md").read_text(), re.M))
     modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
     assert listed == modules
+
+
+# tiny parameters for each kind of perfbench/jobs.py
+JOB_PARAMS = {
+    "growth": {"N": 2000, "T": 1e4, "y": 20.0, "spots": [2, 1999]},
+    "recon": {"n_cap": 500, "T": 1e4, "y": 20.0, "X": 16.0},
+    "gauss": {"q0": 1, "width": 5},
+    "split": {"T": 1e4, "y": 20.0, "X": 16.0, "n_cap": 200, "d_max": 3, "m_limit": 50,
+              "term": 5},
+    "sqxd": {"T": 1e4, "y": 20.0, "Q": 4, "X": 100, "d": 2, "nu": 2},
+    "warm": {},
+}
+
+
+@pytest.fixture(scope="module")
+def perfbench_jobs():
+    """``perfbench/jobs.py`` as a module, loaded without writing its bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_job_params_cover_every_perfbench_kind(perfbench_jobs):
+    assert set(JOB_PARAMS) == set(perfbench_jobs.KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(JOB_PARAMS))
+def test_perfbench_library_job_runs(perfbench_jobs, kind, tmp_path):
+    """A src/ change that breaks a job's contract fails here, not at the benchmark."""
+    prefix = str(tmp_path / kind)
+    perfbench_jobs.KINDS[kind](JOB_PARAMS[kind], prefix)
+    assert isinstance(json.loads(Path(prefix + ".json").read_text()), dict)
+    if kind == "recon":
+        recon, a2 = np.load(prefix + ".recon.npy"), np.load(prefix + ".a2.npy")
+        assert recon.shape == a2.shape == (JOB_PARAMS["recon"]["n_cap"] + 1,)

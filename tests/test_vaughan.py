@@ -40,7 +40,7 @@ def test_rhs_coefficients_match_the_group_chain_bit_for_bit(r, X):
     weighted with its own (-1)^(j-1) C(r, j)."""
     limit = 5000
     one, mu_x = arith.sieve_standard("one", limit), va.mu_truncated(X, limit)
-    neg_log = arith.ArithFnTable("neglog", limit, -arith.sieve_standard("log", limit).values)
+    neg_log = arith.ArithFnTable(-arith.sieve_standard("log", limit).values)
     term = arith.dirichlet_convolve(neg_log, mu_x, limit)
     total = np.zeros(limit + 1)
     for j in range(1, r + 1):
@@ -64,6 +64,14 @@ def test_verify_vaughan_rejects_beyond_remainder():
         va.verify_vaughan(VaughanConfig(3, 10.0), 1001)
     with pytest.raises(ValueError):
         VaughanConfig(0, 10.0)
+
+
+@pytest.mark.parametrize("X, message", [(0.5, "X must be >= 1, got 0.5"),
+                                        (math.nan, "X must be >= 1, got nan"),
+                                        (math.inf, "X must be finite, got inf")])
+def test_vaughan_config_rejects_X_below_1_or_non_finite(X, message):
+    with pytest.raises(ValueError, match=message):
+        VaughanConfig(3, X)
 
 
 def decomposition_fixture(n_cap=512, y=20.0, X=16.0):
@@ -477,7 +485,7 @@ def test_sieve_monitor_rejections():
 
 
 def test_sieve_trials_sweep():
-    reports = va.run_sieve_trials(trials=60, seed=7)
+    reports = va.run_sieve_trials(trials=60, seed=7, q_max=20, h_max=200, v_max=20.0)
     assert len(reports) == 60
     assert max(r.ratio for r in reports) <= 6.0
 
@@ -502,7 +510,7 @@ def test_s_qxd():
     spec = small_spec()
     assert va.s_qxd_bruteforce(1, 100, 1, 1, spec) == 0.0  # band convention
     # indicator coefficients: each primitive character contributes |psi(1)| = 1
-    ind = arith.ArithFnTable("ind", 100, np.concatenate([[0.0, 1.0], np.zeros(99)]))
+    ind = arith.ArithFnTable(np.concatenate([[0.0, 1.0], np.zeros(99)]))
     got = va.s_qxd_bruteforce(8, 100, 1, 1, spec, a_table=ind)
     n_prim = sum(len(character_table(q).primitive) for q in range(5, 9))
     assert got == pytest.approx(float(n_prim), abs=1e-12)

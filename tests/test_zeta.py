@@ -145,6 +145,12 @@ def test_zero_scan_and_census_stop_at_the_scan_cap(T, zeros_300):
         ze.count_N(T, zeros_300)
 
 
+@pytest.mark.parametrize("T", [-5.0, math.nan])
+def test_zero_scan_rejects_a_height_below_0(T):
+    with pytest.raises(ValueError, match=f"height T = {T} must be >= 0"):
+        ze.find_zeros(T)
+
+
 def test_hardy_z_first_zero_bracket():
     assert abs(ze.hardy_z(14.134725)) < 1e-5
     assert np.sign(ze.hardy_z(14.0)) != np.sign(ze.hardy_z(15.0))
