@@ -170,13 +170,11 @@ def convolve_values(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def dirichlet_convolve(f: ArithFnTable, g: ArithFnTable, limit: int | None = None) -> ArithFnTable:
+def dirichlet_convolve(f: ArithFnTable, g: ArithFnTable, limit: int) -> ArithFnTable:
     """Exact Dirichlet convolution (f*g)(n) = sum_{de=n} f(d) g(e) on [1..limit].
 
     Table front end of :func:`convolve_values`.
     """
-    if limit is None:
-        limit = min(f.limit, g.limit)
     if f.limit < limit or g.limit < limit:
         raise ValueError(f"convolution limit {limit} exceeds input limits ({f.limit}, {g.limit})")
     return ArithFnTable(convolve_values(f.values, g.values, limit))

@@ -147,7 +147,7 @@ def cmd_verify_split(args) -> int:
 
     spec = mo.MollifierSpec.with_y(1e4, 20.0)
     dec = va.decompose_a2(spec, va.VaughanConfig(3, 16.0), n_cap=1000)
-    pick = int(np.random.default_rng(args.seed).integers(dec.count_terms()["total"]))
+    pick = int(np.random.default_rng(args.seed).integers(dec.count_terms()))
     term = next(itertools.islice(dec.terms(), pick, None))
     r = va.split_by_divisor(term, dec, args.d, args.m_limit)
     return _verdict(args, r.check, r.parameters, r.worst_index, r.deviation, r.passed)

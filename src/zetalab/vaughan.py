@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -37,12 +36,14 @@ SPLIT_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class VaughanConfig:
-    """r >= 1 terms, M(s) truncated at a finite X >= 1."""
+    """An integer r >= 1 of terms, M(s) truncated at a finite X >= 1."""
 
     r: int
     X: float
 
     def __post_init__(self):
+        if not isinstance(self.r, (int, np.integer)):
+            raise ValueError(f"r must be an integer, got {self.r}")
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if not self.X >= 1:  # nan too
@@ -206,39 +207,26 @@ class A2Decomposition:
         """The nine block lists of group j, one per slot."""
         return tuple(self.role_blocks[role] for role in _SLOT_ROLES[j])
 
+    def _index_rows(self, j: int):
+        """Block-index rows of group j's emitted terms, in lexicographic order:
+        :func:`_completions` of the slots' smallest m = floor(lo) + 1."""
+        mins = [np.array([int(lo) + 1 for lo, _ in blocks], dtype=np.int32) for blocks in self.slots(j)]
+        low = [int(min(m, default=1)) for m in mins]  # an empty slot emits no rows
+        caps = [self.n_cap // math.prod(low[i + 1:]) for i in range(9)]
+        return _completions(mins, caps, [], np.ones(1, dtype=np.int32))
+
     def terms(self):
-        """Emitted terms, group by group, blocks in lexicographic order: the index
-        rows of :func:`_completions`, made terms by one zip over object columns."""
+        """Emitted terms, group by group: the rows of :meth:`_index_rows`, made
+        terms by one zip over object columns."""
         for j in (1, 2, 3):
-            slots = self.slots(j)
-            mins = [np.array([int(lo) + 1 for lo, _ in blocks], dtype=np.int32) for blocks in slots]
-            low = [int(min(m, default=1)) for m in mins]  # an empty slot emits no rows
-            caps = [self.n_cap // math.prod(low[i + 1:]) for i in range(9)]
-            objects = [np.fromiter(blocks, dtype=object, count=len(blocks)) for blocks in slots]
-            for rows in _completions(mins, caps, [], np.ones(1, dtype=np.int32)):
+            objects = [np.fromiter(blocks, dtype=object, count=len(blocks)) for blocks in self.slots(j)]
+            for rows in self._index_rows(j):
                 columns = [obj[col] for obj, col in zip(objects, rows)]
                 yield from map(DecompositionTerm, itertools.repeat(j), zip(*columns))
 
-    def count_terms(self) -> dict:
-        """Number of emitted terms per group and in total, without building them.
-
-        One pass per slot carries the number of block prefixes reaching each
-        product of (floor(lo) + 1); a product above n_cap has no completion.
-        """
-        counts = {}
-        for j in (1, 2, 3):
-            reach = Counter({1: 1})
-            for blocks in self.slots(j):
-                step = Counter()
-                for prod, ways in reach.items():
-                    for lo, _ in blocks:
-                        p = prod * (int(lo) + 1)
-                        if p <= self.n_cap:
-                            step[p] += ways
-                reach = step
-            counts[j] = sum(reach.values())
-        counts["total"] = counts[1] + counts[2] + counts[3]
-        return counts
+    def count_terms(self) -> int:
+        """Number of emitted terms: the rows of :meth:`_index_rows`, not made terms."""
+        return sum(len(rows[0]) for j in (1, 2, 3) for rows in self._index_rows(j))
 
     def reconstruct(self) -> np.ndarray:
         """Sum of (-1)^j C(3, j) (f_1 * ... * f_9) over all emitted terms, on [0..n_cap].

@@ -452,10 +452,17 @@ class NCount:
     formula: int
 
 
-def count_N(T: float, zeros: ZeroList) -> NCount:
-    """N(T) by the census of ``zeros`` and by the counting formula; raises if they differ by 2+."""
+def _check_height(T: float) -> None:
+    """The heights of the zero scan and the census: T in [0, SCAN_CAP]."""
     if T > SCAN_CAP:
         raise ValueError(f"desk scale tops out at T = {SCAN_CAP:g}")
+    if not T >= 0:  # nan too
+        raise ValueError(f"height T = {T} must be >= 0")
+
+
+def count_N(T: float, zeros: ZeroList) -> NCount:
+    """N(T) by the census of ``zeros`` and by the counting formula; raises if they differ by 2+."""
+    _check_height(T)
     census = int(len(zeros.up_to(T)))
     formula = int(round(count_formula(T))) if T > 14.5 else 0
     if abs(census - formula) >= 2:
@@ -471,10 +478,7 @@ def find_zeros(T: float) -> ZeroList:
     round(count_formula(T)).  The intervals of segments short of sign changes
     are halved, at most ``HALVINGS`` times; a segment still off its count
     raises ZeroScanError.  ``_refine`` then closes every bracket."""
-    if T > SCAN_CAP:
-        raise ValueError(f"desk scale tops out at T = {SCAN_CAP:g}")
-    if not T >= 0:  # nan too
-        raise ValueError(f"height T = {T} must be >= 0")
+    _check_height(T)
     if T < FIRST_ZERO:
         return ZeroList(np.zeros(0), "computed", T)
     return ZeroList(_refine(*_brackets(T)), "computed", T)
@@ -675,13 +679,10 @@ def compute_moments(spec: MollifierSpec, zeros: ZeroList) -> MomentResult:
     if len(gammas) == 0:
         raise ValueError(f"no zeros below T = {T}")
     zp = zeta_prime_many(gammas) if zeros.zeta_prime is None else zeros.zeta_prime[:len(gammas)]
-    # B(1/2 + i gamma) = sum_{k <= y} b(k) k^{-1/2} k^{-i gamma}, in blocks of zeros
+    # B(1/2 + i gamma) = sum_{k <= y} b(k) k^{-1/2} k^{-i gamma}
     y = int(spec.y)
     coef = b_table(spec, y).values[1:] / np.sqrt(np.arange(1, y + 1, dtype=np.float64))
-    B_vals = np.empty(len(gammas), dtype=np.complex128)
-    for i in range(0, len(gammas), BLOCK):
-        g = gammas[i : i + BLOCK]
-        B_vals[i : i + BLOCK] = _sums(g, np.full(len(g), y), coef[None])[0]
+    B_vals = _sums(gammas, np.full(len(gammas), y), coef[None])[0]
     prod = B_vals * zp
     s1 = complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))
     s2 = math.fsum((np.abs(prod) ** 2).tolist())

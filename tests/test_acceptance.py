@@ -82,7 +82,7 @@ def test_criterion_04_decomposition_reconstruction():
         scale = np.abs(a2[1 : n_check + 1]).max()
         dev = np.abs(recon[1 : n_check + 1] - a2[1 : n_check + 1]).max() / scale
         worst = max(worst, dev)
-        counts.append(dec.count_terms()["total"])
+        counts.append(dec.count_terms())
     elapsed = time.perf_counter() - t0
     report(4, worst < 1e-9, elapsed, 30.0,
            f"a2 reconstruction on 3 settings: worst rel dev {worst:.2e}, "
@@ -94,7 +94,7 @@ def test_criterion_05_divisor_splitting():
     spec = mo.MollifierSpec.with_y(1e4, 20.0)
     dec = va.decompose_a2(spec, va.VaughanConfig(3, 16.0), n_cap=1000)
     rng = np.random.default_rng(20250811)
-    picks = [int(i) for i in rng.choice(dec.count_terms()["total"], 20, replace=False)]
+    picks = [int(i) for i in rng.choice(dec.count_terms(), 20, replace=False)]
     wanted = set(picks)
     chosen = {i: term for i, term in enumerate(dec.terms()) if i in wanted}
     worst = 0.0

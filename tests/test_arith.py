@@ -271,18 +271,18 @@ def test_convolution_algebra_on_sparse_tables(n, densities, seed):
     rng = np.random.default_rng(seed)
     f, g, h = (sparse_table(rng, n, p) for p in densities)
     af, ag, ah = (np.abs(t.values) for t in (f, g, h))
-    fg, gf = dirichlet_convolve(f, g), dirichlet_convolve(g, f)
+    fg, gf = dirichlet_convolve(f, g, n), dirichlet_convolve(g, f, n)
     scale = kahan_convolve(af, ag, n)
     for got in (fg, gf):
         assert np.all(np.abs(got.values - kahan_convolve(f.values, g.values, n)) <= 1e-15 * scale)
-    left = dirichlet_convolve(fg, h)
-    right = dirichlet_convolve(f, dirichlet_convolve(g, h))
+    left = dirichlet_convolve(fg, h, n)
+    right = dirichlet_convolve(f, dirichlet_convolve(g, h, n), n)
     want = kahan_convolve(kahan_convolve(f.values, g.values, n), h.values, n)
     scale = kahan_convolve(kahan_convolve(af, ag, n), ah, n)
     for got in (left, right):
         assert np.all(np.abs(got.values - want) <= 1e-14 * scale)
     one, mu = sieve_standard("one", n), sieve_standard("mobius", n)
-    back = dirichlet_convolve(dirichlet_convolve(f, one), mu)
+    back = dirichlet_convolve(dirichlet_convolve(f, one, n), mu, n)
     scale = kahan_convolve(kahan_convolve(af, one.values, n), np.abs(mu.values), n)
     assert np.all(np.abs(kahan_convolve(kahan_convolve(f.values, one.values, n),
                                         mu.values, n) - f.values) <= 1e-14 * scale)

@@ -145,10 +145,14 @@ def test_zero_scan_and_census_stop_at_the_scan_cap(T, zeros_300):
         ze.count_N(T, zeros_300)
 
 
-@pytest.mark.parametrize("T", [-5.0, math.nan])
-def test_zero_scan_rejects_a_height_below_0(T):
-    with pytest.raises(ValueError, match=f"height T = {T} must be >= 0"):
+@pytest.mark.parametrize("T, message", [(-5.0, "height T = -5.0 must be >= 0"),
+                                        (math.nan, "height T = nan must be >= 0"),
+                                        (2e5, "desk scale tops out at T = 100000$")])
+def test_zero_scan_and_census_reject_the_same_heights(T, message, zeros_300):
+    with pytest.raises(ValueError, match=message):
         ze.find_zeros(T)
+    with pytest.raises(ValueError, match=message):
+        ze.count_N(T, zeros_300)
 
 
 def test_hardy_z_first_zero_bracket():
