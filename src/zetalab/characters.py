@@ -1,5 +1,5 @@
-"""Dirichlet characters: Gauss sums, the delta factor, and the
-additive-to-multiplicative rearrangement of the moment sums.
+"""Dirichlet characters: Gauss sums and the additive-to-multiplicative
+rearrangement of the moment sums.
 
 The characters mod q are one table per modulus: an integer matrix of
 root-of-unity exponents over the unit-group exponent e, chi(a) = e(k / e) on
@@ -80,8 +80,7 @@ class CharacterTable:
     row i of E = (logs * strides) @ logs.T mod e.  The conductor is the
     smallest f | q with chi trivial on the units a = 1 (mod f), tested for
     every row at once; the conjugate of row i is the row with tuple -logs[i].
-    ``roots[k]`` = e(k / exponent); ``unit_columns[a]`` is the column j with
-    units[j] = a (-1 off the units); ``gauss_sums`` is computed on first use.
+    ``roots[k]`` = e(k / exponent); ``gauss_sums`` is computed on first use.
     """
 
     group: UnitGroup
@@ -90,7 +89,6 @@ class CharacterTable:
     conjugates: np.ndarray
     primitive: np.ndarray
     roots: np.ndarray
-    unit_columns: np.ndarray
 
     def values(self, rows) -> np.ndarray:
         """The (len(rows), q) complex matrix of chi(a), a = 0..q-1, for the given rows."""
@@ -121,11 +119,9 @@ def character_table(q: int) -> CharacterTable:
     conjugates = np.reshape(np.ravel_multi_index((-grp.logs % orders).T, grp.orders), len(expo))
     primitive = np.flatnonzero(conductors == q)
     roots = np.exp(2j * np.pi * np.arange(e) / e)
-    unit_columns = np.full(q, -1)
-    unit_columns[grp.units] = np.arange(len(grp.units))
-    for a in (expo, conductors, conjugates, primitive, roots, unit_columns):
+    for a in (expo, conductors, conjugates, primitive, roots):
         a.flags.writeable = False
-    return CharacterTable(grp, expo, conductors, conjugates, primitive, roots, unit_columns)
+    return CharacterTable(grp, expo, conductors, conjugates, primitive, roots)
 
 
 @dataclass(frozen=True)
@@ -153,33 +149,6 @@ def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
     return GaussSumResult(value, abs(abs(value) - math.sqrt(chi.table.group.modulus)))
 
 
-def delta_term(q: int, k: int, d: int) -> np.ndarray:
-    """delta(q, kq, d, psi) = sum_{l | gcd(d,k)} mu(d/l)/phi(kq/l) *
-    conj(psi)(-k/l) psi(d/l) mu(k/l) for every primitive psi mod q, in the
-    order of ``character_table(q).primitive``.
-
-    Requires gcd(k, q) = 1 and d | k (the squarefree support of b reduces
-    the original d | kq condition to d | k).
-    """
-    if q < 1 or k < 1 or d < 1:
-        raise ValueError("q, k, d must be positive")
-    if math.gcd(k, q) != 1:
-        raise ValueError(f"gcd(k={k}, q={q}) != 1")
-    if k % d != 0:
-        raise ValueError(f"d={d} does not divide k={k}")
-    table = character_table(q)
-    col = table.unit_columns  # -k/l and d/l are units mod q
-    roots, prim, conj = table.roots, table.primitive, table.conjugates[table.primitive]
-    total = np.zeros(len(prim), dtype=np.complex128)
-    for l in divisors(math.gcd(d, k)):
-        mu_dl, mu_kl = mobius_int(d // l), mobius_int(k // l)
-        if mu_dl and mu_kl:
-            # the sign lives inside the argument: conj(psi) at (-k/l) mod q
-            total += (mu_dl / totient(k * q // l) * roots[table.expo[conj, col[-(k // l) % q]]]
-                      * roots[table.expo[prim, col[d // l % q]]] * mu_kl)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the two forms of the moment sum M_nu
 
@@ -191,11 +160,19 @@ def a_table(nu: int, spec: MollifierSpec, limit: int) -> ArithFnTable:
     return arith.compute_a1(limit) if nu == 1 else arith.compute_a2(limit, b_table(spec, limit))
 
 
+def a_limit(spec: MollifierSpec) -> int:
+    """int(yT/2pi), the a_nu table length the moment sums read, if finite and within the cap."""
+    m = spec.y * spec.T / (2 * math.pi)
+    if not m <= arith.DEFAULT_LIMIT_CAP:  # inf included
+        raise ValueError(f"yT/2pi = {m:.6g} exceeds the table cap {arith.DEFAULT_LIMIT_CAP}")
+    return int(m)
+
+
 def _a_values(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> np.ndarray:
     """a_nu's values, once the table is checked to reach m = yT/2pi."""
     if nu not in (1, 2):
         raise ValueError(f"nu must be 1 or 2, got {nu}")
-    need = int(spec.y * spec.T / (2 * math.pi))
+    need = a_limit(spec)
     if a_table.limit < need:
         raise ValueError(f"a_{nu} table limit {a_table.limit} < required {need}")
     return a_table.values
@@ -229,34 +206,35 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
         sum_{d | k} delta(q, kq, d, psi) sum_{m <= kqT/(2 pi d)} a_nu(m d) psi(m)
 
     Terms with gcd(k, q) > 1 or kq squarefull vanish through b(kq) = 0, so
-    the d-sum legitimately runs over d | k only.  Every psi mod q is one row
-    of C = character_table(q).values(primitive): the m-sum is C @ w with
-    w[r] the sum of a_nu(m d) over m = r (mod q), summed pairwise per residue.
+    l | d | k are units mod q and psi(l) cancels in delta's l-sum:
+    delta = sum_{l | d} mu(d/l) mu(k/l)/phi(kq/l) conj(psi)(-k/l) psi(d/l) = psi(u) c,
+    u = d (-k)^-1 mod q, c = mu(k/d) d / (phi(k) phi(q)).  As psi(u) psi(r) =
+    psi(ur), each (k, d) adds c b(kq)/(kq) w[r] at index u r mod q of one real
+    vector W per modulus, w[r] the pairwise sum of a_nu(m d) over m = r (mod q),
+    and the q-terms are tau(conj psi) (C @ W), C = character_table(q).values(primitive).
     """
     av = _a_values(nu, spec, a_table)
-    y = spec.y
-    b = b_table(spec, int(y)).values.tolist()
+    b = b_table(spec, int(spec.y)).values.tolist()
     terms = []
-    for q in range(1, int(y) + 1):
+    for q in range(1, int(spec.y) + 1):
         table = character_table(q)
         if not len(table.primitive):
             continue
-        C = table.values(table.primitive)
-        inner = np.zeros(len(C), dtype=np.complex128)
-        for k in range(1, int(y / q) + 1):
+        W = np.zeros(q)
+        for k in range(1, int(spec.y / q) + 1):
             bkq = b[k * q]
             if bkq == 0.0:
                 continue
             for d in divisors(k):
-                delta = delta_term(q, k, d)
                 m_max = int(k * q * spec.T / (2 * math.pi * d))
-                if not delta.any() or m_max < 1:
+                if m_max < 1:
                     continue
                 by_residue = np.zeros(-(-(m_max + 1) // q) * q)
                 by_residue[1 : m_max + 1] = av[d : d * m_max + 1 : d]
                 w = np.ascontiguousarray(by_residue.reshape(-1, q).T).sum(axis=1)
-                inner += (bkq / (k * q)) * delta * (C @ w)
+                u = d * pow(-k, -1, q) % q
+                c = mobius_int(k // d) * d / (totient(k) * totient(q))
+                W[np.arange(q) * u % q] += (bkq / (k * q)) * c * w
         tau_bar = table.gauss_sums[table.conjugates[table.primitive]]
-        terms.extend(tau_bar * inner)
+        terms.extend(tau_bar * (table.values(table.primitive) @ W))
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-

@@ -125,7 +125,7 @@ def cmd_verify_rearrangement(args) -> int:
     from . import characters as ch
 
     spec = mo.MollifierSpec.with_y(args.T, args.y, args.poly)
-    need = max(1, int(args.y * args.T / (2 * math.pi)))
+    need = ch.a_limit(spec)
     worst = 0.0
     results = []
     for nu in args.nu:

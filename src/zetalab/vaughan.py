@@ -511,6 +511,8 @@ def s_qxd_bruteforce(Q: int, X: int, d: int, nu: int, spec: MollifierSpec,
     """S(Q,X,d) = sum_{q ~ Q} sum*_psi max_{M <= X} |sum_{m <= M} a_nu(m d) psi(m)|,
     the max taken over every integer M, for all psi of the band at once.
     """
+    if nu not in (1, 2):
+        raise ValueError(f"nu must be 1 or 2, got {nu}")
     if not 1 <= Q <= 16:
         raise ValueError(f"Q = {Q} outside desk scale [1, 16]")
     if not 1 <= X <= 2000:

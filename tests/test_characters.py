@@ -207,69 +207,6 @@ def test_gauss_twist_identity(rng):
                 assert twisted == pytest.approx(conj[n % q] * tau, abs=1e-9)
 
 
-def test_delta_term():
-    for q in (3, 5, 7, 11):
-        table = ch.character_table(q)
-        delta = ch.delta_term(q, 1, 1)
-        assert delta.shape == (len(table.primitive),)
-        conj = table.values(table.conjugates[table.primitive])
-        for c, d in zip(conj, delta):
-            assert d == pytest.approx(c[q - 1] / totient(q), abs=1e-12)
-    with pytest.raises(ValueError):
-        ch.delta_term(3, 6, 1)  # gcd(k, q) != 1
-    with pytest.raises(ValueError):
-        ch.delta_term(3, 4, 3)  # d does not divide k
-
-
-def _delta_term_oracle(q, k, d):
-    """delta_term with its roots of unity built on every call."""
-    table = ch.character_table(q)
-    roots = np.exp(2j * np.pi * np.arange(table.group.exponent) / table.group.exponent)
-    col = dict(zip(table.group.units.tolist(), range(q)))
-    prim, conj = table.primitive, table.conjugates[table.primitive]
-    total = np.zeros(len(prim), dtype=np.complex128)
-    for l in divisors(math.gcd(d, k)):
-        mu_dl, mu_kl = mobius_int(d // l), mobius_int(k // l)
-        if mu_dl and mu_kl:
-            total += (mu_dl / totient(k * q // l) * roots[table.expo[conj, col[-(k // l) % q]]]
-                      * roots[table.expo[prim, col[d // l % q]]] * mu_kl)
-    return total
-
-
-def test_delta_term_matches_the_per_call_roots():
-    """Bit for bit on every (q, k, d) that criterion 6's cells reach:
-    kq <= y <= 19.9, gcd(k, q) = 1 and d | k."""
-    for q in range(1, 20):
-        for k in range(1, 19 // q + 1):
-            if math.gcd(k, q) == 1:
-                for d in divisors(k):
-                    assert np.array_equal(ch.delta_term(q, k, d), _delta_term_oracle(q, k, d))
-
-
-def test_unit_columns_invert_the_units():
-    for q in range(1, 61):
-        table = ch.character_table(q)
-        want = np.full(q, -1)
-        want[table.group.units] = np.arange(len(table.group.units))
-        assert np.array_equal(table.unit_columns, want)
-        assert not table.unit_columns.flags.writeable
-
-
-def test_delta_bound(rng):
-    for _ in range(60):
-        q = int(rng.integers(2, 30))
-        prims = ch.character_table(q).primitive
-        if not len(prims):
-            continue
-        k = int(rng.integers(1, max(2, 200 // q)))
-        if math.gcd(k, q) != 1:
-            continue
-        d = int(rng.choice(divisors(k)))
-        i = int(rng.integers(len(prims)))
-        bound = sum(1.0 / totient(k * q // l) for l in divisors(d))
-        assert abs(ch.delta_term(q, k, d)[i]) <= bound + 1e-12
-
-
 def test_character_off_units_zero():
     table = ch.character_table(9)
     psi = table.values(table.primitive[:1])[0]
@@ -329,6 +266,8 @@ def test_m_nu_table_too_short():
         ch.m_nu_rearranged(1, spec, short)
     with pytest.raises(ValueError):
         ch.m_nu_direct(3, spec, arith.compute_a1(200))
+    with pytest.raises(ValueError, match="yT/2pi = inf exceeds the table cap"):
+        ch.m_nu_direct(1, mo.MollifierSpec.with_y(1e308, 12.0), short)
 
 
 def test_a_table_is_both_routes_bit_for_bit():
@@ -398,6 +337,33 @@ def m_nu_rearranged_oracle(nu, spec, a_table):
             terms.append(complex(table.gauss_sums[table.conjugates[i]]) * inner)
     value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return value, math.fsum(abs(t) for t in terms)
+
+
+def test_delta_is_one_character_value_times_a_real_scale():
+    """l | d | k are units mod q, so psi(l) cancels in the per-psi l-sum:
+    delta = psi(u) c with u = d (-k)^-1 mod q and c = sum_{l | d}
+    mu(d/l) mu(k/l) / phi(kq/l), on every (q, psi, k, d) with gcd(k, q) = 1
+    and kq <= 200.  Where b(kq) can be nonzero (kq squarefree),
+    c = mu(k/d) d / (phi(k) phi(q)), the form ``m_nu_rearranged`` uses."""
+    cases = 0
+    for q in range(1, 61):
+        table = ch.character_table(q)
+        for k in range(1, 200 // q + 1):
+            if math.gcd(k, q) != 1:
+                continue
+            for d in divisors(k):
+                u = d * pow(-k, -1, q) % q
+                c = sum(mobius_int(d // l) * mobius_int(k // l) / totient(k * q // l)
+                        for l in divisors(d))
+                assert abs(c) <= sum(1 / totient(k * q // l) for l in divisors(d)) + 1e-15
+                if mobius_int(k * q):
+                    closed = mobius_int(k // d) * d / (totient(k) * totient(q))
+                    assert c == pytest.approx(closed, rel=1e-15)
+                for i in table.primitive:
+                    psi, psi_bar = table.values([i, table.conjugates[i]])
+                    assert abs(delta_oracle(q, k, d, psi, psi_bar) - psi[u] * c) <= 1e-15
+                    cases += 1
+    assert cases == 8985
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -401,9 +401,13 @@ def test_usage_errors_exit_2(tmp_path, capsys, config, argv):
     (["moments", "--T", "1", "--y", "3", "--no-cache"], "T = 1.0 must exceed 2*pi"),
     (["verify-rearrangement", "--y", "0"], "y = 0.0"),
     (["moments", "--T", "150", "--y", "-2", "--no-cache"], "y = -2.0"),
+    (["verify-rearrangement", "--T", "1e308", "--y", "12"], "yT/2pi = inf exceeds the table cap"),
+    (["verify-rearrangement", "--T", "1e7", "--y", "12"], "yT/2pi = 1.90986e+07 exceeds"),
 ])
 def test_spec_out_of_range_is_module_rejection(capsys, argv, names):
-    """T <= 2 pi and y <= 0 are rejected before log y / log T is taken."""
+    """T <= 2 pi and y <= 0 are rejected before log y / log T is taken, and
+    an a_nu table length yT/2pi that is infinite or above the cap before a
+    table is built."""
     assert run(argv) == 1
     err = capsys.readouterr().err
     lines = [line for line in err.splitlines() if line.startswith("zetalab:")]

@@ -526,6 +526,11 @@ def test_s_qxd():
     assert fast >= partial - 1e-12
 
 
+def test_s_qxd_checks_nu_when_given_a_table():
+    with pytest.raises(ValueError, match="nu must be 1 or 2, got 3"):
+        va.s_qxd_bruteforce(8, 100, 1, 3, small_spec(), a_table=arith.compute_a1(800))
+
+
 def test_s_qxd_budget():
     spec = small_spec()
     with pytest.raises(ValueError):
