@@ -360,7 +360,7 @@ def test_config_no_cache_writes_no_cache(tmp_path, capsys):
     assert not cache.exists() or not any(cache.iterdir())
 
 
-@pytest.mark.parametrize("config, argv", [
+USAGE_ERRORS = [  # (config file text or None, argv)
     ("frobnicate=1\n", ["report-kappa"]),
     ("seed=3\n", ["report-kappa"]),            # a flag of other commands only
     ("threads=4\n", ["zeros", "find"]),
@@ -386,7 +386,10 @@ def test_config_no_cache_writes_no_cache(tmp_path, capsys):
     (None, ["monitor-sieve", "--V", "nan"]),
     (None, ["zeros", "ingest", "z.txt", "--no-cache"]),  # ingest reads and writes no cache
     ("no-cache=true\n", ["zeros", "ingest", "z.txt"]),
-])
+]
+
+
+@pytest.mark.parametrize("config, argv", USAGE_ERRORS)
 def test_usage_errors_exit_2(tmp_path, capsys, config, argv):
     if config is not None:
         cfg = tmp_path / "bad.cfg"
@@ -396,14 +399,17 @@ def test_usage_errors_exit_2(tmp_path, capsys, config, argv):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, names", [
+SPEC_REJECTIONS = [  # (argv, what its zetalab: line names)
     (["verify-rearrangement", "--T", "1"], "T = 1.0 must exceed 2*pi"),
     (["moments", "--T", "1", "--y", "3", "--no-cache"], "T = 1.0 must exceed 2*pi"),
     (["verify-rearrangement", "--y", "0"], "y = 0.0"),
     (["moments", "--T", "150", "--y", "-2", "--no-cache"], "y = -2.0"),
     (["verify-rearrangement", "--T", "1e308", "--y", "12"], "yT/2pi = inf exceeds the table cap"),
     (["verify-rearrangement", "--T", "1e7", "--y", "12"], "yT/2pi = 1.90986e+07 exceeds"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, names", SPEC_REJECTIONS)
 def test_spec_out_of_range_is_module_rejection(capsys, argv, names):
     """T <= 2 pi and y <= 0 are rejected before log y / log T is taken, and
     an a_nu table length yT/2pi that is infinite or above the cap before a
@@ -428,12 +434,18 @@ def test_moments_y_derives_polynomial_from_its_theta(tmp_path):
     assert row["poly"] == f"{1.0 + theta!r};{-theta!r}"
 
 
-def test_readme_cli_lines_parse():
+def readme_cli_argvs() -> list[list[str]]:
+    """The argv of each ``zetalab ...`` line of the README's CLI block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
-    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("zetalab ")]
-    assert len(lines) >= 9
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()
+            if line.startswith("zetalab ")]
+
+
+def test_readme_cli_lines_parse():
+    argvs = readme_cli_argvs()
+    assert len(argvs) >= 9
     parser = cli._build_parser()
-    for line in lines:
-        args = parser.parse_args(shlex.split(line)[1:])
-        assert callable(args.handler), line
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert callable(args.handler), argv
