@@ -7,4 +7,27 @@ decomposition, critical-line zeros and empirical moments) and verify each
 identity numerically or exactly at desk scale.
 """
 
+import contextlib
+import os
+
 __version__ = "0.1.0"
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write to a temporary file that replaces ``path`` when the block ends, so a
+    failed or interrupted write leaves ``path`` absent or as it was.  An error
+    creating or renaming the temporary file is raised against ``path``, as a
+    plain ``open`` of ``path`` reports it."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

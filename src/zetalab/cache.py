@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import zeta
+from . import atomic_open, zeta
 
 ENV_VAR = "ZETALAB_CACHE"
 DEFAULT_DIR = ".zetalab_cache"
@@ -47,6 +47,6 @@ def load_or_find_zeros(T: float, directory: str | Path | None = None,
         pass
     found = zeta.find_zeros(T)
     zeros = zeta.ZeroList(found.ordinates, found.source, T, zeta.zeta_prime_many(found.ordinates))
-    with zeta.atomic_open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.save(fh, np.stack([zeros.ordinates, zeros.zeta_prime.real, zeros.zeta_prime.imag]))
     return zeros

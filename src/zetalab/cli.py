@@ -21,7 +21,7 @@ import json
 import math
 import sys
 
-from . import mollifier as mo
+from . import atomic_open, mollifier as mo
 
 
 def _checked(convert, ok, expected: str):
@@ -71,7 +71,7 @@ def _emit(args, payload: dict | list[dict]) -> None:
             [row, [repr(v) if isinstance(v, float) else str(v) for v in row.values()]])
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
+        with atomic_open(args.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

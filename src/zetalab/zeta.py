@@ -31,16 +31,15 @@ A zero table is read in one pass, line by line, with O(1) temporaries beside its
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
 import warnings
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import atomic_open
 from .arith import smallest_prime_factors
 from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
 
@@ -554,20 +553,6 @@ def _refine(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) 
         live = live[keep]
         order = 1
     return root
-
-
-@contextlib.contextmanager
-def atomic_open(path, mode: str = "w"):
-    """Write to a temporary file that replaces ``path`` when the block ends, so a
-    failed or interrupted write leaves ``path`` absent or as it was."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def write_zeros(zeros: ZeroList, path) -> None:

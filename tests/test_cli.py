@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zetalab
 from zetalab import cli
 from zetalab import zeta as ze
 
@@ -276,6 +278,69 @@ def test_command_parser_matches_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "_build_parser", lambda first=None: build())
     assert (cli.main(argv), capsys.readouterr()) == (rc, got)
     assert rc in (0, 2) and got.out + got.err
+
+
+def test_report_write_is_atomic(tmp_path, monkeypatch, capsys):
+    """A report write that fails half way leaves no temporary file behind, and
+    ``--output`` absent or as it was."""
+    old, fresh = tmp_path / "old.json", tmp_path / "fresh.json"
+    assert run(["optimize-poly", "--output", str(old)]) == 0
+    before = old.read_bytes()
+    temps = []
+
+    class FullDisk:  # takes half of the report, then fails as a full disk does
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+            temps.append(Path(path).name.split(".")[0])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(zetalab, "open", FullDisk, raising=False)
+    for path in (fresh, old):
+        assert run(["optimize-poly", "--degree", "3", "--output", str(path)]) == 1
+    assert capsys.readouterr().err == "zetalab: [Errno 28] No space left on device\n" * 2
+    assert temps == ["fresh", "old"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+    assert old.read_bytes() == before
+
+
+@pytest.mark.parametrize("target", ["absent/out.txt", "adir"])
+def test_atomic_open_fails_as_open_does(tmp_path, monkeypatch, target):
+    """Failing to create or to rename the temporary file raises what a plain
+    ``open`` of the target raises, naming the target, and leaves nothing behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    with pytest.raises(OSError) as plain:
+        open(target, "w")
+    with pytest.raises(OSError) as atomic:
+        with zetalab.atomic_open(target) as fh:
+            fh.write("x")
+    assert (type(atomic.value), str(atomic.value)) == (type(plain.value), str(plain.value))
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["report-kappa"], ["optimize-poly"], ["verify-vaughan", "--r", "2"],
+    ["verify-rearrangement", "--y", "6", "--T", "60"], ["verify-split", "--m-limit", "100"],
+    ["moments", "--T", "150", "--no-cache"], ["zeros", "find", "--T", "60", "--no-cache"],
+    ["zeros", "ingest", "z.txt"], ["monitor-sieve", "--trials", "5"],
+])
+def test_unwritable_output_names_the_path(tmp_path, monkeypatch, capsys, argv):
+    """Every command exits 1 on an --output in a missing directory, with one
+    zetalab: line naming the path as given."""
+    monkeypatch.chdir(tmp_path)
+    Path("z.txt").write_text("14.134725141734693\n21.022039638771555\n")
+    assert run([*argv, "--output", "absent/out"]) == 1
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("zetalab:")]
+    assert lines == ["zetalab: [Errno 2] No such file or directory: 'absent/out'"]
 
 
 def test_monitor_sieve(tmp_path):
