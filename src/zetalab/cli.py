@@ -2,8 +2,9 @@
 
 Each command's flags are ``(flag, type, default)`` rows of one table,
 ``COMMANDS`` (``zeros find`` and ``zeros ingest`` are commands; the ``zeros``
-group takes no flags).  The parser is built from it and handlers read typed
-``args.*``.  A ``--config`` file holds ``key=value`` lines keyed by the
+group takes no flags).  The parser is built from it.  A handler reads typed
+``args.*`` and returns its report, which ``main`` emits, or None when it wrote
+its own output.  A ``--config`` file holds ``key=value`` lines keyed by the
 command's flag names (booleans ``true``/``false``); they are parsed by the same
 parser ahead of the explicit flags, so flags win (a flag also drops the key of
 its mutually exclusive partner).  Exit status: 0 only if every hard assertion
@@ -60,8 +61,8 @@ def _polynomial(text: str):
 
 
 def _emit(args, payload: dict | list[dict]) -> None:
-    """Write a report to --output or stdout, as JSON or as a CSV header and
-    row (a list holds one row; a field holding a comma is quoted)."""
+    """Write a report to --output (atomically) or stdout, as JSON or as a CSV
+    header and row (a list holds one row; a field holding a comma is quoted)."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2, default=repr) + "\n"
     else:
@@ -77,51 +78,48 @@ def _emit(args, payload: dict | list[dict]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_report_kappa(args) -> int:
+def cmd_report_kappa(args) -> dict | None:
     poly, kappa_star = mo.optimize_P(args.theta, args.degree)
-    kappa_d = mo.kappa_d_lower(kappa_star, args.multiplicity_constant)
+    kappa_d = mo.kappa_d_lower(kappa_star)
     print(f"kappa_star = {kappa_star!r}")
     print(f"kappa_d = {kappa_d!r}")
-    if args.output:
-        _emit(args, {
-            "check": "report-kappa",
-            "parameters": {"theta": args.theta, "degree": args.degree,
-                           "multiplicity_constant": args.multiplicity_constant},
-            "polynomial": list(poly.coefficients),
-            "s1_factor": mo.s1_factor(poly, args.theta),
-            "s2_factor": mo.s2_factor(poly, args.theta),
-            "kappa_star": kappa_star, "kappa_d": kappa_d,
-        })
-    return 0
+    if not args.output:  # the two lines above are the report
+        return None
+    return {
+        "check": "report-kappa",
+        "parameters": {"theta": args.theta, "degree": args.degree,
+                       "multiplicity_constant": mo.KAPPA_MULTIPLICITY_CONSTANT},
+        "polynomial": list(poly.coefficients),
+        "s1_factor": mo.s1_factor(poly, args.theta),
+        "s2_factor": mo.s2_factor(poly, args.theta),
+        "kappa_star": kappa_star, "kappa_d": kappa_d,
+    }
 
 
-def cmd_optimize_poly(args) -> int:
+def cmd_optimize_poly(args) -> dict:
     poly, value = mo.optimize_P(args.theta, args.degree)
-    _emit(args, {
+    return {
         "check": "optimize-poly",
         "parameters": {"theta": args.theta, "degree": args.degree},
         "coefficients": list(poly.coefficients),
         "kappa_star": value,
-    })
-    return 0
+    }
 
 
-def _verdict(args, check, parameters, worst_case, deviation, passed) -> int:
-    """Emit a verifier report and return its exit status."""
-    _emit(args, {"check": check, "parameters": parameters, "worst_case": worst_case,
-                 "deviation": deviation, "pass": passed})
-    return 0 if passed else 1
+def _verdict(check, parameters, worst_case, deviation, passed) -> dict:
+    return {"check": check, "parameters": parameters, "worst_case": worst_case,
+            "deviation": deviation, "pass": passed}
 
 
-def cmd_verify_vaughan(args) -> int:
+def cmd_verify_vaughan(args) -> dict:
     from . import vaughan as va
 
     N = args.N if args.N is not None else min(int(args.X**args.r), 10**5)
     r = va.verify_vaughan(va.VaughanConfig(args.r, args.X), N)
-    return _verdict(args, r.check, r.parameters, r.worst_index, r.deviation, r.passed)
+    return _verdict(r.check, r.parameters, r.worst_index, r.deviation, r.passed)
 
 
-def cmd_verify_rearrangement(args) -> int:
+def cmd_verify_rearrangement(args) -> dict:
     from . import characters as ch
 
     spec = mo.MollifierSpec.with_y(args.T, args.y, args.poly)
@@ -136,11 +134,11 @@ def cmd_verify_rearrangement(args) -> int:
         worst = max(worst, dev)
         results.append({"nu": nu, "direct": repr(direct), "rearranged": repr(rearranged),
                         "relative_deviation": dev})
-    return _verdict(args, "rearrangement-equivalence", {"y": args.y, "T": args.T}, results,
-                    worst, worst <= 1e-8)
+    return _verdict("rearrangement-equivalence", {"y": args.y, "T": args.T}, results, worst,
+                    worst <= 1e-8)
 
 
-def cmd_verify_split(args) -> int:
+def cmd_verify_split(args) -> dict:
     import numpy as np
 
     from . import vaughan as va
@@ -150,40 +148,33 @@ def cmd_verify_split(args) -> int:
     pick = int(np.random.default_rng(args.seed).integers(dec.count_terms()))
     term = next(itertools.islice(dec.terms(), pick, None))
     r = va.split_by_divisor(term, dec, args.d, args.m_limit)
-    return _verdict(args, r.check, r.parameters, r.worst_index, r.deviation, r.passed)
+    return _verdict(r.check, r.parameters, r.worst_index, r.deviation, r.passed)
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> list[dict]:
     from . import cache, zeta as ze
 
-    T = args.T
     if args.y is not None:
-        spec = mo.MollifierSpec.with_y(T, args.y, args.poly)
+        spec = mo.MollifierSpec.with_y(args.T, args.y, args.poly)
     else:
-        spec = mo.MollifierSpec.from_T_theta(T, args.theta, args.poly)
+        spec = mo.MollifierSpec.from_T_theta(args.T, args.theta, args.poly)
     if args.zero_source != "compute":
         zeros = ze.ingest_zeros(args.zero_source)
     else:
-        zeros = cache.load_or_find_zeros(T, args.cache_dir, enabled=not args.no_cache)
+        zeros = cache.load_or_find_zeros(args.T, args.cache_dir, enabled=not args.no_cache)
     result = ze.compute_moments(spec, zeros)
     s1_scale, s2_scale = ze.predicted_moment_scales(spec)
-    row = {
-        "T": T,
-        "theta": spec.theta,
+    return [{  # one CSV row; as JSON, a list of one object
+        "T": args.T, "theta": spec.theta,
         "poly": ";".join(repr(c) for c in spec.P.coefficients),
-        "ReS1": result.S1.real,
-        "ImS1": result.S1.imag,
-        "S2": result.S2,
-        "N": result.N_T,
+        "ReS1": result.S1.real, "ImS1": result.S1.imag, "S2": result.S2, "N": result.N_T,
         "kappa_bound": result.kappa_bound,
         "ReS1_over_predicted": result.S1.real / s1_scale,
         "S2_over_predicted": result.S2 / s2_scale,
-    }
-    _emit(args, [row])
-    return 0
+    }]
 
 
-def cmd_zeros_find(args) -> int:
+def cmd_zeros_find(args) -> None:
     from . import cache, zeta as ze
 
     zeros = cache.load_or_find_zeros(args.T, args.cache_dir, enabled=not args.no_cache)
@@ -195,10 +186,9 @@ def cmd_zeros_find(args) -> int:
     sys.stdout.flush()
     count = ze.count_N(args.T, zeros)
     print(f"# N({args.T:g}) census={count.census} formula={count.formula}", file=sys.stderr)
-    return 0
 
 
-def cmd_zeros_ingest(args) -> int:
+def cmd_zeros_ingest(args) -> None:
     from . import zeta as ze
 
     zeros = ze.ingest_zeros(args.path)
@@ -206,15 +196,14 @@ def cmd_zeros_ingest(args) -> int:
     print(f"# ingested {len(zeros)} zeros up to {top!r}", file=sys.stderr)
     if args.output:
         ze.write_zeros(zeros, args.output)
-    return 0
 
 
-def cmd_monitor_sieve(args) -> int:
+def cmd_monitor_sieve(args) -> dict:
     from . import vaughan as va
 
     reports = va.run_sieve_trials(args.trials, args.seed, args.Q, args.H, args.V)
     worst = max(reports, key=lambda r: r.ratio)
-    return _verdict(args, "hybrid-large-sieve-monitor",
+    return _verdict("hybrid-large-sieve-monitor",
                     {"trials": args.trials, "seed": args.seed, "q_max": args.Q,
                      "h_max": args.H, "v_max": args.V},
                     {"Q": worst.Q, "V": worst.V, "H": worst.H, "lhs": worst.lhs, "rhs": worst.rhs},
@@ -233,9 +222,7 @@ _CACHE = (("--cache-dir", str, None), ("--no-cache", bool, False))
 
 COMMANDS = {
     "report-kappa": ("closed-form kappa constants", cmd_report_kappa, [
-        ("--theta", _finite, 0.5), ("--degree", _positive_int, 2),
-        ("--multiplicity-constant", _finite, mo.KAPPA_MULTIPLICITY_CONSTANT,
-         "default mollifier.KAPPA_MULTIPLICITY_CONSTANT"), _OUTPUT, _JSON]),
+        ("--theta", _finite, 0.5), ("--degree", _positive_int, 2), _OUTPUT, _JSON]),
     "optimize-poly": ("maximize the kappa quotient", cmd_optimize_poly, [
         ("--theta", _finite, 0.5), ("--degree", _positive_int, 2), _OUTPUT, _JSON]),
     "verify-vaughan": ("coefficient identity check", cmd_verify_vaughan, [
@@ -304,12 +291,10 @@ def _build_parser(first: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, command=name)
         p.add_argument("--config", help="key=value config file; flags win")
         for row in rows:
-            if isinstance(row[0], tuple):
-                exclusive = p.add_mutually_exclusive_group()
-                for r in row:
-                    _add_row(exclusive, *r)
-            else:
-                _add_row(p, *row)
+            exclusive = isinstance(row[0], tuple)
+            group = p.add_mutually_exclusive_group() if exclusive else p
+            for r in row if exclusive else [row]:
+                _add_row(group, *r)
     return parser
 
 
@@ -362,10 +347,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        report = args.handler(args)
+        if report is not None:
+            _emit(args, report)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"zetalab: {exc}", file=sys.stderr)
         return 1
+    return 0 if not isinstance(report, dict) or report.get("pass", True) else 1
 
 
 if __name__ == "__main__":

@@ -195,12 +195,11 @@ def kappa_star_lower(s1: float, s2: float) -> float:
     return s1 * s1 / s2
 
 
-def kappa_d_lower(kappa_star: float,
-                  multiplicity_constant: float = KAPPA_MULTIPLICITY_CONSTANT) -> float:
-    """(5 + 2 kappa_star - multiplicity_constant) / 6."""
+def kappa_d_lower(kappa_star: float) -> float:
+    """(5 + 2 kappa_star - KAPPA_MULTIPLICITY_CONSTANT) / 6."""
     if not 0.0 <= kappa_star <= 1.0:
         raise ValueError(f"kappa_star = {kappa_star} outside [0, 1]")
-    return (5.0 + 2.0 * kappa_star - multiplicity_constant) / 6.0
+    return (5.0 + 2.0 * kappa_star - KAPPA_MULTIPLICITY_CONSTANT) / 6.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ def test_verify_vaughan_json(tmp_path):
     assert payload["pass"] is True
     assert payload["check"] == "vaughan-identity"
     assert set(payload) >= {"check", "parameters", "worst_case", "deviation", "pass"}
+
+
+def test_failed_check_is_emitted_and_exits_1(tmp_path, monkeypatch):
+    from zetalab import vaughan as va
+
+    failed = SimpleNamespace(check="vaughan-identity", parameters={"N": 10}, worst_index=7,
+                             deviation=0.5, passed=False)
+    monkeypatch.setattr(va, "verify_vaughan", lambda config, N: failed)
+    out = tmp_path / "rep.json"
+    assert run(["verify-vaughan", "--output", str(out)]) == 1
+    assert json.loads(out.read_text()) == {"check": "vaughan-identity", "parameters": {"N": 10},
+                                           "worst_case": 7, "deviation": 0.5, "pass": False}
+
+
+def test_multiplicity_constant_is_not_a_flag(capsys):
+    assert run(["report-kappa", "--multiplicity-constant", "1.3"]) == 2
+    assert "unrecognized arguments: --multiplicity-constant 1.3" in capsys.readouterr().err
 
 
 def test_verify_rearrangement_and_split(tmp_path):
