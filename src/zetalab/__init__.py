@@ -15,15 +15,20 @@ __version__ = "0.1.0"
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
-    """Write to a temporary file that replaces ``path`` when the block ends, so a
-    failed or interrupted write leaves ``path`` absent or as it was.  An error
-    creating or renaming the temporary file is raised against ``path``, as a
-    plain ``open`` of ``path`` reports it."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    """Write to a temporary file that replaces ``path`` (or the file a symlink
+    names) when the block ends, so a failed or interrupted write leaves it absent
+    or as it was; a pipe or a device is written in place.  An error creating or
+    renaming the temporary file is raised against ``path``, as ``open`` would."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode) as fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         if exc.filename != tmp:
             raise

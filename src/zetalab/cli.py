@@ -124,16 +124,14 @@ def cmd_verify_rearrangement(args) -> dict:
 
     spec = mo.MollifierSpec.with_y(args.T, args.y, args.poly)
     need = ch.a_limit(spec)
-    worst = 0.0
     results = []
     for nu in args.nu:
         a = ch.a_table(nu, spec, need)
         direct = ch.m_nu_direct(nu, spec, a)
         rearranged = ch.m_nu_rearranged(nu, spec, a)
-        dev = abs(direct - rearranged) / max(1.0, abs(direct))
-        worst = max(worst, dev)
         results.append({"nu": nu, "direct": repr(direct), "rearranged": repr(rearranged),
-                        "relative_deviation": dev})
+                        "relative_deviation": abs(direct - rearranged) / max(1.0, abs(direct))})
+    worst = max(r["relative_deviation"] for r in results)
     return _verdict("rearrangement-equivalence", {"y": args.y, "T": args.T}, results, worst,
                     worst <= 1e-8)
 

@@ -8,15 +8,15 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
 
-import test_golden  # noqa: E402
+from test_golden import GOLDEN, case_name, run_cases, versions  # noqa: E402
 from zetalab import cli  # noqa: E402
 
 old = {}
-if test_golden.GOLDEN.exists():
-    old = {test_golden._key(r): r for r in json.loads(test_golden.GOLDEN.read_text())["cases"]}
-records = list(test_golden.run_cases(cli.main))
+if GOLDEN.exists():
+    old = {case_name(record): record for record in json.loads(GOLDEN.read_text())["cases"]}
+records = list(run_cases(cli.main))
 for record in records:
-    if old.get(test_golden._key(record)) != record:
-        print("changed:" if test_golden._key(record) in old else "new:", test_golden._key(record))
-test_golden.GOLDEN.write_text(
-    json.dumps({**test_golden.versions(), "cases": records}, indent=1) + "\n")
+    name = case_name(record)
+    if old.get(name) != record:
+        print("changed:" if name in old else "new:", name)
+GOLDEN.write_text(json.dumps({**versions(), "cases": records}, indent=1) + "\n")

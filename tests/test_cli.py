@@ -345,6 +345,26 @@ def test_atomic_open_fails_as_open_does(tmp_path, monkeypatch, target):
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_atomic_open_writes_through_links_and_into_pipes(tmp_path):
+    """A symlinked target is replaced in place of the file it names, and a pipe
+    named as /dev/stdout names it is written, not replaced by a regular file."""
+    (tmp_path / "link.json").symlink_to("real.json")
+    with zetalab.atomic_open(tmp_path / "link.json") as fh:
+        fh.write("report\n")
+    assert (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "real.json").read_text() == "report\n"
+    read, write = os.pipe()
+    try:
+        with zetalab.atomic_open(f"/proc/self/fd/{write}") as fh:
+            fh.write("report\n")
+        assert os.read(read, 64) == b"report\n"
+    finally:
+        os.close(read)
+        os.close(write)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["report-kappa"], ["optimize-poly"], ["verify-vaughan", "--r", "2"],
     ["verify-rearrangement", "--y", "6", "--T", "60"], ["verify-split", "--m-limit", "100"],

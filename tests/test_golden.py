@@ -104,7 +104,8 @@ def run_cases(main):
                     os.environ[key] = value
 
 
-def _key(record) -> str:
+def case_name(record) -> str:
+    """A case's setup files, then its command line."""
     setup = "".join(f"[{name}: {text!r}] " for name, text in record["setup"].items())
     return setup + record["argv"]
 
@@ -112,19 +113,19 @@ def _key(record) -> str:
 def mismatches(main):
     """Yield one line per difference between the cases run through ``main``
     and the golden file, case by case as they run."""
-    golden = {_key(record): record for record in json.loads(GOLDEN.read_text())["cases"]}
+    golden = {case_name(record): record for record in json.loads(GOLDEN.read_text())["cases"]}
     seen = set()
     with contextlib.closing(run_cases(main)) as records:
         for record in records:
-            key = _key(record)
-            seen.add(key)
-            if key not in golden:
-                yield f"{key}: no golden entry (run tests/golden/regen.py)"
+            name = case_name(record)
+            seen.add(name)
+            if name not in golden:
+                yield f"{name}: no golden entry (run tests/golden/regen.py)"
                 continue
             for field, value in record.items():
-                if value != golden[key][field]:
-                    yield f"{key}: {field} {golden[key][field]!r} -> {value!r}"
-    yield from (f"{key}: golden entry with no case" for key in golden if key not in seen)
+                if value != golden[name][field]:
+                    yield f"{name}: {field} {golden[name][field]!r} -> {value!r}"
+    yield from (f"{name}: golden entry with no case" for name in golden if name not in seen)
 
 
 def test_golden_reports():
@@ -154,3 +155,11 @@ def test_golden_catches_mutant(old, new):
     mutant.__package__, mutant.__file__ = cli.__package__, cli.__file__
     exec(compile(source.replace(old, new), cli.__file__, "exec"), vars(mutant))
     assert next(mismatches(mutant.main), None) is not None
+
+
+def test_readme_line_without_golden_entry_fails(monkeypatch):
+    readme = readme_cli_argvs()
+    monkeypatch.setitem(globals(), "readme_cli_argvs",
+                        lambda: [["report-kappa", "--degree", "3"], *readme])
+    assert next(mismatches(cli.main)) == (
+        "zetalab report-kappa --degree 3: no golden entry (run tests/golden/regen.py)")
