@@ -1,5 +1,6 @@
 """Golden reports: each CLI case's exit code, stdout, stderr and written files,
-byte for byte, against ``tests/golden/reports.json``.
+byte for byte, and the sha256 of every file each ``perfbench/jobs.py`` kind
+writes at ``JOB_PARAMS``, against ``tests/golden/reports.json``.
 
 A change that alters a report rewrites the file with
 ``python tests/golden/regen.py`` and names every changed case in CHANGES.md.
@@ -15,6 +16,8 @@ import json
 import os
 import platform
 import shlex
+import subprocess
+import sys
 import tempfile
 import types
 from pathlib import Path
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 from test_cli import SPEC_REJECTIONS, USAGE_ERRORS, readme_cli_argvs
+from test_reachability import JOB_PARAMS, ROOT
 from zetalab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
@@ -104,6 +108,23 @@ def run_cases(main):
                     os.environ[key] = value
 
 
+def run_jobs() -> dict:
+    """kind -> {file name: sha256} of what ``python perfbench/jobs.py KIND PARAMS PREFIX``
+    writes at ``JOB_PARAMS[KIND]``, each kind in a fresh interpreter, as the benchmark
+    runs it (so no in-process memo and no module imported by another test is shared)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    out = {}
+    for kind, params in sorted(JOB_PARAMS.items()):
+        with tempfile.TemporaryDirectory() as scratch:
+            subprocess.run([sys.executable, str(ROOT / "perfbench" / "jobs.py"), kind,
+                            json.dumps(params, sort_keys=True), str(Path(scratch, kind))],
+                           env=env, check=True, timeout=300)
+            out[kind] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(Path(scratch).iterdir())}
+    return out
+
+
 def case_name(record) -> str:
     """A case's setup files, then its command line."""
     setup = "".join(f"[{name}: {text!r}] " for name, text in record["setup"].items())
@@ -128,13 +149,24 @@ def mismatches(main):
     yield from (f"{name}: golden entry with no case" for name in golden if name not in seen)
 
 
-def test_golden_reports():
+def _check_versions():
     made = {key: json.loads(GOLDEN.read_text())[key] for key in ("python", "numpy")}
     if made != versions():
         pytest.fail(f"the golden reports were made with {made}, this is {versions()}: "
                     "compare on the recorded versions, or regenerate and review the diff")
+
+
+def test_golden_reports():
+    _check_versions()
     problems = list(mismatches(cli.main))
     assert not problems, "\n".join(problems)
+
+
+def test_golden_job_outputs():
+    """Every file of every perfbench library job, exactly: a change to the tables,
+    characters or decompositions those jobs read shows here, not only at the benchmark."""
+    _check_versions()
+    assert run_jobs() == json.loads(GOLDEN.read_text())["jobs"]
 
 
 # Each mutant is one text substitution in cli.py, which must occur exactly once.
