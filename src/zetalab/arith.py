@@ -4,9 +4,11 @@ Tables are the universal currency of the coefficient work: read-only,
 1-indexed float64 value arrays whose limit is their length minus one.  One
 prime sieve, :func:`smallest_prime_factors`, gives Mobius, von Mangoldt, tau_k
 (exact integers in floats, by n = spf(n) m: Gries & Misra, CACM 21, 1978) and
-the phase kernel's primes in :mod:`zetalab.zeta`.  Every Dirichlet convolution
-runs through :func:`convolve_values`, with error-free TwoSum compensation so
-that identity checks hold to ~1e-12 relative at desk scale (N <= 1e6).
+the phase kernel's primes in :mod:`zetalab.zeta`; it and every other table that
+does not depend on its size is built once, by :func:`prefix_table`, and read by
+prefix.  Every Dirichlet convolution runs through :func:`convolve_values`, with
+error-free TwoSum compensation so that identity checks hold to ~1e-12 relative
+at desk scale (N <= 1e6).
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import numpy as np
 
 DEFAULT_LIMIT_CAP = 10**6
 
-_TAU_NAMES = tuple(f"tau_{k}" for k in range(2, 10))
-STANDARD_NAMES = ("mobius", "vonmangoldt", "log", "one") + _TAU_NAMES
+STANDARD_NAMES = ("mobius", "vonmangoldt", "log", "one") + tuple(f"tau_{k}" for k in range(2, 10))
 
 
 @dataclass(frozen=True)
@@ -47,26 +48,50 @@ class ArithFnTable:
         return float(self.values[n])
 
 
+_prefix_tables: dict = {}  # key -> (size, table): the process-wide tables of prefix_table
+
+
+def prefix_table(key: str, n: int, build):
+    """The table ``key`` (an array or tuple of arrays) at a size m >= n: ``build(n)``, made
+    read-only, when n exceeds every size asked for before, else the one built then.  No entry
+    depends on the size, so the caller's prefix to n has the bits of a fresh ``build(n)``."""
+    size, table = _prefix_tables.get(key, (-1, None))
+    if size < n:
+        table = build(n)
+        for a in table if isinstance(table, tuple) else (table,):
+            a.flags.writeable = False
+        _prefix_tables[key] = n, table
+    return table
+
+
 def smallest_prime_factors(n: int) -> np.ndarray:
     """spf[m], the least prime factor of m, on [0..n] as int32 (spf[0] = 0, spf[1] = 1): the
-    one prime sieve.  Each prime p <= isqrt(n), read off the table to isqrt(n), writes p at its
-    multiples from p^2 on, the largest first so the least writes last; m > 1 still 0 is prime."""
-    spf = np.zeros(n + 1, dtype=np.uint16)  # holds p <= isqrt(n) for int32's n < 2^31
-    small = smallest_prime_factors(math.isqrt(n)) if n > 3 else []
-    for p in range(len(small) - 1, 1, -1):
-        if small[p] == p:
-            spf[p * p :: p] = p
-    return np.where(spf == 0, np.arange(n + 1, dtype=np.int32), spf)
+    one prime sieve, a read-only prefix of :func:`prefix_table`'s."""
+    return prefix_table("spf", n, lambda m: _sieve("spf", m))[: n + 1]
 
 
-def _spf_sieve(name: str, n: int) -> np.ndarray:
-    """mobius, vonmangoldt or tau_k on [0..n] from :func:`smallest_prime_factors`.
+def _sieve(name: str, n: int) -> np.ndarray:
+    """``name``'s values on [0..n]: spf, log and one directly, the rest from spf.
 
-    vonmangoldt is math.log(p) at each prime p and its powers.  mobius and tau_k are
-    multiplicative: n = p m with p = spf(n) and m <= n / 2, so steps within [a, 2a) read
-    finished entries; p's exponent e(n) is e(m) + 1 if spf(m) = p, else 1; and f(n) is
-    f(m) f(p^e) / f(p^(e-1)), that is -f(m) at e = 1 and 0 beyond for mu, f(m) (e + k - 1) / e
-    for tau_k."""
+    spf: each p <= isqrt(n) that no smaller prime wrote is prime and writes p at its multiples
+    from p^2 on still at 0, so the least writes first; m > 1 still 0 is prime.  vonmangoldt
+    is math.log(p) at each prime p and its powers.  mobius and tau_k are multiplicative:
+    n = p m with p = spf(n) and m <= n / 2, so steps within [a, 2a) read finished entries;
+    p's exponent e(n) is e(m) + 1 if spf(m) = p, else 1; and f(n) is f(m) f(p^e) / f(p^(e-1)),
+    that is -f(m) at e = 1 and 0 beyond for mu, f(m) (e + k - 1) / e for tau_k."""
+    if name == "spf":
+        spf = np.zeros(n + 1, dtype=np.uint16)  # holds p <= isqrt(n) for int32's n < 2^31
+        for p in range(2, math.isqrt(n) + 1):
+            if spf[p] == 0:
+                multiples = spf[p * p :: p]
+                multiples[multiples == 0] = p
+        return np.where(spf == 0, np.arange(n + 1, dtype=np.int32), spf)
+    if name == "log":
+        values = np.zeros(n + 1)
+        values[1:] = np.log(np.arange(1, n + 1, dtype=np.float64))
+        return values
+    if name == "one":
+        return np.minimum(np.arange(n + 1.0), 1.0)
     spf = smallest_prime_factors(n)
     if name == "vonmangoldt":
         p = np.flatnonzero(spf == np.arange(n + 1, dtype=np.int32))[2:]
@@ -91,38 +116,16 @@ def _spf_sieve(name: str, n: int) -> np.ndarray:
     return values
 
 
-# at most one table per name; smaller limits get read-only prefix views
-_table_cache: dict[str, ArithFnTable] = {}
-
-
 def sieve_standard(name: str, limit: int) -> ArithFnTable:
-    """Build one of the standard tables: mobius, vonmangoldt, log, one, tau_k.
-
-    mobius, vonmangoldt and tau_k (2 <= k <= 9) come from the smallest prime
-    factors <= limit.  Tables are memoised by name: a limit at or below
-    the memoised one gets a prefix view (values at n do not depend on the
-    limit), a larger one rebuilds and replaces the memoised table.
-    """
+    """One of the standard tables on [1..limit], mobius, vonmangoldt, log, one or tau_k
+    (2 <= k <= 9): a prefix of the name's :func:`prefix_table`, built by :func:`_sieve`."""
     if name not in STANDARD_NAMES:
         raise ValueError(f"unknown arithmetic function {name!r}; expected one of {STANDARD_NAMES}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > DEFAULT_LIMIT_CAP:
         raise ValueError(f"limit {limit} exceeds the desk-scale cap {DEFAULT_LIMIT_CAP}")
-    cached = _table_cache.get(name)
-    if cached is None or cached.limit < limit:
-        if name == "log":
-            values = np.zeros(limit + 1)
-            values[1:] = np.log(np.arange(1, limit + 1, dtype=np.float64))
-        elif name == "one":
-            values = np.ones(limit + 1)
-            values[0] = 0.0
-        else:
-            values = _spf_sieve(name, limit)
-        cached = _table_cache[name] = ArithFnTable(values)
-    if cached.limit == limit:
-        return cached
-    return ArithFnTable(cached.values[: limit + 1])
+    return ArithFnTable(prefix_table(name, limit, lambda n: _sieve(name, n))[: limit + 1])
 
 
 def _accumulate(out: np.ndarray, comp: np.ndarray, d: int, c: float,

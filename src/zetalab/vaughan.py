@@ -428,20 +428,17 @@ class SieveMonitorReport:
     H: int
 
 
-_log_difference_cache: dict[str, np.ndarray] = {}
-
-
 def _log_differences(H: int) -> tuple[np.ndarray, np.ndarray]:
-    """log m and D_mn = 1/(log m - log n), D_mm = 0, for m, n <= H: read-only
-    prefix views of the largest pair built so far (entries do not depend on H)."""
-    if len(_log_difference_cache.get("logs", ())) < H:
-        logs = np.log(np.arange(1, H + 1, dtype=np.float64))
-        diff = logs[:, None] - logs[None, :]
-        np.fill_diagonal(diff, np.inf)
-        _log_difference_cache.update(logs=logs, D=np.reciprocal(diff, out=diff))
-        for a in _log_difference_cache.values():
-            a.flags.writeable = False
-    return _log_difference_cache["logs"][:H], _log_difference_cache["D"][:H, :H]
+    """log m and D_mn = 1/(log m - log n), D_mm = 0, for m, n <= H: prefixes of a memo pair."""
+    logs, D = arith.prefix_table("log_differences", H, _build_log_differences)
+    return logs[:H], D[:H, :H]
+
+
+def _build_log_differences(H: int) -> tuple[np.ndarray, np.ndarray]:
+    logs = np.log(np.arange(1, H + 1, dtype=np.float64))
+    diff = logs[:, None] - logs[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return logs, np.reciprocal(diff, out=diff)
 
 
 def _band_values(Q: int, m: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atomic_open
-from .arith import smallest_prime_factors
+from .arith import prefix_table, smallest_prime_factors
 from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
 
 EM_CUTOFF = 400.0
@@ -242,15 +242,20 @@ def _log_turns(p: int) -> tuple[float, float]:
         return hi, float(q - decimal.Decimal(hi))
 
 
-@functools.lru_cache(maxsize=256)
-def _phase_plan(n_max: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """The primes up to n_max, log p / (pi/2) of each as rows (hi, lo), and each composite
-    n as (n - 1, p - 1, n / p - 1), rows of ``_phases``' table, p its smallest prime."""
+def _phase_plan(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primes to n_max, log p / (pi/2) of each as rows (hi, lo), and each composite n as
+    (n - 1, p - 1, n / p - 1), p = spf(n), rows of ``_phases``' table: prefixes of a memo plan."""
+    primes, turns, steps = prefix_table("phase_plan", n_max, _build_phase_plan)
+    k = int(np.searchsorted(primes, n_max, side="right"))
+    return primes[:k], turns[:, :k], steps[: n_max - 1 - k]  # n_max - 1 - k composites
+
+
+def _build_phase_plan(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spf = smallest_prime_factors(n_max)
     n = np.arange(2, n_max + 1)
     primes, comp = n[spf[2:] == n], n[spf[2:] != n]
     turns = np.array([_log_turns(int(p)) for p in primes]).reshape(-1, 2).T
-    return primes, turns, np.stack([comp - 1, spf[comp] - 1, comp // spf[comp] - 1], 1).tolist()
+    return primes, turns, np.stack([comp - 1, spf[comp] - 1, comp // spf[comp] - 1], 1)
 
 
 def _phases(t: np.ndarray, n_max: int) -> np.ndarray:
@@ -270,7 +275,7 @@ def _phases(t: np.ndarray, n_max: int) -> np.ndarray:
     table.real[primes - 1] = np.cos(x, out=err)
     table.imag[primes - 1] = np.sin(x, out=x)
     table[primes - 1] *= _TURNS[quarters.astype(int) % 4]
-    for n, p, m in steps:  # contiguous rows, which numpy multiplies alike at any length
+    for n, p, m in steps.tolist():  # contiguous rows, which numpy multiplies alike at any length
         np.multiply(table[p], table[m], out=table[n])
     return table
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetalab import arith
+from test_reachability import JOB_PARAMS
+from zetalab import arith, vaughan as va, zeta as ze
 from zetalab.arith import ArithFnTable, dirichlet_convolve, sieve_standard
 from zetalab.intfun import factorize, mobius_int
 
@@ -102,7 +103,7 @@ def test_smallest_prime_factors():
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 10**5])
 def test_sieve_matches_the_prime_power_loop(monkeypatch, limit):
-    monkeypatch.setattr(arith, "_table_cache", {})
+    monkeypatch.setattr(arith, "_prefix_tables", {})
     for name in SIEVED:
         values = sieve_standard(name, limit).values
         assert values.tobytes() == prime_power_sieve(name, limit).tobytes(), name
@@ -113,7 +114,7 @@ def test_sieve_matches_the_prime_power_loop(monkeypatch, limit):
 def test_sieve_against_per_integer_routes(monkeypatch):
     """Every n <= 5000, 2000 seeded n <= 1e6 and the primes p <= 1e6 at which numpy's
     vectorised log (AVX-512) rounds apart from math.log, against factorize and mobius_int."""
-    monkeypatch.setattr(arith, "_table_cache", {})
+    monkeypatch.setattr(arith, "_prefix_tables", {})
     seeded = np.random.default_rng(20261019).integers(1, 10**6, 2000, endpoint=True)
     log_apart = [285343, 287549, 351497, 504631, 664679, 757811, 857953]
     assert all(factorize(p) == ((p, 1),) for p in log_apart)
@@ -123,7 +124,7 @@ def test_sieve_against_per_integer_routes(monkeypatch):
         values = sieve_standard(name, 10**6).values
         got = [float(values[n]) for n in ns]
         assert got == [per_integer(name, n, fac) for n, fac in zip(ns, facs)], name
-        arith._table_cache.clear()  # one 8 MB table at a time
+        del arith._prefix_tables[name]  # one 8 MB table at a time, beside the 4 MB spf
 
 
 def test_sieve_spot_values():
@@ -354,16 +355,73 @@ def test_growth_monitor_reports_not_raises():
 
 def test_table_memo_prefix_view(monkeypatch):
     for name in arith.STANDARD_NAMES:
-        monkeypatch.setattr(arith, "_table_cache", {})
+        monkeypatch.setattr(arith, "_prefix_tables", {})
         big = sieve_standard(name, 3000)
         view = sieve_standard(name, 1237)
         assert np.shares_memory(view.values, big.values)
         with pytest.raises(ValueError):
             view.values[5] = 7.0
-        monkeypatch.setattr(arith, "_table_cache", {})
+        monkeypatch.setattr(arith, "_prefix_tables", {})
         fresh = sieve_standard(name, 1237)
         assert view.values.tobytes() == fresh.values.tobytes()
-        assert sieve_standard(name, 4000) is arith._table_cache[name]
+        bigger = sieve_standard(name, 4000)
+        size, memo = arith._prefix_tables[name]
+        assert size == 4000 and bigger.values.shape == memo.shape
+        assert np.shares_memory(bigger.values, memo)
+
+
+# each process-wide prefix table, read at size n as a tuple of arrays
+PREFIX_READS = {
+    **{name: lambda n, name=name: (sieve_standard(name, n).values,) for name in arith.STANDARD_NAMES},
+    "spf": lambda n: (arith.smallest_prime_factors(n),),
+    "phase plan": ze._phase_plan,
+    "log differences": va._log_differences,
+}
+
+
+@pytest.mark.parametrize("table", PREFIX_READS)
+def test_prefix_tables_read_the_bits_of_a_fresh_build(monkeypatch, table):
+    """In ascending and in descending size order, every read is read-only and has the
+    dtype, shape and bits of a build at its own size in an empty memo."""
+    read = PREFIX_READS[table]
+    sizes = [1, 2, 3, 4, 10, 97, 311, 500] + ([1237, 5000] if table != "log differences" else [])
+    fresh = {}
+    for n in sizes:
+        monkeypatch.setattr(arith, "_prefix_tables", {})
+        fresh[n] = [(a.dtype, a.shape, a.tobytes()) for a in read(n)]
+    for order in (sizes, sizes[::-1]):
+        monkeypatch.setattr(arith, "_prefix_tables", {})
+        for n in order:
+            got = read(n)
+            assert not any(a.flags.writeable for a in got), (table, n)
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == fresh[n], (table, n)
+
+
+@pytest.fixture
+def spf_builds(monkeypatch):
+    """The sizes at which the smallest-prime-factor table is built, from an empty memo."""
+    sizes, sieve = [], arith._sieve
+
+    def counted(name, n):
+        if name == "spf":
+            sizes.append(n)
+        return sieve(name, n)
+
+    monkeypatch.setattr(arith, "_sieve", counted)
+    monkeypatch.setattr(arith, "_prefix_tables", {})
+    return sizes
+
+
+def test_zero_scan_builds_the_prime_table_once_per_growth(spf_builds):
+    """find_zeros(25000) and zeta'(rho) at its zeros asked for 21 sizes, and built each."""
+    ze.zeta_prime_many(ze.find_zeros(25000.0).ordinates)
+    assert len(spf_builds) <= 2 and spf_builds == sorted(set(spf_builds))
+
+
+def test_growth_job_builds_the_prime_table_once(spf_builds, perfbench_jobs, tmp_path):
+    """perfbench's growth job sieves tau_9, mobius and vonmangoldt: one build, at N."""
+    perfbench_jobs.growth(JOB_PARAMS["growth"], str(tmp_path / "growth"))
+    assert spf_builds == [JOB_PARAMS["growth"]["N"]]
 
 
 def test_tables_are_readonly():

@@ -4,7 +4,6 @@ standard library and numpy, the README names every module, and every
 library job of ``perfbench/jobs.py`` still runs against the package."""
 
 import ast
-import importlib.util
 import json
 import re
 import sys
@@ -211,19 +210,6 @@ JOB_PARAMS = {
     "sqxd": {"T": 1e4, "y": 20.0, "Q": 4, "X": 100, "d": 2, "nu": 2},
     "warm": {},
 }
-
-
-@pytest.fixture(scope="module")
-def perfbench_jobs():
-    """``perfbench/jobs.py`` as a module, loaded without writing its bytecode."""
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
-    module = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
 
 
 def test_job_params_cover_every_perfbench_kind(perfbench_jobs):

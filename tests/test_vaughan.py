@@ -441,12 +441,12 @@ def test_sieve_monitor_matches_per_character_oracle(rng):
 def test_sieve_monitor_lhs_keeps_its_bits_when_the_kernel_grows(rng, monkeypatch):
     """D is kept once per process and read through prefix views: lhs at
     H = 50 is the same before and after a call at H = 500 rebuilds D."""
-    monkeypatch.setattr(va, "_log_difference_cache", {})
+    monkeypatch.setattr(arith, "_prefix_tables", {})
     h = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     before = va.hybrid_large_sieve_monitor(13, 7.0, 50, h).lhs
-    assert va._log_difference_cache["D"].shape == (50, 50)
+    assert arith._prefix_tables["log_differences"][1][1].shape == (50, 50)
     va.hybrid_large_sieve_monitor(30, 3.0, 500, rng.standard_normal(500))
-    assert va._log_difference_cache["D"].shape == (500, 500)
+    assert arith._prefix_tables["log_differences"][1][1].shape == (500, 500)
     assert va.hybrid_large_sieve_monitor(13, 7.0, 50, h).lhs == before
 
 

@@ -783,7 +783,7 @@ def test_phase_plan_matches_the_descending_loop(n_max):
     want_primes, want_turns, want_steps = descending_phase_plan(n_max)
     assert primes.dtype == want_primes.dtype and np.array_equal(primes, want_primes)
     assert turns.shape == want_turns.shape and turns.tobytes() == want_turns.tobytes()
-    assert steps == want_steps
+    assert steps.tolist() == want_steps
 
 
 def test_phases_against_mpmath():
