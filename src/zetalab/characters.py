@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -124,17 +124,10 @@ def character_table(q: int) -> CharacterTable:
     return CharacterTable(grp, expo, conductors, conjugates, primitive, roots)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """Row ``index`` of ``table``: the item of :func:`primitive_characters`."""
-
-    table: CharacterTable = field(repr=False)
-    index: int
-
-
-def primitive_characters(q: int) -> tuple[DirichletCharacter, ...]:
+def primitive_characters(q: int) -> tuple[tuple[CharacterTable, int], ...]:
+    """The primitive characters mod q as (table, row) pairs of ``character_table(q)``."""
     table = character_table(q)
-    return tuple(DirichletCharacter(table, int(i)) for i in table.primitive)
+    return tuple((table, int(i)) for i in table.primitive)
 
 
 @dataclass(frozen=True)
@@ -143,10 +136,11 @@ class GaussSumResult:
     modulus_sqrt_check: float
 
 
-def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
-    """tau(chi) = sum_a chi(a) e(a/q) with e(x) = exp(2 pi i x), read from its table."""
-    value = complex(chi.table.gauss_sums[chi.index])
-    return GaussSumResult(value, abs(abs(value) - math.sqrt(chi.table.group.modulus)))
+def gauss_sum(chi: tuple[CharacterTable, int]) -> GaussSumResult:
+    """tau(chi) = sum_a chi(a) e(a/q), e(x) = exp(2 pi i x), read from chi's (table, row)."""
+    table, row = chi
+    value = complex(table.gauss_sums[row])
+    return GaussSumResult(value, abs(abs(value) - math.sqrt(table.group.modulus)))
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,9 @@ def _gauss_sum_oracle(table, i):
 def test_gauss_sums_match_the_per_character_route():
     """The table's Gauss sums, taken for all rows at once, keep the bits of
     the per-character sum for every character mod q <= 60.  For q <= 300,
-    ``gauss_sum`` over ``primitive_characters`` (perfbench's gauss job)
-    reads the bits of ``gauss_sums[primitive]`` and |tau| - sqrt(q) from them."""
+    ``primitive_characters`` gives the (table, row) pairs of the primitive rows,
+    and ``gauss_sum`` over them (perfbench's gauss job) reads the bits of
+    ``gauss_sums[primitive]`` and |tau| - sqrt(q) from them."""
     for q in range(1, 61):
         table = ch.character_table(q)
         for i in range(len(table.expo)):
@@ -185,7 +186,7 @@ def test_gauss_sums_match_the_per_character_route():
     for q in range(1, 301):
         table = ch.character_table(q)
         prims = ch.primitive_characters(q)
-        assert len(prims) == len(table.primitive)
+        assert prims == tuple((table, int(i)) for i in table.primitive)
         results = [ch.gauss_sum(psi) for psi in prims]
         tau = table.gauss_sums[table.primitive]
         assert np.array([r.value for r in results], dtype=complex).tobytes() == tau.tobytes()
