@@ -220,7 +220,8 @@ _CACHE = (("--cache-dir", str, None), ("--no-cache", bool, False))
 
 COMMANDS = {
     "report-kappa": ("closed-form kappa constants", cmd_report_kappa, [
-        ("--theta", _finite, 0.5), ("--degree", _positive_int, 2), _OUTPUT, _JSON]),
+        ("--theta", _finite, 0.5), ("--degree", _positive_int, 2), _OUTPUT,
+        ("--format", ("json", "csv"), "json", "format of the --output report, default json")]),
     "optimize-poly": ("maximize the kappa quotient", cmd_optimize_poly, [
         ("--theta", _finite, 0.5), ("--degree", _positive_int, 2), _OUTPUT, _JSON]),
     "verify-vaughan": ("coefficient identity check", cmd_verify_vaughan, [
