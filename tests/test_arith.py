@@ -413,7 +413,8 @@ def spf_builds(monkeypatch):
 
 
 def test_zero_scan_builds_the_prime_table_once_per_growth(spf_builds):
-    """find_zeros(25000) and zeta'(rho) at its zeros asked for 21 sizes, and built each."""
+    """find_zeros(25000) and zeta'(rho) at its zeros ask for the table at 21 sizes; it is
+    built only when the largest size grows."""
     ze.zeta_prime_many(ze.find_zeros(25000.0).ordinates)
     assert len(spf_builds) <= 2 and spf_builds == sorted(set(spf_builds))
 
