@@ -19,12 +19,13 @@ import numpy as np
 
 from . import arith
 from .arith import ArithFnTable
-from .intfun import divisors, factorize, mobius_int, multiplicative_order, totient
+from .intfun import divisors, factorize, mobius_int, totient
 from .mollifier import MollifierSpec, b_table
 
 
 def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
-    """Generators (g, order) of (Z/p^e Z)*."""
+    """Generators (g, order) of (Z/p^e Z)*.  For odd p, the least primitive root:
+    the least g with p not dividing g and g^(phi/r) != 1 (mod p^e) for every prime r | phi."""
     q = p**e
     if p == 2:
         if e == 1:
@@ -33,26 +34,14 @@ def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
             return [(3, 2)]
         return [(q - 1, 2), (3, 2 ** (e - 2))]
     phi = totient(q)
-    for g in range(2, q):
-        if math.gcd(g, q) == 1 and multiplicative_order(g, q) == phi:
-            return [(g, phi)]
-    raise RuntimeError(f"no primitive root found mod {q}")  # unreachable for odd p
+    return [(next(g for g in range(2, q)
+                  if g % p and all(pow(g, phi // r, q) != 1 for r, _ in factorize(phi))), phi)]
 
 
-@dataclass(frozen=True)
-class UnitGroup:
-    """Cyclic decomposition of (Z/qZ)*: ``units[i]`` has discrete log
-    ``logs[i]`` over ``generators``, the rows in ``itertools.product`` order."""
-
-    modulus: int
-    generators: tuple[int, ...]
-    orders: tuple[int, ...]
-    exponent: int
-    units: np.ndarray
-    logs: np.ndarray
-
-
-def unit_group(q: int) -> UnitGroup:
+def unit_group(q: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]:
+    """Cyclic decomposition of (Z/qZ)* as (generators, orders, units, logs):
+    ``units[i]`` has discrete log ``logs[i]`` over the generators, the rows in
+    ``itertools.product`` order."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     gens: list[int] = []
@@ -67,8 +56,7 @@ def unit_group(q: int) -> UnitGroup:
     units = np.full(len(logs), 1 % q, dtype=np.int64)
     for col, (g, s) in enumerate(zip(gens, orders)):
         units = units * np.array([pow(g, k, q) for k in range(s)])[logs[:, col]] % q
-    units.flags.writeable = logs.flags.writeable = False
-    return UnitGroup(q, tuple(gens), tuple(orders), math.lcm(*orders), units, logs)
+    return tuple(gens), tuple(orders), units, logs
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +64,15 @@ class CharacterTable:
     """The phi(q) characters mod q as one exponent matrix over the units:
     chi_i(units[j]) = e(expo[i, j] / exponent), and chi_i is 0 off the units.
 
-    Row i has exponent tuple ``group.logs[i]``, so its entry at unit j is
-    row i of E = (logs * strides) @ logs.T mod e.  The conductor is the
+    Row i has exponent tuple ``logs[i]`` of :func:`unit_group`, so its entry at
+    unit j is row i of E = (logs * strides) @ logs.T mod e.  The conductor is the
     smallest f | q with chi trivial on the units a = 1 (mod f), tested for
     every row at once; the conjugate of row i is the row with tuple -logs[i].
-    ``roots[k]`` = e(k / exponent); ``gauss_sums`` is computed on first use.
+    ``roots[k]`` = e(k / exponent), exponent = ``len(roots)``; ``gauss_sums`` on first use.
     """
 
-    group: UnitGroup
+    modulus: int
+    units: np.ndarray
     expo: np.ndarray
     conductors: np.ndarray
     conjugates: np.ndarray
@@ -92,14 +81,14 @@ class CharacterTable:
 
     def values(self, rows) -> np.ndarray:
         """The (len(rows), q) complex matrix of chi(a), a = 0..q-1, for the given rows."""
-        out = np.zeros((len(rows), self.group.modulus), dtype=np.complex128)
-        out[:, self.group.units] = self.roots[self.expo[rows]]
+        out = np.zeros((len(rows), self.modulus), dtype=np.complex128)
+        out[:, self.units] = self.roots[self.expo[rows]]
         return out
 
     @cached_property
     def gauss_sums(self) -> np.ndarray:
         """tau(chi_i) = sum_a chi_i(a) e(a/q) for every row i, with e(x) = exp(2 pi i x)."""
-        q = self.group.modulus
+        q = self.modulus
         tau = (self.values(range(len(self.expo))) * np.exp(2j * np.pi * np.arange(q) / q)).sum(-1)
         tau.flags.writeable = False
         return tau
@@ -107,21 +96,21 @@ class CharacterTable:
 
 @lru_cache(maxsize=512)
 def character_table(q: int) -> CharacterTable:
-    grp = unit_group(q)
-    e = grp.exponent
-    orders = np.array(grp.orders, dtype=np.int64)
-    expo = ((grp.logs * (e // orders)) @ grp.logs.T % e).astype(np.min_scalar_type(e - 1))
+    _, orders, units, logs = unit_group(q)
+    e = math.lcm(*orders)
+    sizes = np.array(orders, dtype=np.int64)
+    expo = ((logs * (e // sizes)) @ logs.T % e).astype(np.min_scalar_type(e - 1))
     conductors = np.zeros(len(expo), dtype=np.int64)
     for f in divisors(q):
-        trivial = (expo[:, grp.units % f == 1 % f] == 0).all(axis=1)
+        trivial = (expo[:, units % f == 1 % f] == 0).all(axis=1)
         conductors[(conductors == 0) & trivial] = f
     # the row of tuple -logs[i]; reshaped because q = 1, 2 have no generators
-    conjugates = np.reshape(np.ravel_multi_index((-grp.logs % orders).T, grp.orders), len(expo))
+    conjugates = np.reshape(np.ravel_multi_index((-logs % sizes).T, orders), len(expo))
     primitive = np.flatnonzero(conductors == q)
     roots = np.exp(2j * np.pi * np.arange(e) / e)
-    for a in (expo, conductors, conjugates, primitive, roots):
+    for a in (units, expo, conductors, conjugates, primitive, roots):
         a.flags.writeable = False
-    return CharacterTable(grp, expo, conductors, conjugates, primitive, roots)
+    return CharacterTable(q, units, expo, conductors, conjugates, primitive, roots)
 
 
 def primitive_characters(q: int) -> tuple[tuple[CharacterTable, int], ...]:
@@ -140,7 +129,7 @@ def gauss_sum(chi: tuple[CharacterTable, int]) -> GaussSumResult:
     """tau(chi) = sum_a chi(a) e(a/q), e(x) = exp(2 pi i x), read from chi's (table, row)."""
     table, row = chi
     value = complex(table.gauss_sums[row])
-    return GaussSumResult(value, abs(abs(value) - math.sqrt(table.group.modulus)))
+    return GaussSumResult(value, abs(abs(value) - math.sqrt(table.modulus)))
 
 
 # ---------------------------------------------------------------------------

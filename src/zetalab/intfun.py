@@ -6,7 +6,6 @@ module owns bulk table construction.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -56,13 +55,3 @@ def mobius_int(n: int) -> int:
         mu = -mu
     return mu
 
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/nZ)*; a must be a unit mod n."""
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    order = totient(n)
-    for p, _ in factorize(order):
-        while order % p == 0 and pow(a, order // p, n) == 1:
-            order //= p
-    return order

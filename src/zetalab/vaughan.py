@@ -446,7 +446,7 @@ def _band_values(Q: int, m: np.ndarray) -> np.ndarray:
     never includes q = 1 (its cell is the main-term path's), so Q = 1 has none."""
     tables = [character_table(q) for q in range(max(2, Q // 2 + 1), Q + 1)]
     return np.concatenate([np.zeros((0, len(m)))] +
-                          [t.values(t.primitive)[:, m % t.group.modulus] for t in tables])
+                          [t.values(t.primitive)[:, m % t.modulus] for t in tables])
 
 
 def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients) -> SieveMonitorReport:

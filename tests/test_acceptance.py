@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
+Each line, its time field stripped, must equal its line in
+``tests/golden/criteria.json``; ``python tests/golden/regen.py`` rewrites it.
 """
 
 import math
@@ -9,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from test_golden import check_criterion
 from zetalab import arith, characters as ch, cli, mollifier as mo
 from zetalab import vaughan as va, zeta as ze
 
@@ -22,6 +25,7 @@ def report(number, ok, elapsed, limit, detail):
     print(line)
     assert ok, line
     assert elapsed < limit, f"criterion-{number} overran: {elapsed:.2f}s >= {limit}s"
+    check_criterion(line)
 
 
 def test_criterion_01_constants(capsys):

@@ -93,22 +93,44 @@ def _oracle_conductor(q, exponents, group_exp):
 def _oracle_characters(q):
     """(modulus, exponent, exponents, conductor, index) of each character mod q,
     by a per-residue loop over a discrete-log dict and a per-character scan."""
-    grp = ch.unit_group(q)
-    e = grp.exponent
+    generators, orders, _, _ = ch.unit_group(q)
+    e = math.lcm(*orders)
     dlog = {}
-    for ks in itertools.product(*(range(s) for s in grp.orders)):
+    for ks in itertools.product(*(range(s) for s in orders)):
         a = 1 % q
-        for g, k in zip(grp.generators, ks):
+        for g, k in zip(generators, ks):
             a = a * pow(g, k, q) % q
         dlog[a] = ks
-    strides = [e // s for s in grp.orders]
+    strides = [e // s for s in orders]
     out = []
-    for index, ts in enumerate(itertools.product(*(range(s) for s in grp.orders))):
+    for index, ts in enumerate(itertools.product(*(range(s) for s in orders))):
         expo = [-1] * q if q > 1 else [0]
         for a, ks in dlog.items():
             expo[a] = sum(k * t * stride for k, t, stride in zip(ks, ts, strides)) % e
         out.append((q, e, tuple(expo), _oracle_conductor(q, expo, e), index))
     return out
+
+
+def _order_by_multiplication(g, q):
+    """The least k >= 1 with g^k = 1 (mod q), by repeated multiplication."""
+    a, k = g % q, 1
+    while a != 1:
+        a, k = a * g % q, k + 1
+    return k
+
+
+def test_local_generator_is_the_least_primitive_root():
+    """For every odd prime power p^e < 1000 the generator is the least residue
+    coprime to p of order phi(p^e): this choice sets the row order of every table."""
+    for p in range(3, 1000, 2):
+        if any(p % r == 0 for r in range(3, p, 2)):
+            continue
+        q, e = p, 1
+        while q < 1000:
+            phi = q - q // p
+            g = next(g for g in range(2, q) if g % p and _order_by_multiplication(g, q) == phi)
+            assert ch._local_generators(p, e) == [(g, phi)], (p, e)
+            q, e = q * p, e + 1
 
 
 def _primitive_count_oracle(q):
@@ -120,8 +142,8 @@ def test_exponent_matrix_matches_per_residue_oracle():
     for q in [*range(1, 201), 256, 360, 420, 480]:
         table = ch.character_table(q)
         exponents = np.full((len(table.expo), q), -1)
-        exponents[:, table.group.units] = table.expo
-        got = [(table.group.modulus, table.group.exponent, tuple(row), int(f), i)
+        exponents[:, table.units] = table.expo
+        got = [(table.modulus, len(table.roots), tuple(row), int(f), i)
                for i, (row, f) in enumerate(zip(exponents.tolist(), table.conductors))]
         assert got == _oracle_characters(q)
 
@@ -167,9 +189,9 @@ def test_gauss_sums():
 def _gauss_sum_oracle(table, i):
     """tau(chi_i) by the per-character route: the roots of unity and e(a/q)
     built on every call, then sum_a chi(a) e(a/q) over the q residues."""
-    q, e = table.group.modulus, table.group.exponent
+    q, e = table.modulus, len(table.roots)
     C = np.zeros(q, dtype=np.complex128)
-    C[table.group.units] = np.exp(2j * np.pi * np.arange(e) / e)[table.expo[i]]
+    C[table.units] = np.exp(2j * np.pi * np.arange(e) / e)[table.expo[i]]
     return complex((C * np.exp(2j * np.pi * np.arange(q) / q)).sum(-1))
 
 

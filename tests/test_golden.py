@@ -1,10 +1,12 @@
 """Golden reports: each CLI case's exit code, stdout, stderr and written files,
 byte for byte, and the sha256 of every file each ``perfbench/jobs.py`` kind
-writes at ``JOB_PARAMS``, against ``tests/golden/reports.json``.
+writes at ``JOB_PARAMS``, against ``tests/golden/reports.json``.  The line each
+acceptance criterion prints, its time field stripped, is checked against
+``tests/golden/criteria.json`` where ``test_acceptance.report`` prints it.
 
-A change that alters a report rewrites the file with
+A change that alters a report rewrites both files with
 ``python tests/golden/regen.py`` and names every changed case in CHANGES.md.
-The comparison is exact, so the file also records the Python and numpy
+The comparison is exact, so each file also records the Python and numpy
 versions it was made with (argparse's help layout and float printing are
 theirs); on another version the test fails and names both.
 """
@@ -15,6 +17,7 @@ import io
 import json
 import os
 import platform
+import re
 import shlex
 import subprocess
 import sys
@@ -30,6 +33,7 @@ from test_reachability import JOB_PARAMS, ROOT
 from zetalab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
+CRITERIA = GOLDEN.with_name("criteria.json")
 RUN_CFG = "# the config file of the README's --config line\nT=1000\ntheta=0.3\nno-cache=true\n"
 LARGE = 4096  # a written file above this many bytes is stored as its size and sha256
 
@@ -149,11 +153,27 @@ def mismatches(main):
     yield from (f"{name}: golden entry with no case" for name in golden if name not in seen)
 
 
-def _check_versions():
-    made = {key: json.loads(GOLDEN.read_text())[key] for key in ("python", "numpy")}
+def _check_versions(path=GOLDEN):
+    made = {key: json.loads(path.read_text())[key] for key in ("python", "numpy")}
     if made != versions():
-        pytest.fail(f"the golden reports were made with {made}, this is {versions()}: "
+        pytest.fail(f"the golden {path.stem} were made with {made}, this is {versions()}: "
                     "compare on the recorded versions, or regenerate and review the diff")
+
+
+def criterion_lines(text: str) -> list[str]:
+    """The criterion lines printed in ``text``, each without its time field."""
+    return [" ".join(m.groups())
+            for m in re.finditer(r"((?:PASS|FAIL) criterion-\d\d) \[[^]]*\] (.*)", text)]
+
+
+def check_criterion(line: str):
+    """Fail unless a printed criterion line, time field stripped, is its golden line."""
+    _check_versions(CRITERIA)
+    [pinned] = criterion_lines(line)
+    name = pinned.split()[1]
+    golden = {old.split()[1]: old for old in json.loads(CRITERIA.read_text())["lines"]}
+    assert pinned == golden.get(name), (
+        f"{name}: {golden.get(name)!r} -> {pinned!r} (run tests/golden/regen.py)")
 
 
 def test_golden_reports():
@@ -167,6 +187,16 @@ def test_golden_job_outputs():
     characters or decompositions those jobs read shows here, not only at the benchmark."""
     _check_versions()
     assert run_jobs() == json.loads(GOLDEN.read_text())["jobs"]
+
+
+def test_criterion_line_is_compared_without_its_time_field():
+    """Each golden criterion line passes with any time field and fails when one
+    more digit is printed, naming the criterion."""
+    for pinned in json.loads(CRITERIA.read_text())["lines"]:
+        status, name, detail = pinned.split(" ", 2)
+        check_criterion(f"{status} {name} [ 12.34s / 60s] {detail}")
+        with pytest.raises(AssertionError, match=rf"^{name}: .* \(run tests/golden/regen.py\)"):
+            check_criterion(f"{status} {name} [  0.01s / 1s] {detail}0")
 
 
 # Each mutant is one text substitution in cli.py, which must occur exactly once.

@@ -37,7 +37,7 @@ ALLOWED = {
     "coefficient_growth_report": "perfbench growth job",
     "MollifierPolynomial.sup_norm_01": "perfbench growth job",
     "A2Decomposition.reconstruct": "perfbench recon job and criterion 4",
-    # closed-form main terms that normalise M_1 and M_2 (ROADMAP directions 1, 4)
+    # closed-form main terms that normalise M_1 and M_2 (ROADMAP direction 2, step 4)
     "m11_factor": "main-term factor of M_1",
     "m21_factor": "main-term factor of M_2",
 }
