@@ -13,6 +13,17 @@ import os
 __version__ = "0.1.0"
 
 
+class ReadOnly:
+    """Base of the validated types: ``__init__`` checks its arguments and stores the
+    fields in ``__dict__``; setting or deleting an attribute after that raises
+    AttributeError, so an instance is immutable after construction."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
     """Write to a temporary file that replaces ``path`` (or the file a symlink

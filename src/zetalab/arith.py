@@ -14,29 +14,29 @@ at desk scale (N <= 1e6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from . import ReadOnly
 
 DEFAULT_LIMIT_CAP = 10**6
 
 STANDARD_NAMES = ("mobius", "vonmangoldt", "log", "one") + tuple(f"tau_{k}" for k in range(2, 10))
 
 
-@dataclass(frozen=True)
-class ArithFnTable:
+class ArithFnTable(ReadOnly):
     """Values of an arithmetic function on [1..limit], limit = len(values) - 1.
 
     values[n] is f(n); index 0 is unused and kept at 0.  The array is made
     read-only on construction, so instances are safe for concurrent reads.
     """
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 1 or len(self.values) < 2:
-            raise ValueError(f"values must be 1-D of length >= 2, got shape {self.values.shape}")
-        self.values.setflags(write=False)
+    def __init__(self, values: np.ndarray):
+        if values.ndim != 1 or len(values) < 2:
+            raise ValueError(f"values must be 1-D of length >= 2, got shape {values.shape}")
+        values.setflags(write=False)
+        vars(self).update(values=values)
 
     @property
     def limit(self) -> int:
@@ -204,8 +204,7 @@ def compute_a2(limit: int, b: ArithFnTable) -> ArithFnTable:
     return ArithFnTable(-t.values)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Observed coefficient growth against the tau_9 envelope.
 
     The envelope L^3 * tau_9(n) * p_sup is a shape monitor, not a proven

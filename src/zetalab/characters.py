@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from . import arith
+from . import ReadOnly, arith
 from .arith import ArithFnTable
 from .intfun import divisors, factorize, mobius_int, totient
 from .mollifier import MollifierSpec, b_table
@@ -59,8 +59,7 @@ def unit_group(q: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np
     return tuple(gens), tuple(orders), units, logs
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
+class CharacterTable(ReadOnly):
     """The phi(q) characters mod q as one exponent matrix over the units:
     chi_i(units[j]) = e(expo[i, j] / exponent), and chi_i is 0 off the units.
 
@@ -71,13 +70,9 @@ class CharacterTable:
     ``roots[k]`` = e(k / exponent), exponent = ``len(roots)``; ``gauss_sums`` on first use.
     """
 
-    modulus: int
-    units: np.ndarray
-    expo: np.ndarray
-    conductors: np.ndarray
-    conjugates: np.ndarray
-    primitive: np.ndarray
-    roots: np.ndarray
+    def __init__(self, modulus: int, units, expo, conductors, conjugates, primitive, roots):
+        vars(self).update(modulus=modulus, units=units, expo=expo, conductors=conductors,
+                          conjugates=conjugates, primitive=primitive, roots=roots)
 
     def values(self, rows) -> np.ndarray:
         """The (len(rows), q) complex matrix of chi(a), a = 0..q-1, for the given rows."""
@@ -119,8 +114,7 @@ def primitive_characters(q: int) -> tuple[tuple[CharacterTable, int], ...]:
     return tuple((table, int(i)) for i in table.primitive)
 
 
-@dataclass(frozen=True)
-class GaussSumResult:
+class GaussSumResult(NamedTuple):
     value: complex
     modulus_sqrt_check: float
 

@@ -15,10 +15,7 @@ config file included.  CSV reports quote fields that hold commas.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
-import json
 import math
 import sys
 
@@ -64,8 +61,13 @@ def _emit(args, payload: dict | list[dict]) -> None:
     """Write a report to --output (atomically) or stdout, as JSON or as a CSV
     header and row (a list holds one row; a field holding a comma is quoted)."""
     if args.format == "json":
+        import json
+
         text = json.dumps(payload, sort_keys=True, indent=2, default=repr) + "\n"
     else:
+        import csv
+        import io
+
         row = payload[0] if isinstance(payload, list) else payload
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(

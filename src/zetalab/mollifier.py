@@ -18,8 +18,9 @@ Python; the functions that use numpy or ``arith`` import them on call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from . import ReadOnly
 
 if TYPE_CHECKING:
     from .arith import ArithFnTable
@@ -27,22 +28,20 @@ if TYPE_CHECKING:
 KAPPA_MULTIPLICITY_CONSTANT = 1.3275  # external multiplicity-sum input, not recomputed
 
 
-@dataclass(frozen=True)
-class MollifierPolynomial:
+class MollifierPolynomial(ReadOnly):
     """P(x) = sum_j c_j x^j with c = coefficients, so P(0) = 0 by construction.
 
     Requires P(1) = sum c_j = 1 to 1e-12.
     """
 
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) < 1:
+    def __init__(self, coefficients):
+        if len(coefficients) < 1:
             raise ValueError("polynomial needs at least the linear coefficient")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        s = math.fsum(self.coefficients)
+        coefficients = tuple(float(c) for c in coefficients)
+        s = math.fsum(coefficients)
         if abs(s - 1.0) > 1e-12:
             raise ValueError(f"P(1) = {s!r} must equal 1 to 1e-12")
+        vars(self).update(coefficients=coefficients)
 
     @property
     def degree(self) -> int:
@@ -99,26 +98,21 @@ def paper_quadratic(theta: float) -> MollifierPolynomial:
     return MollifierPolynomial((1.0 + theta, -theta))
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
+class MollifierSpec(ReadOnly):
     """Run parameters: theta in (0, 1/2), finite T > 2*pi, y = T^theta, polynomial P."""
 
-    theta: float
-    T: float
-    y: float
-    P: MollifierPolynomial
-
-    def __post_init__(self):
-        if not (math.isfinite(self.T) and math.isfinite(self.y)):
-            raise ValueError(f"T = {self.T} and y = {self.y} must be finite")
-        if not 0.0 < self.theta < 0.5:
-            raise ValueError(f"theta = {self.theta} outside (0, 1/2)")
-        if self.T <= 2 * math.pi:
-            raise ValueError(f"T = {self.T} must exceed 2*pi")
-        if abs(self.y - self.T**self.theta) > 1e-9 * self.y:
-            raise ValueError(f"y = {self.y} is not T^theta = {self.T**self.theta}")
-        if self.y <= 1.0:
-            raise ValueError(f"y = T^theta = {self.y} must exceed 1 (theta = {self.theta})")
+    def __init__(self, theta: float, T: float, y: float, P: MollifierPolynomial):
+        if not (math.isfinite(T) and math.isfinite(y)):
+            raise ValueError(f"T = {T} and y = {y} must be finite")
+        if not 0.0 < theta < 0.5:
+            raise ValueError(f"theta = {theta} outside (0, 1/2)")
+        if T <= 2 * math.pi:
+            raise ValueError(f"T = {T} must exceed 2*pi")
+        if abs(y - T**theta) > 1e-9 * y:
+            raise ValueError(f"y = {y} is not T^theta = {T**theta}")
+        if y <= 1.0:
+            raise ValueError(f"y = T^theta = {y} must exceed 1 (theta = {theta})")
+        vars(self).update(theta=theta, T=T, y=y, P=P)
 
     @classmethod
     def from_T_theta(cls, T: float, theta: float, P: MollifierPolynomial | None = None):

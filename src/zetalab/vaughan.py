@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from . import arith, characters
+from . import ReadOnly, arith, characters
 from .arith import ArithFnTable, convolve_values
 from .characters import character_table
 from .intfun import divisors, factorize
@@ -34,22 +33,19 @@ VAUGHAN_TOLERANCE = 1e-9
 SPLIT_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class VaughanConfig:
+class VaughanConfig(ReadOnly):
     """An integer r >= 1 of terms, M(s) truncated at a finite X >= 1."""
 
-    r: int
-    X: float
-
-    def __post_init__(self):
-        if not isinstance(self.r, (int, np.integer)):
-            raise ValueError(f"r must be an integer, got {self.r}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if not self.X >= 1:  # nan too
-            raise ValueError(f"X must be >= 1, got {self.X}")
-        if math.isinf(self.X):
-            raise ValueError(f"X must be finite, got {self.X}")
+    def __init__(self, r: int, X: float):
+        if not isinstance(r, (int, np.integer)):
+            raise ValueError(f"r must be an integer, got {r}")
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+        if not X >= 1:  # nan too
+            raise ValueError(f"X must be >= 1, got {X}")
+        if math.isinf(X):
+            raise ValueError(f"X must be finite, got {X}")
+        vars(self).update(r=r, X=X)
 
 
 def mu_truncated(X: float, limit: int) -> ArithFnTable:
@@ -90,8 +86,7 @@ def _vaughan_groups(head, mu_x, one, r: int, n: int):
         yield (-1) ** (j - 1) * comb(r, j), group
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of an exact coefficient comparison."""
 
     check: str
@@ -189,19 +184,16 @@ def _b_blocks(y: float):
 _IDENTITY_BLOCKS = ((0.5, 1.0),)
 
 
-@dataclass(frozen=True)
-class A2Decomposition:
+class A2Decomposition(ReadOnly):
     """Emitted dyadic terms for a2, grouped by Vaughan index j.
 
     Terms are the cross products of the block lists of ``slots(j)``, one per
     role, filtered by the support rule prod_i (floor(lo_i) + 1) <= n_cap:
-    anything larger cannot touch [1..n_cap].
+    anything larger cannot touch [1..n_cap].  ``role_blocks`` maps role -> tuple of blocks.
     """
 
-    spec: MollifierSpec
-    config: VaughanConfig
-    n_cap: int
-    role_blocks: dict  # role -> tuple of blocks
+    def __init__(self, spec: MollifierSpec, config: VaughanConfig, n_cap: int, role_blocks: dict):
+        vars(self).update(spec=spec, config=config, n_cap=n_cap, role_blocks=role_blocks)
 
     def slots(self, j: int) -> tuple:
         """The nine block lists of group j, one per slot."""
@@ -217,12 +209,13 @@ class A2Decomposition:
 
     def terms(self):
         """Emitted terms, group by group: the rows of :meth:`_index_rows`, made
-        terms by one zip over object columns."""
+        terms in C by one zip over list columns and ``tuple.__new__``."""
         for j in (1, 2, 3):
             objects = [np.fromiter(blocks, dtype=object, count=len(blocks)) for blocks in self.slots(j)]
             for rows in self._index_rows(j):
-                columns = [obj[col] for obj, col in zip(objects, rows)]
-                yield from map(DecompositionTerm, itertools.repeat(j), zip(*columns))
+                columns = [obj[col].tolist() for obj, col in zip(objects, rows)]
+                yield from map(tuple.__new__, itertools.repeat(DecompositionTerm),
+                               zip(itertools.repeat(j), zip(*columns)))
 
     def count_terms(self) -> int:
         """Number of emitted terms: the rows of :meth:`_index_rows`, not made terms."""
@@ -351,9 +344,17 @@ def term_convolution(term: DecompositionTerm, decomposition: A2Decomposition,
 # divisor splitting: (f_1*...*f_9)(m d) = sum_{d = d_1...d_9} (g_1*...*g_9)(m)
 
 
-@dataclass(frozen=True)
-class SplitReport(IdentityReport):
+class SplitReport(NamedTuple):
+    """An :class:`IdentityReport` with the number of ordered 9-factorisations of d."""
+
+    check: str
+    parameters: dict
+    worst_index: int
+    deviation: float
+    tolerance: float
     factorization_count: int
+
+    passed = IdentityReport.passed
 
 
 def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
@@ -418,8 +419,7 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
 # hybrid large sieve monitor
 
 
-@dataclass(frozen=True)
-class SieveMonitorReport:
+class SieveMonitorReport(NamedTuple):
     lhs: float
     rhs: float
     ratio: float

@@ -34,12 +34,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import atomic_open
+from . import ReadOnly, atomic_open
 from .arith import prefix_table, smallest_prime_factors
 from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
 
@@ -373,8 +372,7 @@ def gram_points(T: float) -> np.ndarray:
     return g[g < T]
 
 
-@dataclass(frozen=True)
-class ZeroList:
+class ZeroList(ReadOnly):
     """Ordered positive ordinates of critical-line zeros, and zeta'(rho) at each if known.
 
     Validated on construction: finite, strictly increasing, all above the first-zero
@@ -383,15 +381,9 @@ class ZeroList:
     zeta'(rho) per ordinate.  Both arrays are read-only copies of the caller's.
     """
 
-    ordinates: np.ndarray = field(repr=False)
-    source: str
-    max_height: float
-    zeta_prime: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        ords = np.array(self.ordinates, dtype=np.float64)
-        object.__setattr__(self, "ordinates", ords)
-        if not (np.isfinite(ords).all() and math.isfinite(self.max_height)):
+    def __init__(self, ordinates, source: str, max_height: float, zeta_prime=None):
+        ords = np.array(ordinates, dtype=np.float64)
+        if not (np.isfinite(ords).all() and math.isfinite(max_height)):
             raise ValueError("ordinates and max_height must be finite")
         if ords.size:
             bad = np.flatnonzero(np.diff(ords) <= 0)
@@ -399,21 +391,22 @@ class ZeroList:
                 raise ValueError(f"ordinates not strictly increasing at position {bad[0] + 1}")
             if ords[0] <= 14.0:
                 raise ValueError(f"first ordinate {ords[0]} at or below 14")
-            if ords[-1] > self.max_height + 1e-9:
+            if ords[-1] > max_height + 1e-9:
                 raise ValueError("ordinates exceed the declared max_height")
-        if self.max_height > 14.5:
-            expected = rs_theta(self.max_height) / math.pi + 1.0
-            slack = 2.0 + math.log(self.max_height)
+        if max_height > 14.5:
+            expected = rs_theta(max_height) / math.pi + 1.0
+            slack = 2.0 + math.log(max_height)
             if abs(len(ords) - expected) > slack:
                 raise ValueError(f"census {len(ords)} vs counting formula {expected:.2f} "
                                  f"differs beyond slack {slack:.2f}")
         ords.setflags(write=False)
-        if self.zeta_prime is not None:
-            zp = np.array(self.zeta_prime, dtype=np.complex128)
-            if zp.shape != ords.shape or not np.isfinite(zp).all():
+        if zeta_prime is not None:
+            zeta_prime = np.array(zeta_prime, dtype=np.complex128)
+            if zeta_prime.shape != ords.shape or not np.isfinite(zeta_prime).all():
                 raise ValueError("zeta_prime must hold one finite value per ordinate")
-            zp.setflags(write=False)
-            object.__setattr__(self, "zeta_prime", zp)
+            zeta_prime.setflags(write=False)
+        vars(self).update(ordinates=ords, source=source, max_height=max_height,
+                          zeta_prime=zeta_prime)
 
     def __len__(self) -> int:
         return len(self.ordinates)
@@ -448,8 +441,7 @@ def count_formula(T: float) -> float:
     return rs_theta(T) / math.pi + 1.0 + s_T
 
 
-@dataclass(frozen=True)
-class NCount:
+class NCount(NamedTuple):
     """Zero count by census and by the counting formula."""
 
     census: int
@@ -468,7 +460,7 @@ def count_N(T: float, zeros: ZeroList) -> NCount:
     """N(T) by the census of ``zeros`` and by the counting formula; raises if they differ by 2+."""
     _check_height(T)
     census = int(len(zeros.up_to(T)))
-    formula = int(round(count_formula(T))) if T > 14.5 else 0
+    formula = int(round(count_formula(T))) if T > 14.0 else 0  # ZeroList's floor: no zero below 14
     if abs(census - formula) >= 2:
         raise ZeroScanError(f"zero census {census} vs formula {formula} at T={T}: missing zeros")
     return NCount(census, formula)
@@ -574,6 +566,8 @@ def ingest_zeros(path) -> ZeroList:
     and the header's count and max_height (default the top ordinate) when it declares
     them, and cross-check the overlap with computed zeros to 1e-6.  The header is line 1
     when it starts with '#': its ``key=value`` fields, as ``write_zeros`` puts them."""
+    from array import array
+
     header, ordinates = {}, array("d")
     previous = math.nan  # no value is <= nan, so the first one is not compared
     with open(path) as fh:
@@ -650,8 +644,7 @@ def zeta_prime_line_route(gamma: float) -> complex:
     return complex(-1j * (zeta_vals[0] - zeta_vals[1]) / (2 * h))
 
 
-@dataclass(frozen=True)
-class MomentResult:
+class MomentResult(NamedTuple):
     """Empirical S1 = sum B zeta'(rho), S2 = sum |B zeta'(rho)|^2 over
     0 < gamma <= T = spec.T, with the zero count and the resulting kappa bound."""
 

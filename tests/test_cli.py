@@ -258,23 +258,26 @@ def test_every_command_runs_without_scipy(tmp_path):
 
 def test_cold_start_import_set(tmp_path):
     """The polynomial commands load no numpy; the zero commands load exactly the zetalab
-    modules they use: zeta, its prime sieve in arith, mollifier, and cache for find."""
+    modules they use: zeta, its prime sieve in arith, mollifier, and cache for find and
+    moments.  No command loads dataclasses, and only a JSON report loads json."""
     table = tmp_path / "z.txt"
     zero_modules = ["zetalab", "zetalab.arith", "zetalab.cli", "zetalab.mollifier", "zetalab.zeta"]
-    runs = [(["optimize-poly", "--theta", "0.3", "--degree", "4"], "False"),
-            (["report-kappa", "--degree", "3", "--output", str(tmp_path / "k.json")], "False"),
-            (["zeros", "find", "--T", "60", "--no-cache", "--output", str(table)],
-             str(sorted(zero_modules + ["zetalab.cache"]))),
-            (["zeros", "ingest", str(table)], str(zero_modules))]
+    with_cache = str(sorted(zero_modules + ["zetalab.cache"]))
+    runs = [(["optimize-poly", "--theta", "0.3", "--degree", "4"], "False", True),
+            (["report-kappa", "--degree", "3", "--output", str(tmp_path / "k.json")], "False", True),
+            (["zeros", "find", "--T", "60", "--no-cache", "--output", str(table)], with_cache, False),
+            (["zeros", "ingest", str(table)], str(zero_modules), False),
+            (["moments", "--T", "60", "--zero-source", str(table)], with_cache, False)]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    for argv, want in runs:
-        loaded = ("'numpy' in sys.modules" if argv[0] != "zeros"
+    for argv, want, json_loaded in runs:
+        loaded = ("'numpy' in sys.modules" if argv[0] in ("optimize-poly", "report-kappa")
                   else "sorted(m for m in sys.modules if m.split('.')[0] == 'zetalab')")
-        code = ("import sys; from zetalab import cli; "
-                f"rc = cli.main({argv!r}); print(rc, {loaded}, file=sys.stderr)")
+        code = (f"import sys; from zetalab import cli; rc = cli.main({argv!r}); "
+                f"print(rc, {loaded}, 'dataclasses' in sys.modules, 'json' in sys.modules, "
+                "file=sys.stderr)")
         err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stderr
-        assert err.splitlines()[-1] == f"0 {want}", (argv, err)
+        assert err.splitlines()[-1] == f"0 {want} False {json_loaded}", (argv, err)
 
 
 @pytest.mark.parametrize("argv", [

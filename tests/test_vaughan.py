@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import itertools
 import math
@@ -145,7 +144,7 @@ def test_reconstruct_rejects_blocks_that_do_not_tile(role):
     k = len(blocks) // 2
     role_blocks = {**dec.role_blocks, role: blocks[:k] + blocks[k + 1:]}
     with pytest.raises(AssertionError, match=rf"do not tile .* at n={int(blocks[k][0]) + 1}$"):
-        dataclasses.replace(dec, role_blocks=role_blocks).reconstruct()
+        va.A2Decomposition(dec.spec, dec.config, dec.n_cap, role_blocks).reconstruct()
 
 
 def test_term_count_monitor():

@@ -278,6 +278,8 @@ def test_count_N(zeros_1000):
     n100 = ze.count_N(100.0, zeros_1000)
     assert n100.census == 29 and n100.formula == 29 and n100.census == n100.formula
     assert ze.count_N(14.0, ze.find_zeros(14.0)).census == 0
+    # the first zero is at 14.1347: the formula counts it from there on, as the census does
+    assert [ze.count_N(T, zeros_1000) for T in (14.13, 14.2)] == [ze.NCount(0, 0), ze.NCount(1, 1)]
     counts = [ze.count_N(T, zeros_1000).census for T in (100.0, 250.0, 500.0, 1000.0)]
     assert counts == sorted(counts)
 
