@@ -216,10 +216,6 @@ class GrowthReport(NamedTuple):
     argmax: int
     violations: tuple[int, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def coefficient_growth_report(table: ArithFnTable, log_scale: float,
                               p_sup: float) -> GrowthReport:

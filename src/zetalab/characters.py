@@ -22,6 +22,10 @@ from .arith import ArithFnTable
 from .intfun import divisors, factorize, mobius_int, totient
 from .mollifier import MollifierSpec, b_table
 
+# hand-set bound on |M_nu direct - rearranged| / max(1, |direct|); kept here, not in vaughan
+# with the other tolerances, as verify-rearrangement does not import vaughan
+REARRANGE_TOLERANCE = 1e-8
+
 
 def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
     """Generators (g, order) of (Z/p^e Z)*.  For odd p, the least primitive root:

@@ -135,7 +135,7 @@ def cmd_verify_rearrangement(args) -> dict:
                         "relative_deviation": abs(direct - rearranged) / max(1.0, abs(direct))})
     worst = max(r["relative_deviation"] for r in results)
     return _verdict("rearrangement-equivalence", {"y": args.y, "T": args.T}, results, worst,
-                    worst <= 1e-8)
+                    worst <= ch.REARRANGE_TOLERANCE)
 
 
 def cmd_verify_split(args) -> dict:
@@ -207,7 +207,7 @@ def cmd_monitor_sieve(args) -> dict:
                     {"trials": args.trials, "seed": args.seed, "q_max": args.Q,
                      "h_max": args.H, "v_max": args.V},
                     {"Q": worst.Q, "V": worst.V, "H": worst.H, "lhs": worst.lhs, "rhs": worst.rhs},
-                    worst.ratio, worst.ratio <= 6.0)
+                    worst.ratio, worst.ratio <= va.SIEVE_RATIO_BOUND)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .mollifier import MollifierSpec, b_table
 
 VAUGHAN_TOLERANCE = 1e-9
 SPLIT_TOLERANCE = 1e-10
+SIEVE_RATIO_BOUND = 6.0  # hand-set ceiling on the hybrid large sieve monitor's lhs / rhs
 
 
 class VaughanConfig(ReadOnly):
@@ -62,12 +63,8 @@ def vaughan_rhs_coefficients(config: VaughanConfig, limit: int) -> ArithFnTable:
     sum_{j=1}^{r} (-1)^{j-1} C(r,j) zeta^{j-1} zeta' M^j.
 
     zeta contributes the constant function 1, zeta' contributes -log, and
-    each M factor contributes mu truncated at X.
+    each M factor contributes mu truncated at X; ``limit`` is checked by the first sieve.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit > arith.DEFAULT_LIMIT_CAP:
-        raise ValueError(f"limit {limit} exceeds the desk-scale cap")
     groups = _vaughan_groups(-arith.sieve_standard("log", limit).values,
                              mu_truncated(config.X, limit).values,
                              arith.sieve_standard("one", limit).values, config.r, limit)
@@ -184,15 +181,43 @@ def _b_blocks(y: float):
 _IDENTITY_BLOCKS = ((0.5, 1.0),)
 
 
-class A2Decomposition(ReadOnly):
-    """Emitted dyadic terms for a2, grouped by Vaughan index j.
+def _role_blocks(spec: MollifierSpec, config: VaughanConfig, n_cap: int) -> dict:
+    """Role -> its block list.  Labels are powers of 2, or y/2^h for the b slot,
+    or 1 for absent slots; the top mu block label is clipped to X so the slot
+    bound N_i <= X holds for non-dyadic X."""
+    return {LOG: _dyadic_blocks(n_cap, include_unit=False),
+            ONE: _dyadic_blocks(n_cap, include_unit=True),
+            MU: _dyadic_blocks(min(config.X, n_cap), include_unit=True, upper=config.X),
+            B_COEF: _b_blocks(min(spec.y, n_cap)), IDENTITY: _IDENTITY_BLOCKS}
 
-    Terms are the cross products of the block lists of ``slots(j)``, one per
-    role, filtered by the support rule prod_i (floor(lo_i) + 1) <= n_cap:
-    anything larger cannot touch [1..n_cap].  ``role_blocks`` maps role -> tuple of blocks.
+
+class A2Decomposition(ReadOnly):
+    """Emitted dyadic terms reconstructing a2 on [1..min(n_cap, X^3)], grouped by Vaughan index j.
+
+    Requires r = 3 (the nine-slot layout).  Terms are the cross products of the
+    block lists of ``slots(j)``, one per role, filtered by the support rule
+    prod_i (floor(lo_i) + 1) <= n_cap: anything larger cannot touch [1..n_cap].
+    ``role_blocks`` maps role -> tuple of blocks, from :func:`_role_blocks`;
+    construction checks that each role's blocks cover each n of the role's
+    support up to n_cap exactly once.
     """
 
-    def __init__(self, spec: MollifierSpec, config: VaughanConfig, n_cap: int, role_blocks: dict):
+    def __init__(self, spec: MollifierSpec, config: VaughanConfig, n_cap: int):
+        if config.r != 3:
+            raise ValueError(f"the nine-slot decomposition requires r = 3, got r = {config.r}")
+        if n_cap < 1 or n_cap > arith.DEFAULT_LIMIT_CAP:
+            raise ValueError(f"n_cap {n_cap} outside [1, {arith.DEFAULT_LIMIT_CAP}]")
+        role_blocks = _role_blocks(spec, config, n_cap)
+        caps = {LOG: n_cap, B_COEF: min(n_cap, int(spec.y)), ONE: n_cap,
+                MU: min(n_cap, int(config.X))}
+        for role, cap in caps.items():
+            start = 2 if role == LOG else 1
+            cover = np.zeros(n_cap + 1, dtype=np.int64)
+            for lo, hi in role_blocks[role]:
+                cover[int(lo) + 1 : min(int(hi), n_cap) + 1] += 1  # empty when lo >= n_cap
+            if (gaps := np.flatnonzero(cover[start : cap + 1] != 1)).size:
+                raise AssertionError(
+                    f"dyadic blocks do not tile [{start}..{cap}] at n={gaps[0] + start}")
         vars(self).update(spec=spec, config=config, n_cap=n_cap, role_blocks=role_blocks)
 
     def slots(self, j: int) -> tuple:
@@ -224,23 +249,19 @@ class A2Decomposition(ReadOnly):
     def reconstruct(self) -> np.ndarray:
         """Sum of (-1)^j C(3, j) (f_1 * ... * f_9) over all emitted terms, on [0..n_cap].
 
-        The terms are pooled per role before convolving (an exact regrouping:
-        every slot of a role holds the role's one block list, the blocks tile
-        the role's support, and dropped block combinations start beyond n_cap),
-        and the pooled tables go through :func:`_vaughan_groups` with head
-        -(log * log * log * b).  The tiling is asserted here; per-term
-        evaluation is available via :func:`term_convolution`.
+        The terms regroup exactly into the role tables themselves: every slot of a
+        role holds the role's one block list, the blocks tile the role's support
+        (checked on construction), and dropped block combinations start beyond
+        n_cap.  So the tables go through :func:`_vaughan_groups` with head
+        -(log * log * log * b); per-term evaluation is available via
+        :func:`term_convolution`.
         """
         n = self.n_cap
         tables = _role_tables(self.spec, self.config, n)
-        caps = {LOG: n, B_COEF: min(n, int(self.spec.y)), ONE: n, MU: min(n, int(self.config.X))}
-        pooled = {role: _pooled_slot(tables[role], self.role_blocks[role], n, cap,
-                                     2 if role == LOG else 1)
-                  for role, cap in caps.items()}
-        head = pooled[B_COEF]
+        head = tables[B_COEF]
         for _ in range(3):
-            head = convolve_values(head, pooled[LOG], n)
-        groups = _vaughan_groups(-head, pooled[MU], pooled[ONE], self.config.r, n)
+            head = convolve_values(head, tables[LOG], n)
+        groups = _vaughan_groups(-head, tables[MU], tables[ONE], self.config.r, n)
         return sum(weight * group for weight, group in groups)
 
 
@@ -274,37 +295,9 @@ def _restrict(values: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
     return out
 
 
-def _pooled_slot(values, blocks, n, cap, start) -> np.ndarray:
-    """``values`` summed over ``blocks`` on [0..n], asserting that the blocks
-    cover each of start..cap exactly once."""
-    pooled = np.zeros(n + 1)
-    cover = np.zeros(n + 1)
-    for lo, hi in blocks:
-        pooled += _restrict(values, lo, hi, n)
-        cover += _restrict(np.ones(n + 1), lo, hi, n)
-    if not np.all(cover[start : cap + 1] == 1.0):
-        bad = int(np.nonzero(cover[start : cap + 1] != 1.0)[0][0]) + start
-        raise AssertionError(f"dyadic blocks do not tile [{start}..{cap}] at n={bad}")
-    return pooled
-
-
-def decompose_a2(spec: MollifierSpec, config: VaughanConfig, n_cap: int = 10**4) -> A2Decomposition:
-    """Emit the dyadic terms reconstructing a2 on [1..min(n_cap, X^3)].
-
-    Requires r = 3 (the nine-slot layout).  Labels are powers of 2, or
-    y/2^h for the b slot, or 1 for absent slots; the top mu block label is
-    clipped to X so the slot bound N_i <= X holds for non-dyadic X.
-    """
-    if config.r != 3:
-        raise ValueError(f"the nine-slot decomposition requires r = 3, got r = {config.r}")
-    if n_cap < 1 or n_cap > arith.DEFAULT_LIMIT_CAP:
-        raise ValueError(f"n_cap {n_cap} outside [1, {arith.DEFAULT_LIMIT_CAP}]")
-    X = config.X
-    role_blocks = {LOG: _dyadic_blocks(n_cap, include_unit=False),
-                   ONE: _dyadic_blocks(n_cap, include_unit=True),
-                   MU: _dyadic_blocks(min(X, n_cap), include_unit=True, upper=X),
-                   B_COEF: _b_blocks(min(spec.y, n_cap)), IDENTITY: _IDENTITY_BLOCKS}
-    return A2Decomposition(spec=spec, config=config, n_cap=n_cap, role_blocks=role_blocks)
+def decompose_a2(spec: MollifierSpec, config: VaughanConfig, n_cap: int) -> A2Decomposition:
+    """The dyadic terms reconstructing a2 on [1..min(n_cap, X^3)]: see :class:`A2Decomposition`."""
+    return A2Decomposition(spec, config, n_cap)
 
 
 def _role_tables(spec: MollifierSpec, config: VaughanConfig, n: int) -> dict:

@@ -96,17 +96,22 @@ def _clenshaw(y, c, kind: int):
     return c[0] + kind * y * b1 - b2
 
 
+def _blocked(fn, x, rows: int, dtype=np.float64) -> np.ndarray:
+    """``fn`` over the points of ``x`` (scalar or any shape), in passes of at most ``BLOCK``
+    points: ``fn`` maps a 1-D block to ``rows`` rows of its length, returned in x's shape."""
+    flat = np.asarray(x, dtype=np.float64).ravel()
+    out = np.empty((rows, flat.size), dtype=dtype)
+    for i in range(0, flat.size, BLOCK):
+        out[:, i : i + BLOCK] = fn(flat[i : i + BLOCK])
+    return out.reshape((rows, *np.shape(x)))
+
+
 def rs_theta(t, derivative: bool = False):
     """theta(t) = Im log Gamma(z) - (t/2) log pi, z = 1/4 + it/2: Stirling's
     series (8 terms) at z itself from ``EM_CUTOFF`` up (|z| >= 200), and below it at
     w = z + 8, less the angles of z + k for k < 8.  With ``derivative``,
     (theta, theta') where theta' = Re psi(z)/2 - (log pi)/2."""
-    t = np.asarray(t, dtype=np.float64)
-    flat = t.ravel()
-    out = np.empty((2, flat.size))
-    for i in range(0, flat.size, BLOCK):
-        out[:, i : i + BLOCK] = _theta_block(flat[i : i + BLOCK])
-    val, dval = out.reshape((2, *t.shape))
+    val, dval = _blocked(_theta_block, t, 2)
     if derivative:
         return (val, dval) if val.ndim else (float(val), float(dval))
     return val if val.ndim else float(val)
@@ -348,11 +353,8 @@ def hardy_z(t, derivative: bool = False):
     """Hardy's Z(t): real by the functional equation, so zeros of zeta on the
     critical line are its sign changes.  Scalar or array.  With
     ``derivative``, the pair (Z, Z') from the same phases."""
-    arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = np.empty((1 + derivative, arr.size))
-    for i in range(0, arr.size, BLOCK):
-        out[:, i : i + BLOCK] = _z_rows(arr[i : i + BLOCK], int(derivative))[2:]
-    vals = [v if np.ndim(t) else float(v[0]) for v in out]
+    out = _blocked(lambda block: _z_rows(block, int(derivative))[2:], t, 1 + derivative)
+    vals = [v if v.ndim else float(v) for v in out]
     return tuple(vals) if derivative else vals[0]
 
 
@@ -360,16 +362,17 @@ def gram_points(T: float) -> np.ndarray:
     """Gram points g_0 = 17.845..., g_1, ... below T (theta(g_n) = n pi),
     Newton-refined; entry n is g_n."""
     n = np.arange(0, max(0, int(rs_theta(max(T, 18.0)) / math.pi)) + 2, dtype=np.float64)
-    g = np.empty_like(n)
-    for i in range(0, len(n), BLOCK):
-        n_blk = n[i : i + BLOCK]
-        # theta(2 pi e^{1+u}) ~ pi (e u e^u - 1/8), and u e^u = x has e^u ~ x / log(1 + x)
-        g_blk = 2 * math.pi * (n_blk + 0.125) / np.log1p((n_blk + 0.125) / math.e)
-        for _ in range(6):
-            theta, dtheta = rs_theta(g_blk, derivative=True)
-            g_blk = g_blk - (theta - n_blk * math.pi) / dtheta
-        g[i : i + BLOCK] = g_blk
+    g = _blocked(_gram_block, n, 1)[0]
     return g[g < T]
+
+
+def _gram_block(n: np.ndarray) -> np.ndarray:
+    # theta(2 pi e^{1+u}) ~ pi (e u e^u - 1/8), and u e^u = x has e^u ~ x / log(1 + x)
+    g = 2 * math.pi * (n + 0.125) / np.log1p((n + 0.125) / math.e)
+    for _ in range(6):
+        theta, dtheta = rs_theta(g, derivative=True)
+        g = g - (theta - n * math.pi) / dtheta
+    return g
 
 
 class ZeroList(ReadOnly):
@@ -619,14 +622,14 @@ def ingest_zeros(path) -> ZeroList:
 def zeta_prime_many(gammas):
     """zeta'(1/2 + i gamma) = e^{-i theta} (-i Z' - theta' Z) at each gamma, scalar or array
     (differentiate zeta = e^{-i theta} Z); at a zero only -i Z' e^{-i theta} is left."""
-    arr = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
-    out = np.empty(arr.shape, dtype=np.complex128)
-    for i in range(0, len(arr), BLOCK):
-        g = arr[i : i + BLOCK]
-        theta, dtheta, z, zp = _z_rows(g)
-        warn_if_multiple(g, zp)
-        out[i : i + BLOCK] = (-1j * zp - dtheta * z) * np.exp(-1j * theta)
-    return out if np.ndim(gammas) else complex(out[0])
+    out = _blocked(_zeta_prime_block, gammas, 1, np.complex128)[0]
+    return out if out.ndim else complex(out)
+
+
+def _zeta_prime_block(g: np.ndarray) -> np.ndarray:
+    theta, dtheta, z, zp = _z_rows(g)
+    warn_if_multiple(g, zp)
+    return (-1j * zp - dtheta * z) * np.exp(-1j * theta)
 
 
 def warn_if_multiple(gammas: np.ndarray, derivative: np.ndarray) -> None:

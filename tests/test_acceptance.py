@@ -129,7 +129,7 @@ def test_criterion_06_rearrangement_equivalence():
                 rearranged = ch.m_nu_rearranged(nu, spec, tables[nu])
                 worst = max(worst, abs(direct - rearranged) / max(1.0, abs(direct)))
     elapsed = time.perf_counter() - t0
-    report(6, worst < 1e-8, elapsed, 120.0,
+    report(6, worst < ch.REARRANGE_TOLERANCE, elapsed, 120.0,
            f"character rearrangement on 9 (y,T) cells x nu in {{1,2}}: "
            f"worst rel dev {worst:.2e}")
 
@@ -204,7 +204,7 @@ def test_criterion_10_sieve_monitor(rng):
     rotated = va.hybrid_large_sieve_monitor(14, 9.0, 96, h * np.exp(0.77j))
     phase_dev = abs(base.lhs - rotated.lhs) / max(1.0, base.lhs)
     elapsed = time.perf_counter() - t0
-    ok = max_ratio <= 6.0 and phase_dev < 1e-10
+    ok = max_ratio <= va.SIEVE_RATIO_BOUND and phase_dev < 1e-10
     report(10, ok, elapsed, 60.0,
-           f"200-trial hybrid sieve: max ratio {max_ratio:.3f} <= 6; "
+           f"200-trial hybrid sieve: max ratio {max_ratio:.3f} <= {va.SIEVE_RATIO_BOUND:g}; "
            f"phase-rotation invariance dev {phase_dev:.2e}")

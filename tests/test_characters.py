@@ -310,7 +310,7 @@ def test_rearrangement_equals_direct():
             table = tables_for(spec, nu)
             direct = ch.m_nu_direct(nu, spec, table)
             rearranged = ch.m_nu_rearranged(nu, spec, table)
-            assert abs(direct - rearranged) <= 1e-8 * max(1.0, abs(direct))
+            assert abs(direct - rearranged) <= ch.REARRANGE_TOLERANCE * max(1.0, abs(direct))
 
 
 def test_rearrangement_coprimality_is_forced_by_b():

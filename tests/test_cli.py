@@ -15,7 +15,7 @@ import pytest
 
 import zetalab
 from zetalab import cli
-from zetalab import zeta as ze
+from zetalab import vaughan as va, zeta as ze
 
 
 def run(argv):
@@ -388,7 +388,7 @@ def test_monitor_sieve(tmp_path):
     out = tmp_path / "sieve.json"
     assert run(["monitor-sieve", "--trials", "25", "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["deviation"] <= 6.0
+    assert payload["deviation"] <= va.SIEVE_RATIO_BOUND
 
 
 def test_config_file_flags_win(tmp_path, capsys):

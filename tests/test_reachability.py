@@ -44,7 +44,8 @@ ALLOWED = {
 
 
 def _names(node) -> set[str]:
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+    """``name`` for each bare name in ``node``, ``.name`` for each attribute access."""
+    return {n.id if isinstance(n, ast.Name) else "." + n.attr for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
@@ -58,7 +59,8 @@ def _unreached(sources: dict[str, str], roots) -> list[str]:
     table, the names in ``roots`` (``Class.member`` for a member), and every
     definition they reach in turn. So code called only by other unreached code
     is unreached too.  A class reaches its fields and private members; a public
-    member is reached on its own, by any reached reference to its name."""
+    member is reached on its own, by a reached attribute access ``obj.member``
+    (a bare name of the same spelling, such as a parameter, does not reach it)."""
     uses, defined, live = {}, [], set()
 
     def define(name, qualified, names):
@@ -73,14 +75,16 @@ def _unreached(sources: dict[str, str], roots) -> list[str]:
             members = [m for m in stmt.body if isinstance(stmt, ast.ClassDef)
                        and isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
             for m in members:
-                define(m.name, f"{module}.{stmt.name}.{m.name}", _names(m))
+                define("." + m.name, f"{module}.{stmt.name}.{m.name}", _names(m))
             rest = [n for n in ast.iter_child_nodes(stmt) if n not in members]
             define(stmt.name, f"{module}.{stmt.name}", set().union(*map(_names, rest)))
-    todo = list(live | {root.split(".")[-1] for root in roots})
+    todo = list(live | {"." + root.split(".")[-1] if "." in root else root for root in roots})
     while todo:
         name = todo.pop()
         live.add(name)
         todo += uses.pop(name, ())
+        if name.startswith("."):
+            todo.append(name[1:])  # module.name reaches a top-level name as well
     return sorted(qualified for name, qualified in defined if name not in live)
 
 
@@ -137,7 +141,7 @@ def test_guard_names_code_reached_only_from_unreached_code():
     sources = {
         "a": "import b\n"
              "COMMANDS = {'run': b.handler}\n"
-             "def helper():\n    return 1\n"
+             "def helper():\n    idle = 1\n    return idle\n"
              "def orphan():\n    return chain()\n"
              "def _orphan_private():\n    return 0\n",
         "b": "class Handler:\n"

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from bisect import bisect_right
@@ -20,6 +21,16 @@ from zetalab.vaughan import VaughanConfig
 
 def small_spec(y=20.0):
     return mo.MollifierSpec.with_y(1e4, y)
+
+
+@pytest.mark.parametrize("limit, message", [
+    (0, "limit must be >= 1, got 0"),
+    (arith.DEFAULT_LIMIT_CAP + 1,
+     f"limit {arith.DEFAULT_LIMIT_CAP + 1} exceeds the desk-scale cap {arith.DEFAULT_LIMIT_CAP}"),
+])
+def test_rhs_coefficients_reject_a_limit_outside_the_sieve_range(limit, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        va.vaughan_rhs_coefficients(VaughanConfig(3, 10.0), limit)
 
 
 def test_rhs_coefficient_examples():
@@ -89,7 +100,13 @@ def decomposition_fixture(n_cap=512, y=20.0, X=16.0):
 def test_decompose_requires_r3():
     spec = small_spec()
     with pytest.raises(ValueError):
-        va.decompose_a2(spec, VaughanConfig(2, 16.0))
+        va.decompose_a2(spec, VaughanConfig(2, 16.0), n_cap=512)
+
+
+@pytest.mark.parametrize("n_cap", [0, arith.DEFAULT_LIMIT_CAP + 1])
+def test_decompose_rejects_n_cap_outside_the_table_range(n_cap):
+    with pytest.raises(ValueError, match=rf"^n_cap {n_cap} outside \[1, {arith.DEFAULT_LIMIT_CAP}\]$"):
+        va.A2Decomposition(small_spec(), VaughanConfig(3, 16.0), n_cap)
 
 
 def test_decompose_reconstruction_small():
@@ -137,14 +154,16 @@ def test_reconstruct_makes_eight_convolutions(monkeypatch):
 
 
 @pytest.mark.parametrize("role", [va.LOG, va.B_COEF, va.ONE, va.MU])
-def test_reconstruct_rejects_blocks_that_do_not_tile(role):
-    """The middle block of ``role`` dropped from every slot of that role."""
+def test_construction_rejects_blocks_that_do_not_tile(role, monkeypatch):
+    """The block builder drops the middle block of ``role``, so every slot of that role."""
     dec, _ = decomposition_fixture()
     blocks = dec.role_blocks[role]
     k = len(blocks) // 2
-    role_blocks = {**dec.role_blocks, role: blocks[:k] + blocks[k + 1:]}
+    build = va._role_blocks
+    monkeypatch.setattr(va, "_role_blocks",
+                        lambda *args: {**build(*args), role: blocks[:k] + blocks[k + 1:]})
     with pytest.raises(AssertionError, match=rf"do not tile .* at n={int(blocks[k][0]) + 1}$"):
-        va.A2Decomposition(dec.spec, dec.config, dec.n_cap, role_blocks).reconstruct()
+        va.A2Decomposition(dec.spec, dec.config, dec.n_cap)
 
 
 def test_term_count_monitor():

@@ -115,6 +115,19 @@ def test_hardy_z_em_mixed_cutoffs_equal_the_points_alone(monkeypatch):
         assert np.array_equal(together[:, i : i + 1], alone)
 
 
+def test_point_functions_keep_the_input_shape(monkeypatch):
+    """A 2-D input, spread over several blocks and both branches of Z, gives the
+    flattened input's values, bit for bit, in the input's shape."""
+    monkeypatch.setattr(ze, "BLOCK", 7)
+    t = np.linspace(14.0, 800.0, 24).reshape(4, 6)
+    for fn in (ze.rs_theta, ze.hardy_z):
+        for got, want in zip(fn(t, derivative=True), fn(t.ravel(), derivative=True)):
+            assert got.shape == t.shape and got.tobytes() == want.tobytes()
+    for fn in (ze.rs_theta, ze.hardy_z, ze.zeta_prime_many):
+        got, want = fn(t), fn(t.ravel())
+        assert got.shape == t.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, [1.0, math.nan]])
 def test_hardy_z_rejects_negative_and_non_finite_t(t):
     with pytest.raises(ValueError, match=r"finite t >= 0"):
