@@ -15,7 +15,6 @@ config file included.  CSV reports quote fields that hold commas.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 
@@ -146,8 +145,7 @@ def cmd_verify_split(args) -> dict:
     spec = mo.MollifierSpec.with_y(1e4, 20.0)
     dec = va.decompose_a2(spec, va.VaughanConfig(3, 16.0), n_cap=1000)
     pick = int(np.random.default_rng(args.seed).integers(dec.count_terms()))
-    term = next(itertools.islice(dec.terms(), pick, None))
-    r = va.split_by_divisor(term, dec, args.d, args.m_limit)
+    r = va.split_by_divisor(dec.term(pick), dec, args.d, args.m_limit)
     return _verdict(r.check, r.parameters, r.worst_index, r.deviation, r.passed)
 
 

@@ -16,8 +16,8 @@ monitor for the hybrid large sieve.
 
 from __future__ import annotations
 
-import itertools
 import math
+from functools import cache, cached_property
 from math import comb
 from typing import NamedTuple
 
@@ -178,9 +178,6 @@ def _b_blocks(y: float):
     return tuple(reversed(blocks))
 
 
-_IDENTITY_BLOCKS = ((0.5, 1.0),)
-
-
 def _role_blocks(spec: MollifierSpec, config: VaughanConfig, n_cap: int) -> dict:
     """Role -> its block list.  Labels are powers of 2, or y/2^h for the b slot,
     or 1 for absent slots; the top mu block label is clipped to X so the slot
@@ -188,18 +185,15 @@ def _role_blocks(spec: MollifierSpec, config: VaughanConfig, n_cap: int) -> dict
     return {LOG: _dyadic_blocks(n_cap, include_unit=False),
             ONE: _dyadic_blocks(n_cap, include_unit=True),
             MU: _dyadic_blocks(min(config.X, n_cap), include_unit=True, upper=config.X),
-            B_COEF: _b_blocks(min(spec.y, n_cap)), IDENTITY: _IDENTITY_BLOCKS}
+            B_COEF: _b_blocks(min(spec.y, n_cap)), IDENTITY: ((0.5, 1.0),)}
 
 
 class A2Decomposition(ReadOnly):
     """Emitted dyadic terms reconstructing a2 on [1..min(n_cap, X^3)], grouped by Vaughan index j.
 
     Requires r = 3 (the nine-slot layout).  Terms are the cross products of the
-    block lists of ``slots(j)``, one per role, filtered by the support rule
-    prod_i (floor(lo_i) + 1) <= n_cap: anything larger cannot touch [1..n_cap].
-    ``role_blocks`` maps role -> tuple of blocks, from :func:`_role_blocks`;
-    construction checks that each role's blocks cover each n of the role's
-    support up to n_cap exactly once.
+    block lists of ``slots(j)``, one per role, that :func:`_slot_rule` admits;
+    construction checks that each role's blocks tile its support up to n_cap.
     """
 
     def __init__(self, spec: MollifierSpec, config: VaughanConfig, n_cap: int):
@@ -224,27 +218,40 @@ class A2Decomposition(ReadOnly):
         """The nine block lists of group j, one per slot."""
         return tuple(self.role_blocks[role] for role in _SLOT_ROLES[j])
 
-    def _index_rows(self, j: int):
-        """Block-index rows of group j's emitted terms, in lexicographic order:
-        :func:`_completions` of the slots' smallest m = floor(lo) + 1."""
-        mins = [np.array([int(lo) + 1 for lo, _ in blocks], dtype=np.int32) for blocks in self.slots(j)]
-        low = [int(min(m, default=1)) for m in mins]  # an empty slot emits no rows
-        caps = [self.n_cap // math.prod(low[i + 1:]) for i in range(9)]
-        return _completions(mins, caps, [], np.ones(1, dtype=np.int32))
+    @cached_property
+    def _rules(self) -> dict:
+        """j -> :func:`_slot_rule` of group j's slots, built on first use."""
+        return {j: _slot_rule(self.slots(j)) for j in (1, 2, 3)}
 
     def terms(self):
-        """Emitted terms, group by group: the rows of :meth:`_index_rows`, made
-        terms in C by one zip over list columns and ``tuple.__new__``."""
-        for j in (1, 2, 3):
-            objects = [np.fromiter(blocks, dtype=object, count=len(blocks)) for blocks in self.slots(j)]
-            for rows in self._index_rows(j):
-                columns = [obj[col].tolist() for obj, col in zip(objects, rows)]
-                yield from map(tuple.__new__, itertools.repeat(DecompositionTerm),
-                               zip(itertools.repeat(j), zip(*columns)))
+        """Emitted terms, group by group in lexicographic block order, lazily."""
+        for j, (admissible, _) in self._rules.items():
+            rows = [((), self.n_cap)]
+            for i in range(8):
+                rows = _extend(rows, admissible, i)
+            yield from (DecompositionTerm(j, chosen + tail) for chosen, b in rows
+                        for _, tail in admissible(8, b))
 
     def count_terms(self) -> int:
-        """Number of emitted terms: the rows of :meth:`_index_rows`, not made terms."""
-        return sum(len(rows[0]) for j in (1, 2, 3) for rows in self._index_rows(j))
+        """Number of emitted terms, counted without making them."""
+        return sum(count(0, self.n_cap) for _, count in self._rules.values())
+
+    def term(self, index: int) -> DecompositionTerm:
+        """``list(self.terms())[index]``, found by descending the counts."""
+        if not 0 <= index < self.count_terms():
+            raise IndexError(f"term index {index} outside [0, {self.count_terms()})")
+        for j, (admissible, count) in self._rules.items():
+            if index < count(0, self.n_cap):
+                break
+            index -= count(0, self.n_cap)
+        chosen, b = (), self.n_cap
+        for i in range(9):
+            for m, tail in admissible(i, b):
+                if index < (below := count(i + 1, b // m)):
+                    break
+                index -= below
+            chosen, b = chosen + tail, b // m
+        return DecompositionTerm(j, chosen)
 
     def reconstruct(self) -> np.ndarray:
         """Sum of (-1)^j C(3, j) (f_1 * ... * f_9) over all emitted terms, on [0..n_cap].
@@ -265,27 +272,28 @@ class A2Decomposition(ReadOnly):
         return sum(weight * group for weight, group in groups)
 
 
-_TERM_ROWS = 256
+def _slot_rule(slots):
+    """Memoised (admissible, count) of one group's slots.  With m = floor(lo) + 1 and
+    ``later[i]`` the product of the smallest m after slot i, ``admissible(i, b)`` is
+    slot i's (m, (block,)) pairs with m * later[i] <= b = n_cap // (product of m so
+    far), in block order, and ``count(i, b)`` the number of admissible completions."""
+    mins = [[int(lo) + 1 for lo, _ in blocks] for blocks in slots]
+    later = [math.prod(min(m, default=1) for m in mins[i + 1:]) for i in range(len(slots))]
+
+    @cache
+    def admissible(i, b):
+        return tuple((m, (block,)) for m, block in zip(mins[i], slots[i]) if m * later[i] <= b)
+
+    @cache
+    def count(i, b):
+        return 1 if i == len(slots) else sum(count(i + 1, b // m) for m, _ in admissible(i, b))
+
+    return admissible, count
 
 
-def _completions(mins, caps, rows, prod):
-    """Block-index rows (one int8 column per slot) of the admissible completions
-    of ``rows``, whose products of m = floor(lo) + 1 are ``prod``, in
-    lexicographic order.  Slot i takes each block with prod * m <= caps[i],
-    which leaves room below n_cap for the smallest blocks of the later slots.
-    Rows are extended row-major, at most _TERM_ROWS at a time to bound memory.
-    """
-    i = len(rows)
-    if i == len(mins):
-        yield rows
-        return
-    for a in range(0, len(prod), _TERM_ROWS):
-        p = prod[a : a + _TERM_ROWS]
-        keep = mins[i] <= (caps[i] // p)[:, None]
-        counts = keep.sum(axis=1)
-        ext = [np.repeat(col[a : a + _TERM_ROWS], counts) for col in rows]
-        ext.append(np.broadcast_to(np.arange(len(mins[i]), dtype=np.int8), keep.shape)[keep])
-        yield from _completions(mins, caps, ext, np.repeat(p, counts) * mins[i][ext[-1]])
+def _extend(rows, admissible, i):
+    """The (blocks, budget) rows extended, in order, by each admissible block of slot i."""
+    return ((chosen + tail, b // m) for chosen, b in rows for m, tail in admissible(i, b))
 
 
 def _restrict(values: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:

@@ -99,11 +99,9 @@ def test_criterion_05_divisor_splitting():
     dec = va.decompose_a2(spec, va.VaughanConfig(3, 16.0), n_cap=1000)
     rng = np.random.default_rng(20250811)
     picks = [int(i) for i in rng.choice(dec.count_terms(), 20, replace=False)]
-    wanted = set(picks)
-    chosen = {i: term for i, term in enumerate(dec.terms()) if i in wanted}
     worst = 0.0
     for idx in picks:
-        term = chosen[idx]
+        term = dec.term(idx)
         for d in range(1, 31):
             rep = va.split_by_divisor(term, dec, d, 1000)
             worst = max(worst, rep.deviation)

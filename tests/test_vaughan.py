@@ -166,11 +166,13 @@ def test_construction_rejects_blocks_that_do_not_tile(role, monkeypatch):
         va.A2Decomposition(dec.spec, dec.config, dec.n_cap)
 
 
-def test_term_count_monitor():
+def test_term_count_monitor(monkeypatch):
     dec, _ = decomposition_fixture(n_cap=512)
     # O(L^9) shape monitor: wildly generous, just pin the reported number
     assert 0 < dec.count_terms() <= math.log2(512) ** 9
-    # the counts acceptance criterion 4 prints, at its three settings
+    # the counts acceptance criterion 4 prints, at its three settings, made by
+    # the memoised count alone: no term is made
+    monkeypatch.setattr(va, "DecompositionTerm", lambda *args: pytest.fail("a term was made"))
     totals = [va.decompose_a2(small_spec(y), VaughanConfig(3, X), n_cap=10**4)
               .count_terms() for y, X in [(20.0, 16.0), (32.0, 32.0), (40.0, 22.0)]]
     assert totals == [369397, 422515, 408170]
@@ -204,17 +206,21 @@ def test_terms_match_the_recursive_walk(y, X, n_cap):
     terms = list(dec.terms())
     assert [(t.j, t.blocks) for t in terms] == list(recursive_terms(dec))
     assert len(terms) == dec.count_terms()
+    assert [dec.term(i) for i in range(len(terms))] == terms
+    for outside in (-1, len(terms)):
+        with pytest.raises(IndexError, match=rf"^term index {outside} outside \[0, {len(terms)}\)$"):
+            dec.term(outside)
 
 
 def test_term_pick_by_index_matches_the_list():
-    """``verify-split`` and criterion 5 pick a term by its index below
-    ``count_terms()`` in one pass over the lazy ``terms()``."""
+    """``verify-split`` and criterion 5 pick a term by ``term(i)`` with i below
+    ``count_terms()``; the lazy ``terms()`` stays its oracle."""
     dec = va.decompose_a2(small_spec(20.0), VaughanConfig(3, 16.0), n_cap=1000)
     assert inspect.isgenerator(dec.terms())
     terms = list(dec.terms())
     total = dec.count_terms()
     for pick in (0, 1, total // 2, total - 1):
-        assert next(itertools.islice(dec.terms(), pick, None)) == terms[pick]
+        assert dec.term(pick) == next(itertools.islice(dec.terms(), pick, None)) == terms[pick]
     assert next(itertools.islice(dec.terms(), total, None), None) is None
 
 

@@ -265,6 +265,15 @@ def test_zero_list_validation():
         ze.ZeroList(np.array([15.0]), "computed", 5000.0)
 
 
+def test_zero_list_rejects_a_census_ten_zeros_short(zeros_1000):
+    """10 consecutive ordinates gone below T = 1000: 639 zeros against the
+    counting formula's 648.62 is a deviation of 9.62, beyond 2 + log T = 8.91."""
+    ords = np.delete(zeros_1000.ordinates, np.s_[300:310])
+    with pytest.raises(ValueError, match=r"^census 639 vs counting formula 648\.62 "
+                                         r"differs beyond slack 8\.91$"):
+        ze.ZeroList(ords, "computed", 1000.0)
+
+
 def test_zero_list_copies_its_inputs():
     base = np.array(FIRST_ZEROS)
     zl = ze.ZeroList(base[:], "computed", 31.0)
@@ -518,6 +527,17 @@ def test_moments_rejections(zeros_300):
     spec = mo.MollifierSpec.from_T_theta(1000.0, 0.3)
     with pytest.raises(ValueError):
         ze.compute_moments(spec, zeros_300)
+
+
+def test_moments_match_the_term_sum_of_B(zeros_300):
+    """S1 = sum B(rho) zeta'(rho) and S2 = sum |B(rho) zeta'(rho)|^2 with B by
+    eval_B: at T = 300, theta = 0.3, y = 5.54, so B keeps its k = 5 term, b(5) = -0.076."""
+    spec = mo.MollifierSpec.from_T_theta(300.0, 0.3)
+    res = ze.compute_moments(spec, zeros_300)
+    gammas = zeros_300.up_to(300.0)
+    prod = np.array([mo.eval_B(0.5 + 1j * g, spec) for g in gammas]) * ze.zeta_prime_many(gammas)
+    assert res.S1 == pytest.approx(prod.sum(), rel=1e-12, abs=0.0)
+    assert res.S2 == pytest.approx(float((np.abs(prod) ** 2).sum()), rel=1e-12, abs=0.0)
 
 
 def test_empirical_kappa_bound(zeros_1000):
