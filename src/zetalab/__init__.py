@@ -24,6 +24,15 @@ class ReadOnly:
     __delattr__ = __setattr__
 
 
+def _polyval(x, c):
+    """sum_k c[k] x^k by Horner's rule for a float or an array x, in the operations of
+    numpy's ``polyval``, whose module takes 6 to 16 ms of every job to import."""
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * x
+    return acc
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
     """Write to a temporary file that replaces ``path`` (or the file a symlink

@@ -3,8 +3,9 @@
 Tables are the universal currency of the coefficient work: read-only,
 1-indexed float64 value arrays whose limit is their length minus one.  One
 prime sieve, :func:`smallest_prime_factors`, gives Mobius, von Mangoldt, tau_k
-(exact integers in floats, by n = spf(n) m: Gries & Misra, CACM 21, 1978) and
-the phase kernel's primes in :mod:`zetalab.zeta`; it and every other table that
+(exact integers in floats, by n = spf(n) m: Gries & Misra, CACM 21, 1978), the
+phase kernel's primes in :mod:`zetalab.zeta` and every factorisation, divisor list
+and totient (:func:`factorize`); it and every other table that
 does not depend on its size is built once, by :func:`prefix_table`, and read by
 prefix.  Every Dirichlet convolution runs through :func:`convolve_values`, with
 error-free TwoSum compensation so that identity checks hold to ~1e-12 relative
@@ -14,6 +15,7 @@ at desk scale (N <= 1e6).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +70,39 @@ def smallest_prime_factors(n: int) -> np.ndarray:
     """spf[m], the least prime factor of m, on [0..n] as int32 (spf[0] = 0, spf[1] = 1): the
     one prime sieve, a read-only prefix of :func:`prefix_table`'s."""
     return prefix_table("spf", n, lambda m: _sieve("spf", m))[: n + 1]
+
+
+@lru_cache(maxsize=4096)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation of n in [1, DEFAULT_LIMIT_CAP] as ((p, exponent), ...), p ascending,
+    read off :func:`smallest_prime_factors` by n = spf(n) m."""
+    if not 1 <= n <= DEFAULT_LIMIT_CAP:
+        raise ValueError(f"factorize requires 1 <= n <= {DEFAULT_LIMIT_CAP}, got {n}")
+    spf = smallest_prime_factors(n)
+    out = []
+    while n > 1:
+        p, e = int(spf[n]), 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return tuple(out)
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def totient(n: int) -> int:
+    """Euler's totient function."""
+    phi = 1
+    for p, e in factorize(n):
+        phi *= p ** (e - 1) * (p - 1)
+    return phi
 
 
 def _sieve(name: str, n: int) -> np.ndarray:

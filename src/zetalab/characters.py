@@ -18,8 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ReadOnly, arith
-from .arith import ArithFnTable
-from .intfun import divisors, factorize, mobius_int, totient
+from .arith import ArithFnTable, divisors, factorize, totient
 from .mollifier import MollifierSpec, b_table
 
 # hand-set bound on |M_nu direct - rearranged| / max(1, |direct|); kept here, not in vaughan
@@ -37,7 +36,7 @@ def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
         if e == 2:
             return [(3, 2)]
         return [(q - 1, 2), (3, 2 ** (e - 2))]
-    phi = totient(q)
+    phi = q - q // p
     return [(next(g for g in range(2, q)
                   if g % p and all(pow(g, phi // r, q) != 1 for r, _ in factorize(phi))), phi)]
 
@@ -196,6 +195,7 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
     """
     av = _a_values(nu, spec, a_table)
     b = b_table(spec, int(spec.y)).values.tolist()
+    mu = arith.sieve_standard("mobius", int(spec.y)).values.tolist()
     terms = []
     for q in range(1, int(spec.y) + 1):
         table = character_table(q)
@@ -214,7 +214,7 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
                 by_residue[1 : m_max + 1] = av[d : d * m_max + 1 : d]
                 w = np.ascontiguousarray(by_residue.reshape(-1, q).T).sum(axis=1)
                 u = d * pow(-k, -1, q) % q
-                c = mobius_int(k // d) * d / (totient(k) * totient(q))
+                c = mu[k // d] * d / (totient(k) * totient(q))
                 W[np.arange(q) * u % q] += (bkq / (k * q)) * c * w
         tau_bar = table.gauss_sums[table.conjugates[table.primitive]]
         terms.extend(tau_bar * (table.values(table.primitive) @ W))

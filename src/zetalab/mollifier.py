@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from . import ReadOnly
+from . import ReadOnly, _polyval
 
 if TYPE_CHECKING:
     from .arith import ArithFnTable
@@ -48,16 +48,10 @@ class MollifierPolynomial(ReadOnly):
         return len(self.coefficients)
 
     def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc * x
+        return x * _polyval(x, self.coefficients)
 
     def derivative_at(self, x):
-        acc = 0.0
-        for j in range(self.degree, 0, -1):
-            acc = acc * x + j * self.coefficients[j - 1]
-        return acc
+        return _polyval(x, [(j + 1) * c for j, c in enumerate(self.coefficients)])
 
     def integral(self) -> float:
         """int_0^1 P(u) du = sum c_j / (j+1)."""
@@ -214,10 +208,12 @@ def optimize_P(theta: float, degree: int) -> tuple[MollifierPolynomial, float]:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if not 0.0 < theta <= 0.5:
         raise ValueError(f"theta = {theta} outside (0, 1/2]")
-    v = [1.0 / (i + 2) for i in range(degree)]
-    L = [[0.0] * degree for _ in range(degree)]  # Bp = L L^T row by row, then L y = ap
-    y = [0.0] * degree
+    # Bp = L L^T row by row, then L y = ap; v, L's rows and y grow as the solve reaches them,
+    # so a pivot test that rejects early has allocated only the rows before it
+    v, L, y = [], [], []
     for i in range(degree):
+        v.append(1.0 / (i + 2))
+        L.append([])
         for j in range(i + 1):
             bp = (1.0 / 3.0 + 0.5 * theta * (v[i] + v[j]) + theta**2 * v[i] * v[j]
                   + (i + 1) * (j + 1) / (12.0 * theta * (i + j + 1)))
@@ -225,8 +221,8 @@ def optimize_P(theta: float, degree: int) -> tuple[MollifierPolynomial, float]:
             if i == j and not s > 0.0:
                 raise ValueError(f"degenerate normal equations at theta={theta}, "
                                  f"degree={degree}: pivot {i} is {s!r}")
-            L[i][j] = math.sqrt(s) if i == j else s / L[j][j]
-        y[i] = (0.5 + theta * v[i] - math.fsum(L[i][k] * y[k] for k in range(i))) / L[i][i]
+            L[i].append(math.sqrt(s) if i == j else s / L[j][j])
+        y.append((0.5 + theta * v[i] - math.fsum(L[i][k] * y[k] for k in range(i))) / L[i][i])
     w = [0.0] * degree
     for i in reversed(range(degree)):
         w[i] = (y[i] - math.fsum(L[k][i] * w[k] for k in range(i + 1, degree))) / L[i][i]

@@ -24,9 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ReadOnly, arith, characters
-from .arith import ArithFnTable, convolve_values
+from .arith import ArithFnTable, convolve_values, divisors
 from .characters import character_table
-from .intfun import divisors, factorize
 from .mollifier import MollifierSpec, b_table
 
 VAUGHAN_TOLERANCE = 1e-9
@@ -402,8 +401,8 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
             break
 
     rhs = states.get(1, np.zeros(m_limit + 1))
-    # ordered 9-factorisation count of d: prod over p^a || d of C(a+8, 8)
-    count = math.prod(comb(a + 8, 8) for _, a in factorize(d))
+    # ordered 9-factorisation count of d: tau_9(d)
+    count = int(arith.sieve_standard("tau_9", d)[d])
 
     dev = np.abs(lhs[1:] - rhs[1:])
     return SplitReport(

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ReadOnly, atomic_open
+from . import ReadOnly, _polyval, atomic_open
 from .arith import prefix_table, smallest_prime_factors
 from .mollifier import MollifierSpec, b_table, s1_factor, s2_factor
 
@@ -77,15 +77,6 @@ _BERNOULLI = np.array([
 _PSI_SERIES = _BERNOULLI[:8] / np.arange(2, 18, 2)  # B_2k / 2k, k = 1..8
 _LOGGAMMA_SERIES = _PSI_SERIES / np.arange(1, 17, 2)  # B_2k / (2k (2k - 1))
 _EM_SERIES = _BERNOULLI / np.array([math.factorial(2 * k) for k in range(1, 13)], dtype=float)
-
-
-def _polyval(x, c):
-    """sum_k c[k] x^k by Horner's rule, in the operations of numpy's ``polyval``, whose
-    module takes 6 to 16 ms of every job to import."""
-    acc = c[-1] + x * 0
-    for ck in c[-2::-1]:
-        acc = ck + acc * x
-    return acc
 
 
 def _clenshaw(y, c, kind: int):

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,7 +8,57 @@ from hypothesis import given, settings, strategies as st
 from test_reachability import JOB_PARAMS
 from zetalab import arith, vaughan as va, zeta as ze
 from zetalab.arith import ArithFnTable, dirichlet_convolve, sieve_standard
-from zetalab.intfun import factorize, mobius_int
+
+
+# Per-integer oracles by trial division, a route independent of the spf sieve that
+# arith.factorize walks; test_characters and test_vaughan use them too.
+
+
+@lru_cache(maxsize=4096)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation of n >= 1 as ((p, exponent), ...), p ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def totient(n: int) -> int:
+    """Euler's totient function."""
+    phi = 1
+    for p, e in factorize(n):
+        phi *= p ** (e - 1) * (p - 1)
+    return phi
+
+
+def mobius_int(n: int) -> int:
+    """Mobius function of a single integer."""
+    mu = 1
+    for _, e in factorize(n):
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
 
 
 def brute_convolve(f, g, n):
@@ -99,6 +150,22 @@ def test_smallest_prime_factors():
         assert spf.dtype == np.int32 and spf.tolist() == want
     spf = arith.smallest_prime_factors(5000)
     assert all(spf[n] == factorize(n)[0][0] for n in range(2, 5001))
+
+
+def test_factorize_divisors_totient_against_trial_division():
+    """arith's sieve walk against the trial-division oracles, at every n <= 5000 and
+    2000 seeded n <= 1e6."""
+    seeded = np.random.default_rng(20261020).integers(1, 10**6, 2000, endpoint=True)
+    for n in list(range(1, 5001)) + seeded.tolist():
+        assert arith.factorize(n) == factorize(n), n
+        assert arith.divisors(n) == divisors(n), n
+        assert arith.totient(n) == totient(n), n
+
+
+@pytest.mark.parametrize("n", [0, -1, arith.DEFAULT_LIMIT_CAP + 1])
+def test_factorize_rejects_n_outside_the_table_range(n):
+    with pytest.raises(ValueError, match=f"factorize requires 1 <= n <= 1000000, got {n}"):
+        arith.factorize(n)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 10**5])

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_arith import divisors, mobius_int, totient
 from zetalab import arith, characters as ch
 from zetalab import mollifier as mo
-from zetalab.intfun import divisors, mobius_int, totient
 
 
 def _all_values(q):
@@ -441,13 +441,11 @@ def test_polya_vinogradov():
 
 
 def test_polya_vinogradov_coprime_variant():
-    from zetalab.intfun import divisors as divs
-
     for q in (5, 7, 11, 13):
         table = ch.character_table(q)
         for chi in table.values(table.primitive):
             for D in (6, 12, 30):
-                tau_d = len(divs(D))
+                tau_d = len(divisors(D))
                 bound = tau_d * math.sqrt(q) * math.log(q)
                 got = _polya_vinogradov_max(chi, 2000, coprime_to=D)
                 assert got <= bound + 1e-9

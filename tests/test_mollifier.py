@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,35 @@ def test_optimize_matches_the_numpy_route(theta):
         assert value == pytest.approx(ref_value, rel=1e-13, abs=0)
         assert np.allclose(poly.coefficients, ref_poly.coefficients, rtol=0, atol=1e-6)
     assert mo.optimize_P(theta, 1)[0].coefficients == (1.0,)
+
+
+def test_optimize_rejects_before_it_builds_the_rows_past_the_failed_pivot():
+    """At theta = 1/2 the Cholesky pivot 12 is not positive at any degree >= 13, and the
+    solve stops there with the rows it has built, not a degree x degree matrix."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"degree=1000000: pivot 12 is -4\.276579090856103e-13$"):
+            mo.optimize_P(0.5, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+
+
+def test_polynomial_and_derivative_are_the_horner_loops(rng):
+    """P(x) and P'(x) through the shared Horner helper, bitwise against the two loops
+    they replace, at random polynomials and points."""
+    for _ in range(2000):
+        p = random_poly(rng, int(rng.integers(1, 12)))
+        x = float(rng.uniform(-2, 2))
+        acc = 0.0
+        for c in reversed(p.coefficients):
+            acc = acc * x + c
+        assert p(x) == acc * x
+        acc = 0.0
+        for j in range(p.degree, 0, -1):
+            acc = acc * x + j * p.coefficients[j - 1]
+        assert p.derivative_at(x) == acc
 
 
 def test_kappa_arithmetic():

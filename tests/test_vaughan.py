@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_arith import divisors, factorize
 from zetalab import arith, vaughan as va
 from zetalab import mollifier as mo
 from zetalab.characters import character_table
-from zetalab.intfun import divisors, factorize
 from zetalab.vaughan import VaughanConfig
 
 
@@ -386,6 +386,17 @@ def test_split_single_and_prime():
     rep_p = va.split_by_divisor(term, dec, 7, 200)
     assert rep_p.factorization_count == 9
     assert rep_p.passed
+
+
+def test_split_count_is_the_ordered_factorisation_count():
+    """The count read from the tau_9 sieve is prod C(a + 8, 8) over p^a || d, from the
+    trial-division factorisation, for every d <= 2000.  The count does not depend on the
+    term, so a term of unit blocks keeps each split to one slot."""
+    dec, _ = decomposition_fixture(n_cap=512)
+    term = va.DecompositionTerm(1, ((0.5, 1.0),) * 9)
+    for d in range(1, 2001):
+        want = math.prod(math.comb(a + 8, 8) for _, a in factorize(d))
+        assert va.split_by_divisor(term, dec, d, 1).factorization_count == want, d
 
 
 def test_split_random_terms(rng):
