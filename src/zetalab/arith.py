@@ -75,10 +75,11 @@ def smallest_prime_factors(n: int) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorisation of n in [1, DEFAULT_LIMIT_CAP] as ((p, exponent), ...), p ascending,
-    read off :func:`smallest_prime_factors` by n = spf(n) m."""
+    read off :func:`smallest_prime_factors` by n = spf(n) m.  The table is asked for at the
+    next power of two above n, so ascending n rebuild it O(log n) times, not at every n."""
     if not 1 <= n <= DEFAULT_LIMIT_CAP:
         raise ValueError(f"factorize requires 1 <= n <= {DEFAULT_LIMIT_CAP}, got {n}")
-    spf = smallest_prime_factors(n)
+    spf = smallest_prime_factors(min(1 << int(n).bit_length(), DEFAULT_LIMIT_CAP))
     out = []
     while n > 1:
         p, e = int(spf[n]), 0

@@ -259,8 +259,8 @@ class A2Decomposition(ReadOnly):
         role holds the role's one block list, the blocks tile the role's support
         (checked on construction), and dropped block combinations start beyond
         n_cap.  So the tables go through :func:`_vaughan_groups` with head
-        -(log * log * log * b); per-term evaluation is available via
-        :func:`term_convolution`.
+        -(log * log * log * b); one term alone is :func:`term_convolution`, the
+        splitting states of :func:`_split_states` at d = 1.
         """
         n = self.n_cap
         tables = _role_tables(self.spec, self.config, n)
@@ -295,40 +295,58 @@ def _extend(rows, admissible, i):
     return ((chosen + tail, b // m) for chosen, b in rows for m, tail in admissible(i, b))
 
 
-def _restrict(values: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
-    out = np.zeros(n + 1)
-    a, b = int(lo) + 1, min(int(hi), n)
-    out[a : b + 1] = values[a : b + 1]  # empty when a > b
-    return out
-
-
 def decompose_a2(spec: MollifierSpec, config: VaughanConfig, n_cap: int) -> A2Decomposition:
     """The dyadic terms reconstructing a2 on [1..min(n_cap, X^3)]: see :class:`A2Decomposition`."""
     return A2Decomposition(spec, config, n_cap)
 
 
 def _role_tables(spec: MollifierSpec, config: VaughanConfig, n: int) -> dict:
-    """The function of each slot role as a value array on [0..n]."""
-    ident = np.zeros(n + 1)
-    ident[1] = 1.0
+    """The function of each non-identity slot role as a value array on [0..n]."""
     return {LOG: arith.sieve_standard("log", n).values,
             ONE: arith.sieve_standard("one", n).values,
             MU: mu_truncated(config.X, n).values,
-            B_COEF: b_table(spec, n).values,
-            IDENTITY: ident}
+            B_COEF: b_table(spec, n).values}
 
 
 def _term_product(term: DecompositionTerm, tables: dict, n: int) -> np.ndarray:
-    """The product of the restricted factors on [0..n]; it vanishes beyond the
-    product of their floor(hi), so the convolutions stop there."""
-    factors = [(role, lo, hi) for role, (lo, hi) in zip(term.roles, term.blocks)
-               if role != IDENTITY]
-    top = min(n, math.prod(int(hi) for _, _, hi in factors))
-    acc = np.zeros(n + 1)
-    acc[: top + 1] = tables[IDENTITY][: top + 1]
-    for role, lo, hi in factors:
-        acc[: top + 1] = convolve_values(acc, _restrict(tables[role], lo, hi, top), top)
-    return acc
+    """The product of the restricted factors on [0..n]: the splitting states at d = 1.
+    It vanishes beyond the product of their floor(hi), so the convolutions stop there."""
+    top = min(n, math.prod(int(hi) for _, hi in term.blocks))
+    out = np.zeros(n + 1)
+    out[: top + 1] = _split_states(term, tables, 1, top).get(1, 0.0)
+    return out
+
+
+def _split_states(term: DecompositionTerm, tables: dict, d: int, size: int) -> dict:
+    """Remaining divisor rem -> sum of (g_1 * ... * g_9) on [0..size] over the ordered
+    factorisations d = d_1...d_9 r with rem = r, where g_i(m) = f_i(m d_i) if
+    gcd(m, d_1...d_{i-1}) = 1, else 0.  Partial convolutions are merged across
+    factorisations sharing rem - an exact regrouping by linearity: the divisors used
+    so far multiply to d // rem, so g_i depends on the earlier d's only through rem.
+    Each g_i is built on its span, the m <= size with m d_i in the slot's block (lo, hi]."""
+    first = np.zeros(size + 1)
+    first[1] = 1.0
+    states = {d: first}
+    for role, (lo, hi) in zip(term.roles, term.blocks):
+        if role == IDENTITY:
+            continue  # an identity slot forces d_i = 1: a convolution no-op
+        new_states: dict = {}
+        for rem, table in states.items():
+            for d_i in divisors(rem):
+                a, b = int(lo) // d_i + 1, min(int(hi) // d_i, size)
+                if a > b:
+                    continue
+                g = np.zeros(size + 1)
+                g[a : b + 1] = tables[role][a * d_i : b * d_i + 1 : d_i]
+                if d > rem:
+                    g[a : b + 1][np.gcd(np.arange(a, b + 1), d // rem) > 1] = 0.0
+                if not g.any():
+                    continue
+                nxt = convolve_values(table, g, size)
+                key = rem // d_i
+                new_states[key] = new_states[key] + nxt if key in new_states else nxt
+        states = new_states
+    return states
 
 
 def term_convolution(term: DecompositionTerm, decomposition: A2Decomposition,
@@ -359,14 +377,8 @@ class SplitReport(NamedTuple):
 
 def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
                      d: int, m_limit: int) -> SplitReport:
-    """Verify the splitting lemma for one term and one divisor d.
-
-    g_i(m) = f_i(m d_i) if gcd(m, d_1...d_{i-1}) = 1, else 0.  The ordered
-    factorisations are evaluated with partial convolutions merged across
-    factorisations sharing the remaining divisor rem - an exact regrouping by
-    linearity: the divisors used so far multiply to d // rem, so g_i depends
-    on the earlier d's only through rem, as gcd(m, d // rem) = 1.
-    """
+    """Verify the splitting lemma for one term and one divisor d: the term's product
+    F at m d against the states of :func:`_split_states` with nothing left of d."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if m_limit < 1:
@@ -377,30 +389,7 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
     n = m_limit * d
     tables = _role_tables(decomposition.spec, decomposition.config, n)
     lhs = _term_product(term, tables, n)[::d]  # F(0) = 0, F(d), ..., F(m_limit d)
-
-    m = np.arange(m_limit + 1)
-    divs = divisors(d)
-    arg = np.outer(divs, m)  # m d_i for every d_i | d, all <= n
-    coprime = {used: np.gcd(m, used) == 1 for used in divs}
-    states = {d: tables[IDENTITY][: m_limit + 1]}  # remaining divisor -> table
-    for role, (lo, hi) in zip(term.roles, term.blocks):
-        if role == IDENTITY:
-            continue  # an identity slot forces d_i = 1: a convolution no-op
-        f_md = dict(zip(divs, np.where((arg > lo) & (arg <= hi), tables[role][arg], 0.0)))
-        new_states: dict = {}
-        for rem, table in states.items():
-            for d_i in divisors(rem):
-                g = np.where(coprime[d // rem], f_md[d_i], 0.0)
-                if not g.any():
-                    continue
-                nxt = convolve_values(table, g, m_limit)
-                key = rem // d_i
-                new_states[key] = new_states[key] + nxt if key in new_states else nxt
-        states = new_states
-        if not states:
-            break
-
-    rhs = states.get(1, np.zeros(m_limit + 1))
+    rhs = _split_states(term, tables, d, m_limit).get(1, np.zeros(m_limit + 1))
     # ordered 9-factorisation count of d: tau_9(d)
     count = int(arith.sieve_standard("tau_9", d)[d])
 

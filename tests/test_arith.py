@@ -162,6 +162,18 @@ def test_factorize_divisors_totient_against_trial_division():
         assert arith.totient(n) == totient(n), n
 
 
+def test_ascending_factorisations_build_the_prime_table_log_n_times(monkeypatch):
+    """factorize asks for the table at the next power of two above n, so n = 1..300 in
+    order build it at 2, 4, ..., 512: nine builds, not one per new maximum."""
+    monkeypatch.setattr(arith, "_prefix_tables", {})
+    arith.factorize.cache_clear()
+    builds = []
+    sieve = arith._sieve
+    monkeypatch.setattr(arith, "_sieve", lambda name, n: builds.append(name) or sieve(name, n))
+    assert [arith.factorize(n) for n in range(1, 301)] == [factorize(n) for n in range(1, 301)]
+    assert 0 < builds.count("spf") <= 10, builds
+
+
 @pytest.mark.parametrize("n", [0, -1, arith.DEFAULT_LIMIT_CAP + 1])
 def test_factorize_rejects_n_outside_the_table_range(n):
     with pytest.raises(ValueError, match=f"factorize requires 1 <= n <= 1000000, got {n}"):

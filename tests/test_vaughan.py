@@ -352,6 +352,17 @@ def test_decomposition_and_splitting_match_oracles(y, X, n_cap, d, m_limit, data
     assert report.passed, (term.ranges, d, report.deviation)
 
 
+@pytest.mark.parametrize("d, m_limit", [(60, 100), (360, 50), (720, 30)])
+def test_split_matches_the_oracle_at_d_with_many_divisors(d, m_limit):
+    """tau(d) = 12, 24 and 30 remaining divisors per slot, on criterion 5's setting."""
+    dec, _ = decomposition_fixture(n_cap=1000)
+    for idx in np.random.default_rng(20250811).choice(dec.count_terms(), 3, replace=False):
+        term = dec.term(int(idx))
+        report = va.split_by_divisor(term, dec, d, m_limit)
+        assert report == oracle_split(term, dec, d, m_limit)
+        assert report.passed, (term.ranges, d, report.deviation)
+
+
 def test_split_makes_as_many_convolutions_as_the_radical_keyed_oracle(monkeypatch):
     """Keyed by the remaining divisor alone, the states are those of the
     (radical, remaining divisor) keys: the same convolutions either way, one
