@@ -130,7 +130,7 @@ def gauss_sum(chi: tuple[CharacterTable, int]) -> GaussSumResult:
 
 
 # ---------------------------------------------------------------------------
-# the two forms of the moment sum M_nu
+# the two forms of the moment sum M_nu; the a_nu table they are given picks nu
 
 
 def a_table(nu: int, spec: MollifierSpec, limit: int) -> ArithFnTable:
@@ -148,22 +148,20 @@ def a_limit(spec: MollifierSpec) -> int:
     return int(m)
 
 
-def _a_values(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> np.ndarray:
-    """a_nu's values, once the table is checked to reach m = yT/2pi."""
-    if nu not in (1, 2):
-        raise ValueError(f"nu must be 1 or 2, got {nu}")
+def _a_values(spec: MollifierSpec, a_table: ArithFnTable) -> np.ndarray:
+    """The a-table's values, once it is checked to reach m = yT/2pi."""
     need = a_limit(spec)
     if a_table.limit < need:
-        raise ValueError(f"a_{nu} table limit {a_table.limit} < required {need}")
+        raise ValueError(f"a-table limit {a_table.limit} < required {need}")
     return a_table.values
 
 
-def m_nu_direct(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
+def m_nu_direct(spec: MollifierSpec, a_table: ArithFnTable) -> complex:
     """M_nu = sum_{k <= y} sum_{m <= kT/2pi} a_nu(m) (b(k)/k) e(-m/k).
 
     The k-terms are summed with math.fsum on real and imaginary parts.
     """
-    av = _a_values(nu, spec, a_table)
+    av = _a_values(spec, a_table)
     b = b_table(spec, int(spec.y)).values.tolist()
     terms = []
     for k in range(1, int(spec.y) + 1):
@@ -179,7 +177,7 @@ def m_nu_direct(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
-def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> complex:
+def m_nu_rearranged(spec: MollifierSpec, a_table: ArithFnTable) -> complex:
     """The multiplicative-character form of M_nu:
 
     sum_{q <= y} sum*_{psi mod q} tau(conj psi) sum_{k <= y/q} b(kq)/(kq)
@@ -193,7 +191,7 @@ def m_nu_rearranged(nu: int, spec: MollifierSpec, a_table: ArithFnTable) -> comp
     vector W per modulus, w[r] the pairwise sum of a_nu(m d) over m = r (mod q),
     and the q-terms are tau(conj psi) (C @ W), C = character_table(q).values(primitive).
     """
-    av = _a_values(nu, spec, a_table)
+    av = _a_values(spec, a_table)
     b = b_table(spec, int(spec.y)).values.tolist()
     mu = arith.sieve_standard("mobius", int(spec.y)).values.tolist()
     terms = []

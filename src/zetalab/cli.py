@@ -128,8 +128,8 @@ def cmd_verify_rearrangement(args) -> dict:
     results = []
     for nu in args.nu:
         a = ch.a_table(nu, spec, need)
-        direct = ch.m_nu_direct(nu, spec, a)
-        rearranged = ch.m_nu_rearranged(nu, spec, a)
+        direct = ch.m_nu_direct(spec, a)
+        rearranged = ch.m_nu_rearranged(spec, a)
         results.append({"nu": nu, "direct": repr(direct), "rearranged": repr(rearranged),
                         "relative_deviation": abs(direct - rearranged) / max(1.0, abs(direct))})
     worst = max(r["relative_deviation"] for r in results)

@@ -4,9 +4,9 @@ The mollifier is the short Dirichlet polynomial with coefficients
 b(k) = mu(k) P(log(y/k)/log y), where P has real coefficients, no constant
 term, and P(1) = 1, and y = T^theta with 0 < theta < 1/2.  ``b_table`` is
 the one evaluator of b: every caller indexes its values.  All first/second
-moment main terms reduce to closed forms in the three polynomial moments
+moment main terms reduce to closed forms in the two polynomial moments
 
-    int_0^1 P,   int_0^1 P^2,   int_0^1 P'^2,
+    int_0^1 P,   int_0^1 P'^2,
 
 which are evaluated exactly from the coefficients.  theta = 1/2 is accepted
 by the factor-level functions as the limiting substitution (the closed forms
@@ -56,13 +56,6 @@ class MollifierPolynomial(ReadOnly):
     def integral(self) -> float:
         """int_0^1 P(u) du = sum c_j / (j+1)."""
         return math.fsum(c / (j + 2) for j, c in enumerate(self.coefficients))
-
-    def integral_square(self) -> float:
-        """int_0^1 P(u)^2 du = sum_{i,j} c_i c_j / (i+j+1)."""
-        c = self.coefficients
-        return math.fsum(
-            c[i] * c[j] / (i + j + 3) for i in range(len(c)) for j in range(len(c))
-        )
 
     def integral_deriv_square(self) -> float:
         """int_0^1 P'(u)^2 du = sum_{i,j} i j c_i c_j / (i+j-1)."""
@@ -160,20 +153,6 @@ def m11_factor(P: MollifierPolynomial, theta: float) -> float:
     """1/2 - theta * int P."""
     _check_theta(theta)
     return 0.5 - theta * P.integral()
-
-
-def m21_factor(P: MollifierPolynomial, theta: float) -> float:
-    """1/12 - (theta/2) int P + (3 theta/2) int P^2 - (theta^2/2)(int P)^2
-    - (1/(24 theta)) int P'^2."""
-    _check_theta(theta, positive=True)
-    ip = P.integral()
-    return (
-        1.0 / 12.0
-        - 0.5 * theta * ip
-        + 1.5 * theta * P.integral_square()
-        - 0.5 * (theta * ip) ** 2
-        - P.integral_deriv_square() / (24 * theta)
-    )
 
 
 def kappa_star_lower(s1: float, s2: float) -> float:

@@ -149,7 +149,7 @@ def zeta_euler_maclaurin(s):
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     out = np.empty(s.size, dtype=np.complex128)
     n_cut = _em_terms(np.abs(s.imag))
-    for n_val in _distinct(n_cut):
+    for n_val in sorted(set(n_cut.tolist())):
         idx = np.nonzero(n_cut == n_val)[0]
         sv = s[idx]
         log_n = np.log(np.arange(1, n_val))
@@ -158,12 +158,6 @@ def zeta_euler_maclaurin(s):
             total[0, i : i + 8] = np.exp(-np.outer(sv[i : i + 8], log_n)).sum(axis=1)
         out[idx] = _add_em_tail(total, sv, n_val)[0]
     return out if out.shape != (1,) else complex(out[0])
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """np.unique(a), without the import of numpy.ma (2 MB of memory) that it makes."""
-    a = np.sort(a)
-    return a[np.concatenate([[True], a[1:] != a[:-1]])]
 
 
 def _em_terms(t_abs):
@@ -225,7 +219,6 @@ def _halves(x):
     return hi, x - hi
 
 
-@functools.lru_cache(maxsize=1024)
 def _log_turns(p: int) -> tuple[float, float]:
     """log p / (pi/2) as a double-double (hi, lo), from decimal's correctly rounded ln."""
     import decimal  # 2 ms, paid by the processes that build a phase table only
@@ -361,7 +354,7 @@ def _gram_block(n: np.ndarray) -> np.ndarray:
     # theta(2 pi e^{1+u}) ~ pi (e u e^u - 1/8), and u e^u = x has e^u ~ x / log(1 + x)
     g = 2 * math.pi * (n + 0.125) / np.log1p((n + 0.125) / math.e)
     for _ in range(6):
-        theta, dtheta = rs_theta(g, derivative=True)
+        theta, dtheta = _theta_block(g)
         g = g - (theta - n * math.pi) / dtheta
     return g
 
@@ -428,8 +421,8 @@ def count_formula(T: float) -> float:
         if np.abs(step).max() < 1.5:
             break
         worst = np.nonzero(np.abs(step) >= 1.5)[0]
-        extra = 0.5 * (sigmas[worst] + sigmas[worst + 1])
-        sigmas = _distinct(np.concatenate([sigmas, extra]))[::-1]
+        extra = 0.5 * (sigmas[worst] + sigmas[worst + 1])  # no repeat: gaps >= 0.018 / 2^12
+        sigmas = np.sort(np.concatenate([sigmas, extra]))[::-1]
         ang = np.angle(_zeta_at_height(sigmas, T))
     s_T = np.unwrap(ang)[-1] / math.pi
     return rs_theta(T) / math.pi + 1.0 + s_T

@@ -237,7 +237,7 @@ def test_character_off_units_zero():
         assert psi[a] == 0.0
 
 
-def m_nu_oracle(nu, spec, a_table):
+def m_nu_oracle(spec, a_table):
     """Reversed loop order, scalar arithmetic throughout."""
     total = 0j
     b = mo.b_table(spec, int(spec.y))
@@ -264,19 +264,19 @@ def test_m_nu_direct_degenerate_cases():
     tiny = mo.MollifierSpec.with_y(400.0, 1.5)
     a1 = tables_for(tiny, 1)
     want = math.fsum(a1[m] for m in range(1, int(400 / (2 * math.pi)) + 1))
-    assert ch.m_nu_direct(1, tiny, a1) == pytest.approx(want + 0j, abs=1e-12)
+    assert ch.m_nu_direct(tiny, a1) == pytest.approx(want + 0j, abs=1e-12)
     # near-minimal T with y = 3: k = 3 dies through b(3) = -P(0) = 0 and the
     # surviving m-range {1, 2} sits where a1 vanishes, so M_1 = 0 exactly
     spec = mo.MollifierSpec.with_y(9.1, 3.0)
-    assert ch.m_nu_direct(1, spec, tables_for(spec, 1)) == 0j
+    assert ch.m_nu_direct(spec, tables_for(spec, 1)) == 0j
 
 
 def test_m_nu_direct_vs_oracle():
     spec = mo.MollifierSpec.with_y(50.0, 7.0)
     for nu in (1, 2):
         table = tables_for(spec, nu)
-        got = ch.m_nu_direct(nu, spec, table)
-        want = m_nu_oracle(nu, spec, table)
+        got = ch.m_nu_direct(spec, table)
+        want = m_nu_oracle(spec, table)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -284,13 +284,11 @@ def test_m_nu_table_too_short():
     spec = mo.MollifierSpec.with_y(100.0, 6.0)
     short = arith.compute_a1(10)
     with pytest.raises(ValueError):
-        ch.m_nu_direct(1, spec, short)
+        ch.m_nu_direct(spec, short)
     with pytest.raises(ValueError):
-        ch.m_nu_rearranged(1, spec, short)
-    with pytest.raises(ValueError):
-        ch.m_nu_direct(3, spec, arith.compute_a1(200))
+        ch.m_nu_rearranged(spec, short)
     with pytest.raises(ValueError, match="yT/2pi = inf exceeds the table cap"):
-        ch.m_nu_direct(1, mo.MollifierSpec.with_y(1e308, 12.0), short)
+        ch.m_nu_direct(mo.MollifierSpec.with_y(1e308, 12.0), short)
 
 
 def test_a_table_is_both_routes_bit_for_bit():
@@ -308,8 +306,8 @@ def test_rearrangement_equals_direct():
         spec = mo.MollifierSpec.with_y(T, y)
         for nu in (1, 2):
             table = tables_for(spec, nu)
-            direct = ch.m_nu_direct(nu, spec, table)
-            rearranged = ch.m_nu_rearranged(nu, spec, table)
+            direct = ch.m_nu_direct(spec, table)
+            rearranged = ch.m_nu_rearranged(spec, table)
             assert abs(direct - rearranged) <= ch.REARRANGE_TOLERANCE * max(1.0, abs(direct))
 
 
@@ -334,7 +332,7 @@ def delta_oracle(q, k, d, psi, psi_bar):
     return total
 
 
-def m_nu_rearranged_oracle(nu, spec, a_table):
+def m_nu_rearranged_oracle(spec, a_table):
     """The rearranged form one character at a time: a per-psi Gauss sum,
     per-psi delta and a gathered dot product for every (q, psi, k, d)."""
     av = a_table.values
@@ -397,8 +395,8 @@ def test_rearranged_matches_per_character_oracle(T, y, nu):
     T = 450, y = 16.14), below the size of the terms both routes round."""
     spec = mo.MollifierSpec.with_y(T, min(y, T**0.49))
     table = tables_for(spec, nu)
-    want, scale = m_nu_rearranged_oracle(nu, spec, table)
-    got = ch.m_nu_rearranged(nu, spec, table)
+    want, scale = m_nu_rearranged_oracle(spec, table)
+    got = ch.m_nu_rearranged(spec, table)
     assert abs(got - want) <= 1e-13 * max(1.0, scale)
 
 

@@ -38,10 +38,47 @@ ALLOWED = {
     "MollifierPolynomial.sup_norm_01": "perfbench growth job",
     "A2Decomposition.reconstruct": "perfbench recon job and criterion 4",
     "A2Decomposition.terms": "oracle for term(i); perfbench split job",
-    # closed-form main terms that normalise M_1 and M_2 (ROADMAP direction 2, step 4)
+    # closed-form main term that normalises M_1 (M_2 takes T L^3: ROADMAP direction 2, step 4)
     "m11_factor": "main-term factor of M_1",
-    "m21_factor": "main-term factor of M_2",
 }
+
+
+# Every memo in src/ (``lru_cache``, ``cache`` or ``cached_property``), each with the
+# traffic that hits it, counted in one process.  A memo that no traffic hits is deleted,
+# not listed.
+MEMOS = {
+    "arith.factorize": "751 of 781 calls hit in perfbench's split job (char_checks, seed 1), "
+                       "778 of 818 in verify-rearrangement --T 2000 --y 40",
+    "characters.character_table": "1114 of 1133 calls hit in monitor-sieve --trials 200",
+    "zeta.count_formula": "1 hit of 2 calls in a cold zeros find: the scan, then the census line",
+    "characters.CharacterTable.gauss_sums":
+        "30 of 60 reads hit in verify-rearrangement --T 2000 --y 40: one per nu and modulus",
+    "vaughan.A2Decomposition._rules": "2 of 3 reads hit in verify-split: count_terms, term(i)",
+    "vaughan._slot_rule.admissible": "50236 of 50827 calls hit in perfbench's split job",
+    "vaughan._slot_rule.count":
+        "1506 of 2186 calls hit in verify-split --d 12 --m-limit 500 --seed 3",
+}
+_MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def _memos(sources: dict[str, str]) -> set[str]:
+    """``module.path`` of every function or method, nested ones included, in ``sources``
+    whose decorator is a memo, bare or called, as a name or an attribute."""
+    found = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{path}.{child.name}"
+                for dec in getattr(child, "decorator_list", []):
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(dec, "id", getattr(dec, "attr", None)) in _MEMO_DECORATORS:
+                        found.add(inner)
+                visit(child, inner)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module)
+    return found
 
 
 def _names(node) -> set[str]:
@@ -178,6 +215,16 @@ def test_allowlist_reasons_name_the_perfbench_job_that_calls_them():
                       for n in ast.walk(functions[kind]) if isinstance(n, ast.Call)
                       and isinstance(n.func, (ast.Name, ast.Attribute))}
             assert name.split(".")[-1] in called, f"{name}: perfbench {kind} job does not call it"
+
+
+def test_memo_ledger_lists_every_memo():
+    """A memo added to src/ comes with its measured traffic here; one removed leaves."""
+    assert _memos(_sources()) == set(MEMOS)
+    assert _memos({"m": "import functools\n"
+                        "@functools.lru_cache(maxsize=8)\ndef a():\n    pass\n"
+                        "class C:\n    @cached_property\n    def b(self):\n        pass\n"
+                        "    def c(self):\n        @cache\n        def d():\n            pass\n"
+                        "@staticmethod\ndef e():\n    pass\n"}) == {"m.a", "m.C.b", "m.C.c.d"}
 
 
 def test_imports_only_the_standard_library_and_numpy():

@@ -787,6 +787,23 @@ def test_sigma_path_against_euler_maclaurin():
         assert np.abs(got - ze.zeta_euler_maclaurin(sigmas + 1j * T)).max() <= 1e-9
 
 
+def test_count_formula_refines_the_sigma_grid(monkeypatch):
+    """At this T the 169-sample grid has a phase step >= 1.5, so count_formula inserts
+    midpoints and samples again; each merged grid is strictly decreasing (no sigma twice),
+    and the count still matches the census of the zero scan."""
+    T = 2614.7367601458645
+    grids, at_height = [], ze._zeta_at_height
+    monkeypatch.setattr(ze, "_zeta_at_height",
+                        lambda sigmas, t: grids.append(sigmas) or at_height(sigmas, t))
+    ze.count_formula.cache_clear()
+    count = ze.count_formula(T)
+    ze.count_formula.cache_clear()
+    assert len(grids) >= 2 and len(grids[0]) == 169 and len(grids[-1]) > 169
+    assert all((np.diff(sigmas) < 0).all() for sigmas in grids)
+    assert abs(count - 2094) <= 1e-6
+    assert len(ze.find_zeros(T)) == 2094
+
+
 # ---------------------------------------------------------------------------
 # the prime-phase kernel
 
