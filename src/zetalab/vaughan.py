@@ -149,42 +149,22 @@ class DecompositionTerm(NamedTuple):
         return _SLOT_ROLES[self.j]
 
 
-def _dyadic_blocks(cap: float, include_unit: bool, upper: float | None = None):
-    """Blocks (2^{e-1}, 2^e] covering [1..cap]; optionally the {1} block.
-
-    ``upper`` truncates the top block label (used for the mu slots, whose
-    support stops at X)."""
-    blocks = []
-    if include_unit:
-        blocks.append((0.5, 1.0))
-    hi = 2.0
-    while hi / 2.0 < cap:
-        top = hi if upper is None else min(hi, upper)
-        blocks.append((hi / 2.0, top))
-        if top < hi:
-            break
-        hi *= 2.0
-    return tuple(blocks)
-
-
-def _b_blocks(y: float):
-    """Blocks (y/2^{h+1}, y/2^h] down to the block containing 1, ascending."""
-    blocks = []
-    h = 0
-    while y / 2.0**h >= 1.0:
-        blocks.append((y / 2.0 ** (h + 1), y / 2.0**h))
-        h += 1
-    return tuple(reversed(blocks))
-
-
 def _role_blocks(spec: MollifierSpec, config: VaughanConfig, n_cap: int) -> dict:
-    """Role -> its block list.  Labels are powers of 2, or y/2^h for the b slot,
-    or 1 for absent slots; the top mu block label is clipped to X so the slot
-    bound N_i <= X holds for non-dyadic X."""
-    return {LOG: _dyadic_blocks(n_cap, include_unit=False),
-            ONE: _dyadic_blocks(n_cap, include_unit=True),
-            MU: _dyadic_blocks(min(config.X, n_cap), include_unit=True, upper=config.X),
-            B_COEF: _b_blocks(min(spec.y, n_cap)), IDENTITY: ((0.5, 1.0),)}
+    """Role -> its block list: the consecutive pairs of one edge list.  The edges are
+    the powers of 2 up to the first >= n_cap, after 0.5 for the roles that take n = 1;
+    the mu edges stop at the first power past X, clipped to X so the slot bound
+    N_i <= X holds for non-dyadic X; the b edges are y/2^h down to the first below 1."""
+    powers = [1.0]
+    while powers[-1] < n_cap:
+        powers.append(2.0 * powers[-1])
+    b_edges = [min(spec.y, n_cap) / 1.0]
+    while b_edges[-1] >= 1.0:
+        b_edges.append(b_edges[-1] / 2.0)
+    X = config.X
+    edges = {LOG: powers, ONE: [0.5, *powers],
+             MU: [0.5, *(min(e, X) for e in powers if e / 2.0 < min(X, n_cap))],
+             B_COEF: b_edges[::-1], IDENTITY: [0.5, 1.0]}
+    return {role: tuple(zip(e, e[1:])) for role, e in edges.items()}
 
 
 class A2Decomposition(ReadOnly):
@@ -408,6 +388,16 @@ def split_by_divisor(term: DecompositionTerm, decomposition: A2Decomposition,
 # hybrid large sieve monitor
 
 
+def _desk_scale(**ranges) -> None:
+    """Reject each name=(value, lo, hi) whose value lies outside [lo, hi], and each
+    value but V's that is not an integer."""
+    for name, (value, lo, hi) in ranges.items():
+        if name != "V" and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value}")
+        if not lo <= value <= hi:
+            raise ValueError(f"{name} = {value} outside desk scale [{lo}, {hi}]")
+
+
 class SieveMonitorReport(NamedTuple):
     lhs: float
     rhs: float
@@ -450,12 +440,7 @@ def hybrid_large_sieve_monitor(Q: int, V: float, H: int, coefficients) -> SieveM
     for real x: the real and imaginary parts of all rows h psi(m) go through
     one product with D, and a call takes O(H) sines and cosines.
     """
-    if not 1 <= Q <= 30:
-        raise ValueError(f"Q = {Q} outside desk scale [1, 30]")
-    if not 0 <= V <= 50:
-        raise ValueError(f"V = {V} outside desk scale [0, 50]")
-    if not 1 <= H <= 500:
-        raise ValueError(f"H = {H} outside desk scale [1, 500]")
+    _desk_scale(Q=(Q, 1, 30), V=(V, 0, 50), H=(H, 1, 500))
     h = np.asarray(coefficients, dtype=np.complex128)
     if h.shape != (H,):
         raise ValueError(f"need exactly H = {H} coefficients, got shape {h.shape}")
@@ -499,12 +484,7 @@ def s_qxd_bruteforce(Q: int, X: int, d: int, nu: int, spec: MollifierSpec,
     """
     if nu not in (1, 2):
         raise ValueError(f"nu must be 1 or 2, got {nu}")
-    if not 1 <= Q <= 16:
-        raise ValueError(f"Q = {Q} outside desk scale [1, 16]")
-    if not 1 <= X <= 2000:
-        raise ValueError(f"X = {X} outside desk scale [1, 2000]")
-    if not 1 <= d <= 8:
-        raise ValueError(f"d = {d} outside desk scale [1, 8]")
+    _desk_scale(Q=(Q, 1, 16), X=(X, 1, 2000), d=(d, 1, 8))
     if a_table is None:
         a_table = characters.a_table(nu, spec, X * d)
     if a_table.limit < X * d:

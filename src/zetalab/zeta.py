@@ -87,14 +87,16 @@ def _clenshaw(y, c, kind: int):
     return c[0] + kind * y * b1 - b2
 
 
-def _blocked(fn, x, rows: int, dtype=np.float64) -> np.ndarray:
+def _blocked(fn, x, rows: int, dtype=np.float64):
     """``fn`` over the points of ``x`` (scalar or any shape), in passes of at most ``BLOCK``
-    points: ``fn`` maps a 1-D block to ``rows`` rows of its length, returned in x's shape."""
+    points: ``fn`` maps a 1-D block to ``rows`` rows of its length, returned in x's shape,
+    or as a list of ``rows`` Python scalars for scalar x."""
     flat = np.asarray(x, dtype=np.float64).ravel()
     out = np.empty((rows, flat.size), dtype=dtype)
     for i in range(0, flat.size, BLOCK):
         out[:, i : i + BLOCK] = fn(flat[i : i + BLOCK])
-    return out.reshape((rows, *np.shape(x)))
+    out = out.reshape((rows, *np.shape(x)))
+    return out if out.ndim > 1 else out.tolist()
 
 
 def rs_theta(t, derivative: bool = False):
@@ -103,9 +105,7 @@ def rs_theta(t, derivative: bool = False):
     w = z + 8, less the angles of z + k for k < 8.  With ``derivative``,
     (theta, theta') where theta' = Re psi(z)/2 - (log pi)/2."""
     val, dval = _blocked(_theta_block, t, 2)
-    if derivative:
-        return (val, dval) if val.ndim else (float(val), float(dval))
-    return val if val.ndim else float(val)
+    return (val, dval) if derivative else val
 
 
 def _theta_block(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +338,7 @@ def hardy_z(t, derivative: bool = False):
     critical line are its sign changes.  Scalar or array.  With
     ``derivative``, the pair (Z, Z') from the same phases."""
     out = _blocked(lambda block: _z_rows(block, int(derivative))[2:], t, 1 + derivative)
-    vals = [v if v.ndim else float(v) for v in out]
-    return tuple(vals) if derivative else vals[0]
+    return tuple(out) if derivative else out[0]
 
 
 def gram_points(T: float) -> np.ndarray:
@@ -576,7 +575,11 @@ def ingest_zeros(path) -> ZeroList:
             ordinates.append(value)
             previous = value
     values = np.frombuffer(ordinates)  # a view: ZeroList makes the one copy
-    if header.get("count", str(len(values))) != str(len(values)):
+    try:
+        count = int(header.get("count", len(values)))
+    except ValueError:
+        raise ValueError(f"{path}: header count={header['count']!r} is not an integer")
+    if count != len(values):
         raise ValueError(f"{path}: header declares count={header['count']}, "
                          f"file has {len(values)} ordinates")
     try:
@@ -606,8 +609,7 @@ def ingest_zeros(path) -> ZeroList:
 def zeta_prime_many(gammas):
     """zeta'(1/2 + i gamma) = e^{-i theta} (-i Z' - theta' Z) at each gamma, scalar or array
     (differentiate zeta = e^{-i theta} Z); at a zero only -i Z' e^{-i theta} is left."""
-    out = _blocked(_zeta_prime_block, gammas, 1, np.complex128)[0]
-    return out if out.ndim else complex(out)
+    return _blocked(_zeta_prime_block, gammas, 1, np.complex128)[0]
 
 
 def _zeta_prime_block(g: np.ndarray) -> np.ndarray:

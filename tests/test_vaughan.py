@@ -166,6 +166,60 @@ def test_construction_rejects_blocks_that_do_not_tile(role, monkeypatch):
         va.A2Decomposition(dec.spec, dec.config, dec.n_cap)
 
 
+def _dyadic_blocks(cap: float, include_unit: bool, upper: float | None = None):
+    """Blocks (2^{e-1}, 2^e] covering [1..cap]; optionally the {1} block.
+
+    ``upper`` truncates the top block label (used for the mu slots, whose
+    support stops at X)."""
+    blocks = []
+    if include_unit:
+        blocks.append((0.5, 1.0))
+    hi = 2.0
+    while hi / 2.0 < cap:
+        top = hi if upper is None else min(hi, upper)
+        blocks.append((hi / 2.0, top))
+        if top < hi:
+            break
+        hi *= 2.0
+    return tuple(blocks)
+
+
+def _b_blocks(y: float):
+    """Blocks (y/2^{h+1}, y/2^h] down to the block containing 1, ascending."""
+    blocks = []
+    h = 0
+    while y / 2.0**h >= 1.0:
+        blocks.append((y / 2.0 ** (h + 1), y / 2.0**h))
+        h += 1
+    return tuple(reversed(blocks))
+
+
+def role_blocks_oracle(spec, config, n_cap):
+    """The per-role block builders that the one edge rule of ``_role_blocks`` replaced."""
+    return {va.LOG: _dyadic_blocks(n_cap, include_unit=False),
+            va.ONE: _dyadic_blocks(n_cap, include_unit=True),
+            va.MU: _dyadic_blocks(min(config.X, n_cap), include_unit=True, upper=config.X),
+            va.B_COEF: _b_blocks(min(spec.y, n_cap)), va.IDENTITY: ((0.5, 1.0),)}
+
+
+def test_role_blocks_match_the_oracle():
+    """Equal reprs, so equal labels and label types: an int X labels the clipped mu block 10.
+    The grid keeps the y below sqrt(T), where theta = log y / log T < 1/2."""
+    seen = 0
+    for T, y, X, n_cap in itertools.product(
+            (1e4, 1e6), (1.5, 2, 7.5, 12, 20, 37.3, 64, 100, 140.7),
+            (1, 1.0, 1.5, 2, 3, 9.5, 10, 16, 30.5, 100, 1e5),
+            (1, 2, 3, 7, 8, 50, 64, 100, 1000, 2000, 4096, 1e4, 1e6)):
+        if y * y >= T:
+            continue
+        spec, config = mo.MollifierSpec.with_y(T, y), VaughanConfig(3, X)
+        assert repr(va._role_blocks(spec, config, n_cap)) == repr(
+            role_blocks_oracle(spec, config, n_cap)), (T, y, X, n_cap)
+        seen += 1
+    assert seen == 2288
+    assert va._role_blocks(small_spec(), VaughanConfig(3, 10), 1000)[va.MU][-1] == (8.0, 10)
+
+
 def test_term_count_monitor(monkeypatch):
     dec, _ = decomposition_fixture(n_cap=512)
     # O(L^9) shape monitor: wildly generous, just pin the reported number
@@ -585,6 +639,32 @@ def test_s_qxd_budget():
         va.s_qxd_bruteforce(8, 5000, 1, 1, spec)
     with pytest.raises(ValueError):
         va.s_qxd_bruteforce(8, 100, 9, 1, spec)
+
+
+def sieve_monitor(Q=10, V=1.0, H=10):
+    return va.hybrid_large_sieve_monitor(Q, V, H, np.ones(10))
+
+
+def s_qxd(Q=8, X=100, d=1):
+    return va.s_qxd_bruteforce(Q, X, d, 1, small_spec())
+
+
+@pytest.mark.parametrize("call, name, value, message", [
+    *((call, name, value, f"{name} must be an integer, got {value}") for call, name, value in [
+        (sieve_monitor, "Q", 2.5), (sieve_monitor, "Q", 10.0), (sieve_monitor, "H", 10.0),
+        (s_qxd, "Q", 8.0), (s_qxd, "X", 100.0), (s_qxd, "X", 99.5), (s_qxd, "d", 2.0)]),
+    (sieve_monitor, "Q", 31, "Q = 31 outside desk scale [1, 30]"),
+    (sieve_monitor, "V", 50.5, "V = 50.5 outside desk scale [0, 50]"),
+    (sieve_monitor, "H", 0, "H = 0 outside desk scale [1, 500]"),
+    (s_qxd, "Q", 32, "Q = 32 outside desk scale [1, 16]"),
+    (s_qxd, "X", 2001, "X = 2001 outside desk scale [1, 2000]"),
+    (s_qxd, "d", 9, "d = 9 outside desk scale [1, 8]"),
+])
+def test_desk_scale_rejections_name_the_parameter(call, name, value, message):
+    """A float Q, H, X or d is rejected by name, not by a TypeError deep in numpy."""
+    with pytest.raises(ValueError) as err:
+        call(**{name: value})
+    assert str(err.value) == message
 
 
 def test_library_modules_do_not_import_scipy():

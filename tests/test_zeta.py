@@ -670,7 +670,11 @@ def block_ingest(path, block) -> ze.ZeroList:
             parts.append(arr[len(last):])
             last = values[-1:]
     values = np.concatenate(parts) if parts else np.zeros(0)
-    if header.get("count", str(len(values))) != str(len(values)):
+    try:
+        count = int(header.get("count", len(values)))
+    except ValueError:
+        raise ValueError(f"{path}: header count={header['count']!r} is not an integer")
+    if count != len(values):
         raise ValueError(f"{path}: header declares count={header['count']}, "
                          f"file has {len(values)} ordinates")
     try:
@@ -731,9 +735,10 @@ def random_table(rng, zeros) -> list[str]:
         f"# max_height={float(top) + rng.uniform(0.0, 40.0)!r}",
         "# max_height=abc",
         f"# count=x, max_height={top}",
+        f"# max_height={top}, count= {n}",  # int reads the spaced count
         f" # count={n + 5}",  # padded: a comment, not the header
         "#source=tables",
-    ][int(rng.integers(0, 9))]
+    ][int(rng.integers(0, 10))]
     return lines if header is None else [header, *lines]
 
 
@@ -746,8 +751,8 @@ def outcome(read, path):
     return zeros.ordinates.tobytes(), zeros.max_height, zeros.source
 
 
-FAULTS = ("not a decimal", "not above previous", "declares count", "is not a number", "finite",
-          "at or below 14", "census", "overlap [", "overlap mismatch")
+FAULTS = ("not a decimal", "not above previous", "declares count", "is not an integer",
+          "is not a number", "finite", "at or below 14", "census", "overlap [", "overlap mismatch")
 
 
 def test_ingest_matches_the_block_reader(tmp_path, monkeypatch, zeros_1000):
@@ -766,6 +771,25 @@ def test_ingest_matches_the_block_reader(tmp_path, monkeypatch, zeros_1000):
         kinds.add("read" if isinstance(got[0], bytes) else
                   next((f for f in FAULTS if f in got[1]), got[1]))
     assert kinds >= {"read", *FAULTS}, kinds
+
+
+@pytest.mark.parametrize("count", ["13", " 13", "013"])
+def test_header_count_is_read_as_an_integer(tmp_path, zeros_300, count):
+    path = tmp_path / "t.txt"
+    body = "".join(f"{g!r}\n" for g in zeros_300.ordinates[:13].tolist())
+    path.write_text(f"# max_height= 60.0 , count={count}\n" + body)
+    zeros = ze.ingest_zeros(path)
+    assert len(zeros) == 13 and zeros.max_height == 60.0
+
+
+@pytest.mark.parametrize("count", ["13.0", "x", ""])
+def test_header_count_that_is_not_an_integer_is_rejected(tmp_path, zeros_300, count):
+    path = tmp_path / "t.txt"
+    body = "".join(f"{g!r}\n" for g in zeros_300.ordinates[:13].tolist())
+    path.write_text(f"# count={count}\n" + body)
+    with pytest.raises(ValueError) as err:
+        ze.ingest_zeros(path)
+    assert str(err.value) == f"{path}: header count={count!r} is not an integer"
 
 
 def test_key_value_lines_after_the_first_are_comments(tmp_path):
